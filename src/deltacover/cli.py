@@ -112,7 +112,6 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", required=True)
     p.add_argument("--summary")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

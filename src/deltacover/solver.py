@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
 
 from .graphs import Cover, Graph, Point, point_distance
 from .verify import discretized_universe, grid_points, is_delta_cover
@@ -480,12 +480,16 @@ def min_cover_exact(
     return result
 
 
-@lru_cache(maxsize=None)
 def harmonic_number(n: int) -> Fraction:
-    """H(n) as an exact rational; the greedy set-cover guarantee."""
+    """H(n) as an exact rational; the greedy set-cover guarantee.
+
+    Summed over the common denominator lcm(1..n), without recursion, so any
+    n works.
+    """
     if n <= 0:
         return Fraction(0)
-    return harmonic_number(n - 1) + Fraction(1, n)
+    common = lcm(*range(1, n + 1))
+    return Fraction(sum(common // k for k in range(1, n + 1)), common)
 
 
 def coverage_spot_check(g: Graph, inst: SetCoverInstance, samples: int = 50) -> bool:

@@ -1,15 +1,20 @@
 """Exact decision procedure for "is S a delta-cover?".
 
-Coverage is decided per edge: every cover point contributes closed
-intervals of the edge's [0, 1] coordinate that it reaches, and the edge is
-covered exactly when the merged union is [0, 1].  Closed-ball semantics
-throughout, so touching intervals merge and exactly-tight packings verify.
+Coverage is decided per edge from nearest-point distances: one
+multi-source Dijkstra gives each vertex its distance to the nearest cover
+point, and an edge is covered exactly when the reach through its two
+endpoints and the intervals of the cover points inside it together make up
+its [0, 1] coordinate.  All lengths are scaled to integers.  Closed-ball
+semantics throughout, so touching intervals merge and exactly-tight
+packings verify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Iterable
 
 from .graphs import Cover, Edge, Graph, ONE, Point, ZERO
@@ -61,62 +66,103 @@ class VerifyReport:
     per_edge_gaps: tuple[tuple[Edge, Interval], ...]
 
 
-def _merge(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-    items = sorted((lo, hi) for lo, hi in intervals if lo <= hi)
-    merged: list[Interval] = []
-    for lo, hi in items:
+def _merge(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Union of closed intervals as sorted maximal pieces; touching ones merge."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(intervals):
         if merged and lo <= merged[-1][1]:
             if hi > merged[-1][1]:
                 merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
-    return tuple(merged)
+    return merged
 
 
-def _clip(lo: Fraction, hi: Fraction) -> Interval | None:
-    lo = max(lo, ZERO)
-    hi = min(hi, ONE)
-    return (lo, hi) if lo <= hi else None
+class _Nearest:
+    """Integer-scaled distances from every vertex to its nearest cover point.
 
+    Lengths are multiplied by ``scale`` = lcm of the denominators of delta
+    and of every offset, so an edge is ``scale`` long, the radius is
+    ``reach = delta * scale`` and every quantity below is an integer.
+    ``dist[w]`` is the scaled distance from vertex ``w`` to the nearest
+    point of the cover, or None when that exceeds ``reach`` (such a vertex
+    brings no coverage into its edges).  ``on_edge`` lists the scaled
+    offsets of the interior cover points of each edge.
+    """
 
-def _vertex_reach(g: Graph, q: Point, w: int) -> Fraction | None:
-    """Distance from cover point q to vertex w (None if unreachable)."""
-    best: Fraction | None = None
-    for a, da in q.anchors():
-        hops = g.dist[a][w]
-        if hops is None:
-            continue
-        d = da + hops
-        if best is None or d < best:
-            best = d
-    return best
+    __slots__ = ("scale", "reach", "dist", "on_edge")
+
+    def __init__(self, g: Graph, s: Cover, delta: Fraction):
+        if delta <= ZERO:
+            raise ValueError(f"delta must be positive, got {delta}")
+        for q in s.points:
+            g.check_point(q)
+        scale = lcm(delta.denominator, *(q.t.denominator for q in s.points))
+        reach = delta.numerator * (scale // delta.denominator)
+        on_edge: dict[Edge, list[int]] = {}
+        heap: list[tuple[int, int]] = []
+        for q in s.points:
+            if q.is_vertex:
+                heap.append((0, q.u))
+                continue
+            a = q.t.numerator * (scale // q.t.denominator)
+            on_edge.setdefault((q.u, q.v), []).append(a)
+            heap.append((a, q.u))
+            heap.append((scale - a, q.v))
+        heapify(heap)
+        dist: list[int | None] = [None] * g.n
+        while heap:
+            d, w = heappop(heap)
+            if d > reach:
+                break
+            if dist[w] is not None:
+                continue
+            dist[w] = d
+            nd = d + scale
+            if nd <= reach:
+                for x in g.adj[w]:
+                    if dist[x] is None:
+                        heappush(heap, (nd, x))
+        self.scale = scale
+        self.reach = reach
+        self.dist = dist
+        self.on_edge = on_edge
+
+    def edge_pieces(self, u: int, v: int) -> list[tuple[int, int]] | None:
+        """Covered part of edge (u, v), u < v, as merged scaled intervals.
+
+        Returns None when the whole edge is covered; when the reach through
+        the endpoints alone spans it, nothing is sorted.
+        """
+        scale, reach = self.scale, self.reach
+        du, dv = self.dist[u], self.dist[v]
+        ru = -1 if du is None else reach - du
+        rv = -1 if dv is None else reach - dv
+        if ru + rv >= scale:
+            return None
+        pieces = [(max(a - reach, 0), min(a + reach, scale))
+                  for a in self.on_edge.get((u, v), ())]
+        if ru >= 0:
+            pieces.append((0, min(ru, scale)))
+        if rv >= 0:
+            pieces.append((max(scale - rv, 0), scale))
+        merged = _merge(pieces)
+        return None if merged == [(0, scale)] else merged
+
+    def as_intervals(self, pieces: list[tuple[int, int]] | None) -> tuple[Interval, ...]:
+        if pieces is None:
+            return ((ZERO, ONE),)
+        scale = self.scale
+        return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in pieces)
 
 
 def edge_coverage_intervals(g: Graph, e: Edge, s: Cover, delta: Fraction) -> IntervalSet:
     """The subset of edge ``e`` within ``delta`` of some point of ``s``."""
-    if delta <= ZERO:
-        raise ValueError(f"delta must be positive, got {delta}")
     u, v = e if e[0] < e[1] else (e[1], e[0])
     if (u, v) not in g.edge_set:
         raise InvalidCoverError(f"edge ({u}, {v}) not in graph")
-    pieces: list[Interval] = []
-    for q in s.points:
-        g.check_point(q)
-        du = _vertex_reach(g, q, u)
-        if du is not None and du <= delta:
-            piece = _clip(ZERO, delta - du)
-            if piece:
-                pieces.append(piece)
-        dv = _vertex_reach(g, q, v)
-        if dv is not None and dv <= delta:
-            piece = _clip(ONE - (delta - dv), ONE)
-            if piece:
-                pieces.append(piece)
-        if not q.is_vertex and q.edge() == (u, v):
-            piece = _clip(q.t - delta, q.t + delta)
-            if piece:
-                pieces.append(piece)
-    return IntervalSet((u, v), _merge(pieces))
+    near = _Nearest(g, s, delta)
+    return IntervalSet((u, v), near.as_intervals(near.edge_pieces(u, v)))
 
 
 def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyReport:
@@ -124,27 +170,50 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
 
     The witness, when coverage fails, is the midpoint of the first maximal
     uncovered gap in canonical edge order (deterministic output).
+
+    Method: one multi-source Dijkstra from the cover points gives, for each
+    vertex w, the distance D(w) to the nearest cover point (see
+    ``_Nearest``).  Write x in [0, 1] for the point at offset x on edge
+    uv.  Then x is covered iff
+
+        x <= delta - D(u),  or  1 - x <= delta - D(v),  or
+        |x - a| <= delta for the offset a of a cover point inside uv.
+
+    Proof.  A shortest path from a cover point q to x either stays inside
+    uv, which needs q inside uv and has length |x - a|, or enters uv through
+    u or v, with length d(q, u) + x or d(q, v) + 1 - x.  A point not inside
+    uv has only the last two routes; the minimum of d(q, u) over all q,
+    including points inside uv (whose routes through u and v are among the
+    anchors that seed the search), is D(u), and likewise for v.  So the
+    covered part of uv is the union of the closed pieces
+    [0, delta - D(u)], [1 - (delta - D(v)), 1] and [a - delta, a + delta],
+    and the edge is covered iff they cover [0, 1].  When the endpoint
+    reaches delta - D(u) and delta - D(v) sum to at least 1, their two
+    pieces cover the edge (if one reach is negative, the other exceeds 1).
+    A vertex farther than delta from every cover point adds no piece, so
+    the search stops at the radius.  An isolated
+    vertex w is reached only by a point at w, so it is covered iff
+    D(w) <= delta.
+
+    Cost: O((n + m) log n + |S| log |S|) integer operations; the all-pairs
+    table ``Graph.dist`` is never read.
     """
     if delta is None:
         delta = s.delta
+    near = _Nearest(g, s, delta)
     witness: Point | None = None
     gap_records: list[tuple[Edge, Interval]] = []
     for e in g.edges:
-        iset = edge_coverage_intervals(g, e, s, delta)
-        if iset.covers_fully():
+        pieces = near.edge_pieces(*e)
+        if pieces is None:
             continue
-        for gap in iset.gaps():
+        for gap in IntervalSet(e, near.as_intervals(pieces)).gaps():
             gap_records.append((e, gap))
             if witness is None:
                 mid = (gap[0] + gap[1]) / 2
                 witness = Point.on_edge(e[0], e[1], mid)
     for w in range(g.n):
-        if g.degree(w) > 0:
-            continue
-        covered = any(
-            (d := _vertex_reach(g, q, w)) is not None and d <= delta for q in s.points
-        )
-        if not covered:
+        if g.degree(w) == 0 and near.dist[w] is None:
             gap_records.append(((w, w), (ZERO, ZERO)))
             if witness is None:
                 witness = Point.vertex(w)

@@ -3,7 +3,8 @@
 Each oracle reimplements the quantity it checks from first principles,
 sharing no code path with the library: distances by BFS on a fine grid,
 matchings by bitmask dynamic programming, set cover by subset enumeration,
-coverage by random point probing.
+coverage by random point probing, and coverage per edge by the reach of
+every cover point separately.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from deltacover import Cover, Graph, Point
+from deltacover import Cover, Graph, Point, VerifyReport
 
 
 def grid_distance(edges: list[tuple[int, int]], n: int,
@@ -128,3 +129,77 @@ def covered_by_sampling(g: Graph, cover: Cover, delta: Fraction, p: Point) -> bo
         if d is not None and (best is None or d < best):
             best = d
     return best is not None and best <= delta
+
+
+def _hops_from(g: Graph, source: int) -> list[int | None]:
+    hops: list[int | None] = [None] * g.n
+    hops[source] = 0
+    queue = deque([source])
+    while queue:
+        a = queue.popleft()
+        for b in g.adj[a]:
+            if hops[b] is None:
+                hops[b] = hops[a] + 1
+                queue.append(b)
+    return hops
+
+
+def interval_edge_coverage(g: Graph, e: tuple[int, int], cover: Cover,
+                           delta: Fraction, hops=None) -> tuple:
+    """Covered part of edge e as merged closed intervals, point by point.
+
+    Every cover point q contributes [0, delta - d(q, u)] and
+    [1 - (delta - d(q, v)), 1] when it reaches u or v, and [t - delta,
+    t + delta] when it lies inside e; O(|S|) Fraction work per edge.
+    """
+    if hops is None:
+        hops = [_hops_from(g, w) for w in range(g.n)]
+    u, v = e
+
+    def reach(q: Point, w: int) -> Fraction | None:
+        anchors = [(q.u, Fraction(0))] if q.is_vertex else [(q.u, q.t), (q.v, 1 - q.t)]
+        found = [da + hops[a][w] for a, da in anchors if hops[a][w] is not None]
+        return min(found, default=None)
+
+    pieces = []
+    for q in cover.points:
+        du, dv = reach(q, u), reach(q, v)
+        if du is not None and du <= delta:
+            pieces.append((Fraction(0), min(delta - du, Fraction(1))))
+        if dv is not None and dv <= delta:
+            pieces.append((max(1 - (delta - dv), Fraction(0)), Fraction(1)))
+        if not q.is_vertex and (q.u, q.v) == (u, v):
+            pieces.append((max(q.t - delta, Fraction(0)), min(q.t + delta, Fraction(1))))
+    merged = []
+    for lo, hi in sorted(pieces):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def interval_verify(g: Graph, cover: Cover, delta: Fraction) -> VerifyReport:
+    """The report of ``is_delta_cover``, from per-point intervals.
+
+    Gaps are the maximal uncovered stretches of each edge in canonical edge
+    order, then ((w, w), (0, 0)) for each uncovered isolated vertex w; the
+    witness is the midpoint of the first gap.
+    """
+    hops = [_hops_from(g, w) for w in range(g.n)]
+    gaps = []
+    for e in g.edges:
+        # Gaps lie between consecutive pieces: (0, lo1), (hi1, lo2), ..., (hik, 1).
+        ends = [Fraction(0)]
+        for piece in interval_edge_coverage(g, e, cover, delta, hops):
+            ends.extend(piece)
+        ends.append(Fraction(1))
+        gaps.extend((e, (lo, hi)) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi)
+    for w in range(g.n):
+        if not g.adj[w] and Point.vertex(w) not in cover.points:
+            gaps.append(((w, w), (Fraction(0), Fraction(0))))
+    witness = None
+    if gaps:
+        (u, v), (lo, hi) = gaps[0]
+        witness = Point.vertex(u) if u == v else Point.on_edge(u, v, (lo + hi) / 2)
+    return VerifyReport(not gaps, witness, tuple(gaps))

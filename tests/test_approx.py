@@ -13,6 +13,7 @@ from deltacover import (
     cover_vertex_set,
     cover_via_one_cover,
     is_delta_cover,
+    harmonic_number,
     level_partition,
     min_cover_exact,
     translate_cover_up,
@@ -72,6 +73,18 @@ def test_dispatcher_regimes_by_delta():
         rep = approx_cover(g, d)
         assert rep.regime == regime, (str(d), rep.regime)
         assert is_delta_cover(g, rep.cover, d).is_cover
+
+
+def test_large_delta_route_on_a_large_universe():
+    # |U| = 539 on the 6x7 grid at 5/2: H(|U|) used to overflow the stack.
+    rows, cols = 6, 7
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    g = build_graph(edges, n=rows * cols)
+    rep = approx_cover(g, F(5, 2))
+    assert rep.regime == "large_delta"
+    assert rep.claimed_factor == harmonic_number(539)
+    assert is_delta_cover(g, rep.cover, F(5, 2)).is_cover
 
 
 def test_one_cover_route_factors():

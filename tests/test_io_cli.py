@@ -182,3 +182,10 @@ def test_cli_bench_empty_suite(tmp_path):
     assert main(["bench", "--config", str(cfg), "--csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_cli_bench_has_no_seed_flag(tmp_path):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"deltas": [], "instances": []}))
+    assert main(["bench", "--config", str(cfg), "--csv", str(tmp_path / "rows.csv"),
+                 "--seed", "1"]) == 3

@@ -8,6 +8,7 @@ from deltacover import (
     build_graph,
     build_set_cover,
     discretized_universe,
+    edge_coverage_intervals,
     harmonic_number,
     is_delta_cover,
     lift_cover_to_subdivision,
@@ -18,6 +19,7 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
+from oracles import interval_edge_coverage, interval_verify
 
 
 @st.composite
@@ -76,6 +78,41 @@ def test_subdivision_round_trip(case, x):
     assert len(lifted) == len(cover)
     back = map_cover_from_subdivision(g, x, lifted)
     assert back.points == cover.points
+
+
+VERIFY_RADII = [F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1), F(7, 6), F(3, 2), F(5, 2)]
+
+
+@st.composite
+def verify_cases(draw):
+    """A graph (maybe disconnected, maybe with isolated vertices), a radius
+    and a cover (maybe empty) whose offsets sit on the radius's half-grid,
+    where touching balls are common, or on denominators coprime to it."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
+    g = build_graph(edges, n=n)
+    delta = draw(st.sampled_from(VERIFY_RADII))
+    b = delta.denominator
+    points = []
+    for _ in range(draw(st.integers(0, 5))):
+        if not g.edges or draw(st.booleans()):
+            points.append(Point.vertex(draw(st.integers(0, n - 1))))
+            continue
+        u, v = draw(st.sampled_from(g.edges))
+        den = draw(st.sampled_from([2 * b, 4 * b, 7, 11, 13]))
+        points.append(Point.on_edge(u, v, F(draw(st.integers(1, den - 1)), den)))
+    return g, Cover.of(points, delta), delta
+
+
+@given(verify_cases())
+@settings(max_examples=400, deadline=None)
+def test_verifier_report_equals_interval_oracle(case):
+    g, cover, delta = case
+    assert is_delta_cover(g, cover, delta) == interval_verify(g, cover, delta)
+    for e in g.edges:
+        iset = edge_coverage_intervals(g, e, cover, delta)
+        assert iset.intervals == interval_edge_coverage(g, e, cover, delta)
 
 
 @given(graphs_with_points(3), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]))

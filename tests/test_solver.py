@@ -140,5 +140,13 @@ def test_results_verify_and_budget_flag():
 
 
 def test_harmonic_number():
+    assert harmonic_number(0) == 0
     assert harmonic_number(1) == 1
     assert harmonic_number(3) == F(11, 6)
+
+
+def test_harmonic_number_has_no_depth_limit():
+    total = F(0)
+    for k in range(1, 5001):
+        total += F(1, k)
+    assert harmonic_number(5000) == total

@@ -13,8 +13,9 @@ from deltacover import (
     is_delta_cover,
     normalize_neat,
 )
+from deltacover.verify import require_cover
 from conftest import cycle, k_n, path
-from oracles import covered_by_sampling, sample_points
+from oracles import covered_by_sampling, interval_verify, sample_points
 
 
 def test_intervals_midpoint_reaches_both_ends():
@@ -72,6 +73,40 @@ def test_isolated_vertex_handling():
     assert not report.is_cover and report.witness == Point.vertex(2)
     s2 = Cover.of([Point.on_edge(0, 1, F(1, 2)), Point.vertex(2)], F(1))
     assert is_delta_cover(g, s2).is_cover
+
+
+def test_verifier_never_reads_the_distance_table():
+    grid = [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+    grid += [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)]
+    cases = [
+        (grid, 12, Cover.of([Point.vertex(5), Point.on_edge(2, 6, F(1, 3)),
+                             Point.vertex(8)], F(3, 2))),
+        (grid, 12, Cover.of([Point.vertex(5), Point.vertex(6)], F(2))),
+        ([(0, 1), (1, 2), (3, 4)], 6,
+         Cover.of([Point.on_edge(0, 1, F(2, 7)), Point.on_edge(3, 4, F(1, 2)),
+                   Point.vertex(5)], F(4, 5))),
+        ([(0, 1), (1, 2), (3, 4)], 6,
+         Cover.of([Point.on_edge(0, 1, F(1, 2)), Point.on_edge(1, 2, F(1, 2)),
+                   Point.on_edge(3, 4, F(1, 2)), Point.vertex(5)], F(1, 2))),
+    ]
+    verdicts = []
+    for edges, n, cover in cases:
+        table = build_graph(edges, n=n)
+        g = build_graph(edges, n=n)
+        g.dist = None
+        expected = is_delta_cover(table, cover)
+        verdicts.append(expected.is_cover)
+        assert is_delta_cover(g, cover) == expected == interval_verify(table, cover, cover.delta)
+        for e in g.edges:
+            assert (edge_coverage_intervals(g, e, cover, cover.delta)
+                    == edge_coverage_intervals(table, e, cover, cover.delta))
+        if expected.is_cover:
+            require_cover(g, cover, cover.delta, "table-free")
+        else:
+            with pytest.raises(InvalidCoverError) as err:
+                require_cover(g, cover, cover.delta, "table-free")
+            assert err.value.witness == expected.witness
+    assert verdicts == [False, True, False, True]
 
 
 def test_universe_sizes():
