@@ -220,12 +220,11 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     result = unit_fraction_cover(g, 2 * k + 1, budget)
-    if result.optimal:
-        bound = k * g.m + one_cover_min(g, budget).size
-        if result.size > bound:
-            raise InternalConsistencyError(
-                f"1/{2 * k + 1}-cover of size {result.size} exceeds k|E| + cov1 = {bound}"
-            )
+    bound = k * g.m + one_cover_min(g, budget).size
+    if result.size > bound:
+        raise InternalConsistencyError(
+            f"1/{2 * k + 1}-cover of size {result.size} exceeds k|E| + cov1 = {bound}"
+        )
     ge = gallai_edmonds(g)
     eps = Fraction(g.n + ge.c_ge3, g.n + ge.c_ge3 - 1) - 1 if g.n + ge.c_ge3 > 1 else Fraction(1)
     avg = g.average_degree()

@@ -307,6 +307,11 @@ class SubdivisionMap:
         u, v = g.edges[eid]
         return Point.on_edge(u, v, (seg + t) / self.factor)
 
+    def project_cover(self, g: Graph, s_x: Cover) -> Cover:
+        """Pull a cover of the subdivision back onto ``g`` (radius divides by the factor)."""
+        points = frozenset(self.project_point(g, p) for p in s_x.points)
+        return Cover(points, s_x.delta / self.factor)
+
 
 def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
     """Replace every edge by a path of ``x`` unit edges."""
@@ -344,8 +349,7 @@ def lift_cover_to_subdivision(g: Graph, x: int, s: Cover) -> Cover:
 def map_cover_from_subdivision(g: Graph, x: int, s_x: Cover) -> Cover:
     """Pull a cover of the x-subdivision back onto ``g`` (radius divides by x)."""
     _, smap = subdivide(g, x)
-    points = frozenset(smap.project_point(g, p) for p in s_x.points)
-    return Cover(points, s_x.delta / x)
+    return smap.project_cover(g, s_x)
 
 
 def wreath_k2(g: Graph) -> Graph:

@@ -1,8 +1,10 @@
 """Matching machinery and the polynomial exact covering routes.
 
-Maximum matching (blossom, via networkx), the Gallai-Edmonds vertex
-partition, minimum 1-covers and unit-fraction covers, the exact bottom-up
-tree solver, and the matching-based 2-approximate vertex cover.
+Maximum matching and the Gallai-Edmonds vertex partition from one Edmonds
+blossom search, minimum 1-covers and unit-fraction covers built from
+them, the exact bottom-up tree solver, and the matching-based
+2-approximate vertex cover.  Everything here is polynomial and iterative:
+no branch and bound and no recursion.
 """
 
 from __future__ import annotations
@@ -10,8 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-import networkx as nx
+from typing import Sequence
 
 from .graphs import (
     Cover,
@@ -21,11 +22,7 @@ from .graphs import (
     Point,
     ZERO,
     connected_components,
-    induced_subgraph,
     is_forest,
-    lift_cover_to_subdivision,
-    map_cover_from_subdivision,
-    relabel_points,
     subdivide,
 )
 from .solver import (
@@ -33,9 +30,13 @@ from .solver import (
     DEFAULT_BUDGET,
     InternalConsistencyError,
     SolveResult,
-    min_cover_exact,
 )
 from .verify import require_cover
+
+HALF = Fraction(1, 2)
+
+# Labels of the alternating forest: unreached, even (outer), odd (inner).
+_FREE, _EVEN, _ODD = 0, 1, 2
 
 
 class NotAForestError(ValueError):
@@ -57,7 +58,8 @@ class GEDecomposition:
 
     ``d_components`` are the components of the subgraph induced on D;
     components of size >= 3 are factor-critical and their count drives the
-    1-cover size bounds.
+    1-cover size bounds.  ``matching`` is the maximum matching the split was
+    read from.
     """
 
     D: frozenset[int]
@@ -65,96 +67,314 @@ class GEDecomposition:
     C: frozenset[int]
     d_components: tuple[frozenset[int], ...]
     c_ge3: int
+    matching: Matching
 
 
-def _to_nx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    return h
+def _greedy_mates(adj: Sequence[Sequence[int]]) -> list[int]:
+    """A maximal matching, lowest-degree vertices first (mate[v], -1 if exposed)."""
+    mate = [-1] * len(adj)
+    for v in sorted(range(len(adj)), key=lambda v: len(adj[v])):
+        if mate[v] < 0:
+            for w in adj[v]:
+                if mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    break
+    return mate
+
+
+def _flip(mate: list[int], parent: list[int], x: int) -> None:
+    """Re-match the path from x back to its root: x to parent[x], and so on."""
+    while x >= 0:
+        px = parent[x]
+        nxt = mate[px]
+        mate[x], mate[px] = px, x
+        x = nxt
+
+
+def _forest_search(adj: Sequence[Sequence[int]], mate: list[int]) -> list[int] | None:
+    """One alternating-forest search rooted at every exposed vertex.
+
+    Grows all trees at once, breadth first, shrinking each blossom into its
+    base.  An edge between even vertices of two trees closes an augmenting
+    path: ``mate`` is augmented along it in place and None is returned.
+    When no such edge exists the matching is maximum and the final labels
+    are returned: even vertices form D, odd vertices A and unreached
+    vertices C of the Gallai-Edmonds split.
+
+    ``parent[y]`` of an odd vertex y is the even vertex that reached it;
+    shrinking a blossom also points the even vertices on its two sides
+    across the closing edge, so that from any vertex x with a parent the
+    alternating path to the root is x, parent[x], mate[parent[x]], ...
+    """
+    n = len(adj)
+    label = [_FREE] * n
+    parent = [-1] * n
+    base = list(range(n))
+    root = list(range(n))
+    queue = [v for v in range(n) if mate[v] < 0]
+    forest = list(queue)
+    for v in queue:
+        label[v] = _EVEN
+    seen = [0] * n  # lca marks, one stamp per blossom
+    stamp = 0
+
+    def lca(a: int, b: int) -> int:
+        nonlocal stamp
+        stamp += 1
+        while True:
+            a = base[a]
+            seen[a] = stamp
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b] == stamp:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, top: int, child: int, blossom: set[int]) -> None:
+        while base[v] != top:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w or label[w] == _ODD:
+                continue
+            if label[w] == _FREE:
+                x = mate[w]  # every exposed vertex is a root, so w is matched
+                label[w], label[x] = _ODD, _EVEN
+                parent[w] = v
+                root[w] = root[x] = root[v]
+                forest += (w, x)
+                queue.append(x)
+            elif root[v] != root[w]:
+                mv, mw = mate[v], mate[w]
+                mate[v], mate[w] = w, v
+                _flip(mate, parent, mv)
+                _flip(mate, parent, mw)
+                return None
+            else:
+                top = lca(v, w)
+                blossom: set[int] = set()
+                mark_path(v, top, w, blossom)
+                mark_path(w, top, v, blossom)
+                for x in forest:
+                    if base[x] in blossom:
+                        base[x] = top
+                        if label[x] == _ODD:
+                            label[x] = _EVEN
+                            queue.append(x)
+    return label
+
+
+def _edmonds(g: Graph) -> tuple[list[int], list[int]]:
+    """Mates of a maximum matching and the final forest labels.
+
+    A greedy matching is augmented one path per search; the search that
+    finds no augmenting path labels the Gallai-Edmonds split.
+    """
+    mate = _greedy_mates(g.adj)
+    while True:
+        label = _forest_search(g.adj, mate)
+        if label is not None:
+            return mate, label
+
+
+def _matching_of(mate: list[int]) -> Matching:
+    return Matching(frozenset((v, w) for v, w in enumerate(mate) if v < w))
 
 
 def max_matching(g: Graph) -> Matching:
-    """Maximum-cardinality matching via the blossom algorithm."""
-    raw = nx.max_weight_matching(_to_nx(g), maxcardinality=True)
-    edges = frozenset((u, v) if u < v else (v, u) for u, v in raw)
-    return Matching(edges)
+    """Maximum-cardinality matching by the Edmonds blossom search."""
+    mate, _ = _edmonds(g)
+    return _matching_of(mate)
 
 
-def _nu(h: nx.Graph) -> int:
-    return len(nx.max_weight_matching(h, maxcardinality=True))
+def _nu(g: Graph) -> int:
+    """The matching number; perfbench/layers.py traces it by name."""
+    return max_matching(g).size
 
 
 def gallai_edmonds(g: Graph) -> GEDecomposition:
-    """Compute (D, A, C) by the definition: D = vertices some maximum matching misses."""
-    h = _to_nx(g)
-    nu = _nu(h)
-    D = set()
-    for v in range(g.n):
-        hv = h.copy()
-        hv.remove_node(v)
-        if _nu(hv) == nu:
-            D.add(v)
-    A = {w for v in D for w in g.adj[v]} - D
-    C = set(range(g.n)) - D - A
-    d_sub, d_old = induced_subgraph(g, sorted(D))
-    comps = [frozenset(d_old[i] for i in comp) for comp in connected_components(d_sub)]
-    comps.sort(key=min)
-    for comp in comps:
-        if len(comp) < 3:
+    """Compute (D, A, C) from the labels of the final Edmonds forest.
+
+    With a maximum matching, the alternating forest rooted at every exposed
+    vertex labels exactly the vertices some maximum matching misses as even
+    (D) and their other neighbours as odd (A).  The split is checked against
+    Tutte-Berge: 2 nu = n - c(D) + |A|.
+    """
+    mate, label = _edmonds(g)
+    D = [v for v in range(g.n) if label[v] == _EVEN]
+    A = frozenset(v for v in range(g.n) if label[v] == _ODD)
+    C = frozenset(v for v in range(g.n) if label[v] == _FREE)
+    in_d = [x == _EVEN for x in label]
+    comps = []
+    for s in D:
+        if not in_d[s]:
             continue
-        sub, _ = induced_subgraph(g, sorted(comp))
-        hs = _to_nx(sub)
-        for v in range(sub.n):
-            hv = hs.copy()
-            hv.remove_node(v)
-            if _nu(hv) != (sub.n - 1) // 2:
-                raise InternalConsistencyError(
-                    f"D-component {sorted(comp)} is not factor-critical"
-                )
-    if C:
-        c_sub, _ = induced_subgraph(g, sorted(C))
-        if 2 * _nu(_to_nx(c_sub)) != len(C):
-            raise InternalConsistencyError("C part lacks a perfect matching")
-    return GEDecomposition(
-        frozenset(D), frozenset(A), frozenset(C), tuple(comps), sum(len(c) >= 3 for c in comps)
-    )
+        in_d[s] = False
+        comp = [s]
+        for u in comp:
+            for w in g.adj[u]:
+                if in_d[w]:
+                    in_d[w] = False
+                    comp.append(w)
+        comps.append(frozenset(comp))
+    matching = _matching_of(mate)
+    if 2 * matching.size != g.n - len(comps) + len(A):
+        raise InternalConsistencyError(
+            f"Gallai-Edmonds split breaks Tutte-Berge: nu={matching.size}, n={g.n}, "
+            f"c(D)={len(comps)}, |A|={len(A)}"
+        )
+    return GEDecomposition(frozenset(D), A, C, tuple(comps),
+                           sum(len(c) >= 3 for c in comps), matching)
+
+
+def _deficient_set(adj: Sequence[Sequence[int]],
+                   singles: list[int]) -> tuple[set[int], set[int]]:
+    """T maximising |T| - |N(T)| over the singletons, and N(T).
+
+    A maximum matching of the bipartite graph B between the singletons and
+    their neighbours is grown one augmenting path at a time; T is then the
+    set of singletons reachable by alternating paths from those it leaves
+    exposed (Konig), so |T| - |N(T)| = def(B).
+    """
+    mate: dict[int, int] = {}  # both ways; singletons and their neighbours are disjoint
+    for s in singles:
+        came: dict[int, int] = {}
+        frontier = [s]
+        end = None
+        for x in frontier:
+            for a in adj[x]:
+                if a in came:
+                    continue
+                came[a] = x
+                if a not in mate:
+                    end = a
+                    break
+                frontier.append(mate[a])
+            if end is not None:
+                break
+        while end is not None:
+            x = came[end]
+            nxt = mate.get(x)
+            mate[end], mate[x] = x, end
+            end = None if x == s else nxt
+    T = [s for s in singles if s not in mate]
+    X: set[int] = set()
+    for x in T:
+        for a in adj[x]:
+            if a not in X:
+                X.add(a)
+                T.append(mate[a])  # matched, or the matching would not be maximum
+    return set(T), X
 
 
 def one_cover_min(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
-    """Exact minimum 1-cover (vertices and edge midpoints suffice).
+    """Exact minimum 1-cover in polynomial time: cov1(G) = n - nu(G) - def(B).
 
-    An optimal 1-cover never exceeds 2/3 of the vertex count (and, with the
-    Gallai-Edmonds census, (|V| + c_ge3) / 2); the cheap bound is asserted
-    here, the matching-based one is exercised by the test suite.
+    B is the bipartite graph between the Gallai-Edmonds set A and the
+    D-singletons that have a neighbour; def(B) = #singletons - nu(B).
+    ``budget`` is accepted for compatibility and not read.
+
+    *Neat covers.*  In a 1-cover S keep the vertex points as X and replace
+    the points inside each edge by its midpoint (edge set M).  An edge xy
+    with no point of S on it is covered iff d(x, S) + d(y, S) <= 1 with both
+    distances positive, so both are below 1, which only a point inside an
+    edge at x (at y) achieves: x and y both touch M.  Hence X plus the
+    midpoints of M is a 1-cover no larger than S, and edge uv is covered by
+    such a cover iff u in X, v in X, uv in M, or u and v both touch M.
+
+    *Cost of X.*  M must touch every vertex of G - X that has a neighbour
+    outside X; the fewest edges doing so number those vertices minus
+    nu(G - X).  With
+    no degree-0 vertex, cost(X) = n - iso(G - X) - nu(G - X); a degree-0
+    vertex costs one point whatever X is, and n - nu - def(B) counts it.
+
+    *No X does better.*  The isolated vertices I of G - X meet only X, so a
+    maximum matching of G - X and one of the bipartite graph H between I and
+    X are disjoint: nu(G) >= nu(G - X) + nu(H).  By Konig nu(H) = |I| - max
+    (|U| - |N(U)|) over U in I, and such a U is isolated in G - N(U).  A
+    fractional matching gives each vertex of S weight at most 1 and the
+    vertices isolated in G - S meet only S, so iso(G - S) - |S| <= n -
+    2 nu_f(G) for every S.  Gallai-Edmonds gives a fractional matching
+    exposing exactly def(B) vertices: every nonempty part of A meets more
+    D-components than its size, so (Mendelsohn-Dulmage) A matches into
+    distinct D-components covering the singletons of a maximum matching of
+    B; each entered component minus its entry vertex, and C, have perfect
+    matchings; every other component on 3 or more vertices is
+    factor-critical, hence has a perfect fractional matching.  So
+    iso(G - X) + nu(G - X) <= nu(G) + def(B) for every X.
+
+    *X = N(T) attains it.*  For X in A, Tutte-Berge with barrier A - X gives
+    nu(G - X) = nu(G) - |X|, and the isolated vertices of G - X include T
+    when X = N(T), T the Konig deficient set of B (|T| - |X| = def(B)).
+    The cover is X, the maximum matching of G minus its |X| edges at X (a
+    maximum matching of G - X), one edge of G - X at each vertex it leaves
+    exposed that has one, and a vertex point at each degree-0 vertex.
+
+    Hartmann, Lendl and Woeginger (Math. Program. 2022) prove delta-Covering
+    polynomial for every unit fraction; the tests cross-check this route
+    against the branch and bound.
     """
-    result = min_cover_exact(g, Fraction(1), budget)
-    if result.optimal and all(g.degree(v) > 0 for v in range(g.n)):
-        if result.size > Fraction(2 * g.n, 3):
-            raise InternalConsistencyError(
-                f"1-cover of size {result.size} exceeds 2/3 of {g.n} vertices"
-            )
-    return result
+    t0 = time.monotonic()
+    ge = gallai_edmonds(g)
+    singles = [v for comp in ge.d_components if len(comp) == 1
+               for v in comp if g.adj[v]]
+    T, X = _deficient_set(g.adj, singles)
+    points = {Point.vertex(v) for v in X}
+    points |= {Point.vertex(v) for v in range(g.n) if not g.adj[v]}
+    touched = set(X)
+    for u, v in ge.matching.edges:
+        if u not in X and v not in X:
+            points.add(Point.on_edge(u, v, HALF))
+            touched.update((u, v))
+    for v in range(g.n):
+        if v not in touched:
+            w = next((w for w in g.adj[v] if w not in X), None)
+            if w is not None:
+                points.add(Point.on_edge(v, w, HALF))
+    cover = Cover(frozenset(points), ONE)
+    expected = g.n - ge.matching.size - (len(T) - len(X))
+    if len(cover) != expected:
+        raise InternalConsistencyError(
+            f"1-cover has {len(cover)} points, the formula gives {expected}"
+        )
+    if all(g.adj) and len(cover) > Fraction(2 * g.n, 3):
+        raise InternalConsistencyError(
+            f"1-cover of size {len(cover)} exceeds 2/3 of {g.n} vertices"
+        )
+    require_cover(g, cover, ONE, "1-cover")
+    return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
 def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Exact minimum (1/b)-cover via the subdivision route.
 
     Covers of g at radius 1/b correspond bijectively to covers of the
-    b-subdivision at radius 1, where the problem is polynomial.
+    b-subdivision at radius 1, where ``one_cover_min`` solves the problem
+    in polynomial time.  ``budget`` is accepted for compatibility and not
+    read.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     t0 = time.monotonic()
-    sub, _ = subdivide(g, b)
+    sub, smap = subdivide(g, b)
     inner = one_cover_min(sub, budget)
-    cover = map_cover_from_subdivision(g, b, inner.cover)
+    cover = smap.project_cover(g, inner.cover)
     delta = Fraction(1, b)
     require_cover(g, cover, delta, "unit-fraction cover")
     if len(cover) != inner.size:
         raise InternalConsistencyError("subdivision pull-back changed the cover size")
-    return SolveResult(cover, inner.size, inner.optimal, inner.nodes_explored,
-                       time.monotonic() - t0)
+    return SolveResult(cover, inner.size, True, 0, time.monotonic() - t0)
 
 
 def vc_2approx(g: Graph) -> frozenset[int]:

@@ -26,6 +26,12 @@ def star(leaves: int) -> Graph:
     return build_graph([(0, i) for i in range(1, leaves + 1)], n=leaves + 1)
 
 
+def grid(rows: int, cols: int) -> Graph:
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(right + down, n=rows * cols)
+
+
 @pytest.fixture(scope="session")
 def atlas_suite() -> list[tuple[str, Graph]]:
     """All 142 connected graphs on 2..6 vertices from the graph atlas."""

@@ -2,9 +2,9 @@
 
 Each oracle reimplements the quantity it checks from first principles,
 sharing no code path with the library: distances by BFS on a fine grid,
-matchings by bitmask dynamic programming, set cover by subset enumeration,
-coverage by random point probing, and coverage per edge by the reach of
-every cover point separately.
+matchings and the Gallai-Edmonds split by bitmask dynamic programming, set
+cover by subset enumeration, coverage by random point probing, and coverage
+per edge by the reach of every cover point separately.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def grid_distance(edges: list[tuple[int, int]], n: int,
     return None
 
 
-def brute_max_matching(g: Graph) -> int:
-    """Maximum matching size by DP over vertex subsets (n <= ~16)."""
+def _brute_nu(g: Graph):
+    """nu(mask): maximum matching size of the subgraph induced on a vertex mask."""
     adj_mask = [0] * g.n
     for u, v in g.edges:
         adj_mask[u] |= 1 << v
@@ -95,7 +95,47 @@ def brute_max_matching(g: Graph) -> int:
         memo[mask] = result
         return result
 
-    return best((1 << g.n) - 1)
+    return best
+
+
+def brute_max_matching(g: Graph) -> int:
+    """Maximum matching size by DP over vertex subsets (n <= ~16)."""
+    return _brute_nu(g)((1 << g.n) - 1)
+
+
+def gallai_edmonds_by_definition(g: Graph) -> tuple:
+    """(D, A, C, components of D ordered by least vertex), by the definition.
+
+    D is the set of vertices some maximum matching misses, A = N(D) - D and
+    C the rest; checks that every D-component on 3 or more vertices is
+    factor-critical and that C has a perfect matching.
+    """
+    nu = _brute_nu(g)
+    full = (1 << g.n) - 1
+    top = nu(full)
+    D = {v for v in range(g.n) if nu(full ^ (1 << v)) == top}
+    A = {w for v in D for w in g.adj[v]} - D
+    C = set(range(g.n)) - D - A
+    comps = []
+    left = set(D)
+    for s in sorted(D):
+        if s not in left:
+            continue
+        left.discard(s)
+        comp, queue = {s}, deque([s])
+        while queue:
+            for w in g.adj[queue.popleft()]:
+                if w in left:
+                    left.discard(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(frozenset(comp))
+    for comp in comps:
+        mask = sum(1 << v for v in comp)
+        for v in comp:
+            assert nu(mask ^ (1 << v)) == (len(comp) - 1) // 2, f"{sorted(comp)} not factor-critical"
+    assert 2 * nu(sum(1 << v for v in C)) == len(C), "C lacks a perfect matching"
+    return frozenset(D), frozenset(A), frozenset(C), tuple(comps)
 
 
 def brute_set_cover_size(masks: list[int], full: int, upper: int) -> int:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from deltacover import (
+    Budget,
     Cover,
     Point,
     approx_cover,
@@ -21,7 +22,7 @@ from deltacover import (
 )
 from deltacover.approx import small_delta_interval
 from deltacover.families import gen_triangles_center, gen_triangles_paths, gen_ugc_gadget
-from conftest import cycle, k_n, path, star
+from conftest import cycle, grid, k_n, path, star
 
 
 def test_vertex_set_interval_values():
@@ -52,6 +53,13 @@ def test_dispatcher_exact_routes(oracle):
 
     rep_tree = approx_cover(path(6), F(3, 5))
     assert rep_tree.regime == "exact" and len(rep_tree.cover) == 5
+
+
+def test_unit_fraction_route_on_a_grid_is_exact():
+    # The route reads no budget: even a one-node budget gives the optimum.
+    rep = approx_cover(grid(4, 4), F(1, 3), Budget(max_nodes=1))
+    assert rep.regime == "exact" and rep.claimed_factor == 1
+    assert len(rep.cover) == 32
 
 
 def test_dispatcher_regimes_by_delta():

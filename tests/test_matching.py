@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from deltacover import (
+    Budget,
     NotAForestError,
     build_graph,
     gallai_edmonds,
@@ -15,7 +16,7 @@ from deltacover import (
     vc_2approx,
 )
 from deltacover.families import gen_triangles_center
-from conftest import cycle, k_n, path, star
+from conftest import cycle, grid, k_n, path, star
 from oracles import brute_max_matching
 
 PETERSEN = [
@@ -88,6 +89,21 @@ def test_unit_fraction_matches_direct_oracle(oracle):
             assert via_subdivision.optimal
             direct = oracle.opt(g, F(1, b))
             assert direct == via_subdivision.size
+
+
+def test_unit_fraction_cover_reads_no_budget():
+    res = unit_fraction_cover(grid(8, 8), 3, Budget(max_nodes=1))
+    assert res.optimal and res.nodes_explored == 0
+    assert res.size == 144
+
+
+def test_one_cover_on_long_path_and_cycle():
+    long_path = path(1199)
+    res = one_cover_min(long_path)
+    assert res.optimal and res.size == 600 == tree_cover(long_path, F(1)).size
+    long_cycle = cycle(1200)
+    assert one_cover_min(long_cycle).size == 600
+    assert gallai_edmonds(long_cycle).C == frozenset(range(1200))
 
 
 def test_tree_cover_examples():

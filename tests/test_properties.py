@@ -3,23 +3,33 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from deltacover import (
+    Budget,
     Cover,
     Point,
     build_graph,
     build_set_cover,
     discretized_universe,
     edge_coverage_intervals,
+    gallai_edmonds,
     harmonic_number,
     is_delta_cover,
     lift_cover_to_subdivision,
     map_cover_from_subdivision,
+    min_cover_exact,
     normalize_neat,
+    one_cover_min,
     point_distance,
     solve_exact,
     solve_greedy,
     subdivide,
 )
-from oracles import interval_edge_coverage, interval_verify
+from deltacover.matching import _nu
+from oracles import (
+    brute_max_matching,
+    gallai_edmonds_by_definition,
+    interval_edge_coverage,
+    interval_verify,
+)
 
 
 @st.composite
@@ -186,3 +196,35 @@ def test_greedy_dominates_exact_within_harmonic(g, delta):
     assert exact.optimal
     assert greedy.size >= exact.size
     assert greedy.size <= harmonic_number(len(inst.universe)) * exact.size
+
+
+@st.composite
+def any_graphs(draw, max_n=10):
+    """Graphs on 1..max_n vertices, maybe disconnected, maybe with isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=18)) if pairs else []
+    return build_graph(edges, n=n)
+
+
+@given(any_graphs())
+@settings(max_examples=300, deadline=None)
+def test_gallai_edmonds_split_equals_definition(g):
+    ge = gallai_edmonds(g)
+    assert (ge.D, ge.A, ge.C, ge.d_components) == gallai_edmonds_by_definition(g)
+    assert ge.c_ge3 == sum(len(c) >= 3 for c in ge.d_components)
+    nu = brute_max_matching(g)
+    assert _nu(g) == ge.matching.size == nu
+    used = [v for e in ge.matching.edges for v in e]
+    assert len(used) == len(set(used)) and all(g.has_edge(*e) for e in ge.matching.edges)
+
+
+@given(any_graphs())
+@settings(max_examples=200, deadline=None)
+def test_one_cover_equals_branch_and_bound(g):
+    exact = min_cover_exact(g, F(1), Budget(max_seconds=20))
+    assert exact.optimal
+    fast = one_cover_min(g)
+    assert fast.optimal and fast.nodes_explored == 0
+    assert fast.size == exact.size
+    assert is_delta_cover(g, fast.cover, F(1)).is_cover
