@@ -185,12 +185,15 @@ def _cmd_verify(args) -> int:
                  else f"edge {w.u + 1}-{w.v + 1} at {format_rational(w.t)}")
         print(f"NOT a {format_rational(delta)}-cover: uncovered at {where}")
         return EXIT_VERIFY
-    if args.probes:
+    # Probes sit on edges, so an edgeless graph has nothing to probe.
+    if args.probes and g.m:
         rng = random.Random(args.seed)
         for _ in range(args.probes):
             u, v = g.edges[rng.randrange(g.m)]
             p = Point.on_edge(u, v, Fraction(rng.randrange(10**6 + 1), 10**6))
-            near = min(point_distance(g, p, q) for q in cover.points)
+            # Cover points in other components are at no distance (None).
+            near = min(d for q in cover.points
+                       if (d := point_distance(g, p, q)) is not None)
             if near > delta:
                 print(f"probe disagreement at {p}", file=sys.stderr)
                 return EXIT_VERIFY

@@ -11,7 +11,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import xor
+from typing import Sequence
 
 from .graphs import Cover, Graph, Point, point_distance
 from .verify import discretized_universe, grid_points, is_delta_cover
@@ -38,17 +41,14 @@ DEFAULT_BUDGET = Budget()
 class SetCoverInstance:
     """Finite set cover equivalent of a covering instance.
 
-    ``coverage[i]`` lists (sorted) the universe indices within ``delta`` of
-    candidate i.
+    Bit j of ``masks[i]`` is set when universe point j lies within
+    ``delta`` of candidate i.
     """
 
     delta: Fraction
     universe: tuple[Point, ...]
     candidates: tuple[Point, ...]
-    coverage: tuple[tuple[int, ...], ...]
-
-    def masks(self) -> list[int]:
-        return [sum(1 << i for i in cov) for cov in self.coverage]
+    masks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,76 +68,125 @@ def candidate_points(g: Graph, delta: Fraction) -> list[Point]:
     return grid_points(g, 2 * delta.denominator)
 
 
-def _scaled_anchors(p: Point, scale: int) -> tuple[tuple[int, int], ...]:
-    if p.is_vertex:
-        return ((p.u, 0),)
-    t = p.t * scale
-    return ((p.u, int(t)), (p.v, scale - int(t)))
-
-
 def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
-    """Universe = 1/(4b) grid, candidates = 1/(2b) grid, exact coverage sets."""
+    """Universe = 1/(4b) grid, candidates = 1/(2b) grid, exact coverage masks.
+
+    Lengths scale by 4b, so an edge is ``scale`` = 4b long and the radius
+    is 4a.  A candidate at scaled distance d(w) from vertex w covers, for
+    r = radius - d(w) >= 0, the universe point at w and on every edge at w
+    the interior points within r of w: one run of min(r, 4b - 1)
+    consecutive universe indices per edge, since each edge's interior
+    points are listed in offset order.  Points beyond the far endpoint x
+    are reached through x itself, as d(x) <= d(w) + scale.  A candidate
+    inside edge uv at offset t sees d(w) = min(t + scale * hops(u, w),
+    scale - t + scale * hops(v, w)); these runs grow with r, so its mask is
+    the union of the masks of its two anchors, plus the run of uv's
+    interior points within the radius of t itself.  Every mask here is
+    built once per (vertex, reach) and per (anchor, offset).
+    """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     a, b = delta.numerator, delta.denominator
     scale = 4 * b
+    inner = scale - 1
     radius = 4 * a
     universe = discretized_universe(g, b)
     candidates = candidate_points(g, delta)
-    # The universe is sorted, so each edge's interior grid points form one
-    # run, in offset order, between the vertex points.
-    vertex_at: dict[int, int] = {}
+    # Universe indices in grid_points order: vertex u, then the interior
+    # points of each edge (u, v), v > u, by offset.
+    vertex_at = [0] * g.n
     run_at: dict[tuple[int, int], int] = {}
-    for i, p in enumerate(universe):
-        if p.is_vertex:
-            vertex_at[p.u] = i
-        else:
-            run_at.setdefault((p.u, p.v), i)
-    edge_rows = [
-        [vertex_at[u], *range(run_at[(u, v)], run_at[(u, v)] + scale - 1), vertex_at[v]]
-        for u, v in g.edges
+    index = 0
+    for u in range(g.n):
+        vertex_at[u] = index
+        index += 1
+        for v in g.adj[u]:
+            if v > u:
+                run_at[(u, v)] = index
+                index += inner
+    # Runs at w of reach r start at the near end of each edge: (start, shift)
+    # puts a run of length c at ``start + shift * (inner - c)``.
+    ends = [
+        [(run_at[(w, x)], 0) if x > w else (run_at[(x, w)], 1) for x in g.adj[w]]
+        for w in range(g.n)
     ]
-    isolated = [w for w in range(g.n) if g.degree(w) == 0]
-    coverage: list[tuple[int, ...]] = []
-    for cand in candidates:
-        anchors = _scaled_anchors(cand, scale)
-        hit: set[int] = set()
-        for eid, (u, v) in enumerate(g.edges):
-            du = dv = None
-            for x, dx in anchors:
-                hu, hv = g.dist[x][u], g.dist[x][v]
-                if hu is not None:
-                    d = dx + scale * hu
-                    du = d if du is None or d < du else du
-                if hv is not None:
-                    d = dx + scale * hv
-                    dv = d if dv is None or d < dv else dv
-            row = edge_rows[eid]
-            spans: list[tuple[int, int]] = []
-            if du is not None and du <= radius:
-                spans.append((0, min(scale, radius - du)))
-            if dv is not None and dv <= radius:
-                spans.append((max(0, scale - (radius - dv)), scale))
-            if not cand.is_vertex and cand.edge() == (u, v):
-                tc = int(cand.t * scale)
-                spans.append((max(0, tc - radius), min(scale, tc + radius)))
-            for lo, hi in spans:
-                hit.update(row[lo : hi + 1])
-        for w in isolated:
-            for x, dx in anchors:
-                hops = g.dist[x][w]
-                if hops is not None and dx + scale * hops <= radius:
-                    hit.add(vertex_at[w])
-        coverage.append(tuple(sorted(hit)))
-    covered_any = set()
-    for cov in coverage:
-        covered_any.update(cov)
-    if len(covered_any) != len(universe):
+    max_hops = radius // scale
+    layers: list[list[list[int]]] = []
+    for x in range(g.n):
+        by_hops: list[list[int]] = [[] for _ in range(max_hops + 1)]
+        for w, h in enumerate(g.dist[x]):
+            if h is not None and h <= max_hops:
+                by_hops[h].append(w)
+        layers.append(by_hops)
+
+    reach_masks: dict[tuple[int, int], int] = {}
+
+    def reach_mask(w: int, c: int) -> int:
+        m = reach_masks.get((w, c))
+        if m is None:
+            m = 1 << vertex_at[w]
+            run = (1 << c) - 1
+            for start, shift in ends[w]:
+                m |= run << (start + shift * (inner - c))
+            reach_masks[(w, c)] = m
+        return m
+
+    anchor_masks: dict[tuple[int, int], int] = {}
+
+    def anchor_mask(x: int, dx: int) -> int:
+        m = anchor_masks.get((x, dx))
+        if m is None:
+            m = 0
+            for h, ws in enumerate(layers[x]):
+                r = radius - dx - scale * h
+                if r < 0:
+                    break
+                c = r if r < inner else inner
+                for w in ws:
+                    m |= reach_mask(w, c)
+            anchor_masks[(x, dx)] = m
+        return m
+
+    # Candidates in grid_points order with step 2b: scaled offsets 2, 4, ...
+    masks: list[int] = []
+    for u in range(g.n):
+        masks.append(anchor_mask(u, 0))
+        for v in g.adj[u]:
+            if v < u:
+                continue
+            base = run_at[(u, v)]
+            for tc in range(2, scale, 2):
+                lo = max(1, tc - radius)
+                hi = min(inner, tc + radius)
+                own = ((1 << (hi - lo + 1)) - 1) << (base + lo - 1)
+                masks.append(anchor_mask(u, tc) | anchor_mask(v, scale - tc) | own)
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered != (1 << len(universe)) - 1:
         raise InfeasibleInstanceError("universe element with no candidate in range")
-    return SetCoverInstance(delta, tuple(universe), tuple(candidates), tuple(coverage))
+    return SetCoverInstance(delta, tuple(universe), tuple(candidates), tuple(masks))
 
 
-def _greedy_indices(masks: list[int], full: int, start: int = 0) -> list[int]:
+def _element_candidates(masks: Sequence[int], size: int) -> list[int]:
+    """The transpose of ``masks``: bit i of entry e is set iff masks[i] has bit e.
+
+    Each mask is read run by run rather than bit by bit: a maximal run of
+    set bits lo..hi toggles bit i on at lo and off at hi + 1 of a
+    difference list, and a running XOR over the list gives every entry.
+    """
+    diff = [0] * (size + 1)
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        flips = m ^ (m << 1)
+        while flips:
+            low = flips & -flips
+            diff[low.bit_length() - 1] ^= bit
+            flips ^= low
+    return list(accumulate(diff[:size], xor))
+
+
+def _greedy_indices(masks: Sequence[int], full: int, start: int = 0) -> list[int]:
     covered = start
     chosen: list[int] = []
     while covered != full:
@@ -199,13 +248,9 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     """
     t0 = time.monotonic()
     nu_full = len(inst.universe)
-    nc = len(inst.coverage)
+    nc = len(inst.masks)
 
-    elem_cands_full = [0] * nu_full
-    for ci, cov in enumerate(inst.coverage):
-        bit = 1 << ci
-        for e in cov:
-            elem_cands_full[e] |= bit
+    elem_cands_full = _element_candidates(inst.masks, nu_full)
     if any(c == 0 for c in elem_cands_full):
         raise InfeasibleInstanceError("universe element with no candidate")
 
@@ -459,7 +504,7 @@ def solve_greedy(inst: SetCoverInstance) -> SolveResult:
     """Classic greedy: repeatedly take the candidate covering the most."""
     t0 = time.monotonic()
     full = (1 << len(inst.universe)) - 1
-    chosen = _greedy_indices(inst.masks(), full)
+    chosen = _greedy_indices(inst.masks, full)
     points = frozenset(inst.candidates[i] for i in chosen)
     return SolveResult(
         Cover(points, inst.delta), len(points), False, 0, time.monotonic() - t0
@@ -503,7 +548,7 @@ def coverage_spot_check(g: Graph, inst: SetCoverInstance, samples: int = 50) -> 
     ]
     for ci, ui in pairs:
         d = point_distance(g, inst.candidates[ci], inst.universe[ui])
-        in_cov = ui in set(inst.coverage[ci])
+        in_cov = bool(inst.masks[ci] >> ui & 1)
         if (d is not None and d <= inst.delta) != in_cov:
             return False
     return True

@@ -3,8 +3,9 @@
 Each oracle reimplements the quantity it checks from first principles,
 sharing no code path with the library: distances by BFS on a fine grid,
 matchings and the Gallai-Edmonds split by bitmask dynamic programming, set
-cover by subset enumeration, coverage by random point probing, and coverage
-per edge by the reach of every cover point separately.
+cover by subset enumeration, coverage by random point probing, coverage
+per edge by the reach of every cover point separately, set-cover masks by
+one distance per candidate and universe point, and leaf levels by BFS.
 """
 
 from __future__ import annotations
@@ -148,6 +149,43 @@ def brute_set_cover_size(masks: list[int], full: int, upper: int) -> int:
             if acc == full:
                 return size
     return upper
+
+
+def coverage_by_distance(g: Graph, delta: Fraction) -> tuple[tuple, tuple, tuple]:
+    """(universe, candidates, masks) of the discretized set cover, pair by pair.
+
+    The universe is every vertex and every edge point at offsets k/(4b),
+    the candidates the same at k/(2b), both in sorted point order; bit j of
+    mask i is set when ``point_distance`` puts universe point j within
+    delta of candidate i.  O(|C| |U|) Fraction distances.
+    """
+    from deltacover import point_distance
+
+    def grid(step: int) -> tuple[Point, ...]:
+        points = [Point.vertex(w) for w in range(g.n)]
+        points += [Point(u, v, Fraction(k, step)) for u, v in g.edges for k in range(1, step)]
+        return tuple(sorted(points))
+
+    b = delta.denominator
+    universe, candidates = grid(4 * b), grid(2 * b)
+    masks = []
+    for c in candidates:
+        mask = 0
+        for j, p in enumerate(universe):
+            d = point_distance(g, c, p)
+            if d is not None and d <= delta:
+                mask |= 1 << j
+        masks.append(mask)
+    return universe, candidates, tuple(masks)
+
+
+def leaf_levels_by_distance(g: Graph) -> tuple[frozenset, frozenset, frozenset]:
+    """(L0, L1, L2): the leaves, and the vertices at hop distance 1 or 2 from one."""
+    leaves = [w for w in range(g.n) if len(g.adj[w]) == 1]
+    hops = [_hops_from(g, u) for u in leaves]
+    return (frozenset(leaves),
+            frozenset(v for v in range(g.n) if any(h[v] == 1 for h in hops)),
+            frozenset(v for v in range(g.n) if any(h[v] == 2 for h in hops)))
 
 
 def sample_points(g: Graph, count: int, rng: random.Random,

@@ -61,7 +61,7 @@ class SuiteRow:
     greedy: SolveResult
     approx: RatioReport
     universe_size: int
-    small_masks: list[int] | None  # kept when the instance has <= 20 candidates
+    small_masks: tuple[int, ...] | None  # kept when the instance has <= 20 candidates
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def suite_rows(atlas_suite) -> tuple[list[SuiteRow], float]:
             exact = solve_exact(inst, ROW_BUDGET)
             greedy = solve_greedy(inst)
             approx = approx_cover(g, delta, ROW_BUDGET)
-            small = inst.masks() if len(inst.candidates) <= 20 else None
+            small = inst.masks if len(inst.candidates) <= 20 else None
             rows.append(SuiteRow(name, g, delta, exact, greedy, approx,
                                  len(inst.universe), small))
     return rows, time.monotonic() - t0

@@ -23,6 +23,7 @@ from deltacover import (
 from deltacover.approx import small_delta_interval
 from deltacover.families import gen_triangles_center, gen_triangles_paths, gen_ugc_gadget
 from conftest import cycle, grid, k_n, path, star
+from oracles import leaf_levels_by_distance
 
 
 def test_vertex_set_interval_values():
@@ -95,6 +96,25 @@ def test_large_delta_route_on_a_large_universe():
     assert is_delta_cover(g, rep.cover, F(5, 2)).is_cover
 
 
+def test_large_delta_route_verifies_once(monkeypatch):
+    import deltacover.approx
+    import deltacover.solver
+    import deltacover.verify
+
+    calls = []
+    real = deltacover.verify.is_delta_cover
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (deltacover.verify, deltacover.approx, deltacover.solver):
+        monkeypatch.setattr(module, "is_delta_cover", counted)
+    g = grid(6, 7)
+    assert approx_cover(g, F(5, 2)).regime == "large_delta"
+    assert calls == [g]
+
+
 def test_one_cover_route_factors():
     g = gen_triangles_center(3).graph
     rep = cover_via_one_cover(g, F(5, 4))
@@ -153,6 +173,25 @@ def test_level_partition_shapes():
     assert lp.W == set()
     assert len(lp.E01) == 3 and len(lp.E11) == 3
     assert len(lp.E12) == 6
+
+
+def test_level_partition_equals_distance_definition(atlas_suite):
+    import random
+
+    rng = random.Random(17)
+    graphs = [g for _, g in atlas_suite]
+    for _ in range(200):
+        n = rng.randrange(2, 16)
+        # A random tree plus a few chords, so that leaves survive.
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(4))}
+        graphs.append(build_graph(sorted(edges), n=n))
+    with_leaves = 0
+    for g in graphs:
+        lp = level_partition(g)
+        assert (lp.L0, lp.L1, lp.L2) == leaf_levels_by_distance(g), g.edges
+        with_leaves += bool(lp.L0)
+    assert with_leaves > 200
 
 
 def test_small_even_c4(oracle):

@@ -95,6 +95,19 @@ def test_cli_solve_verify_flow(tmp_path):
                  "--cover", str(cpath)]) == 1
 
 
+def test_cli_verify_probes_edgeless_and_disconnected(tmp_path, capsys):
+    # An edgeless graph has no edge to probe; a probe in one component is at
+    # no distance from the cover points of another.
+    for text, cover_text, delta in [("p 2 0\n", "v 1\nv 2\n", "1/2"),
+                                    ("p 4 2\ne 1 2\ne 3 4\n", "v 1\nv 3\n", "1/1")]:
+        gpath, cpath = tmp_path / "g.graph", tmp_path / "g.cover"
+        gpath.write_text(text)
+        cpath.write_text(cover_text)
+        assert main(["verify", "--delta", delta, "--input", str(gpath),
+                     "--cover", str(cpath), "--probes", "20"]) == 0
+        assert "verified" in capsys.readouterr().out
+
+
 def test_cli_budget_exit_code(tmp_path):
     gpath = tmp_path / "k5.graph"
     write_graph_file(gpath, k_n(5))

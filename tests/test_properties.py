@@ -26,6 +26,7 @@ from deltacover import (
 from deltacover.matching import _nu
 from oracles import (
     brute_max_matching,
+    coverage_by_distance,
     gallai_edmonds_by_definition,
     interval_edge_coverage,
     interval_verify,
@@ -205,6 +206,18 @@ def any_graphs(draw, max_n=10):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=18)) if pairs else []
     return build_graph(edges, n=n)
+
+
+# Radii in (0, 1/2), (1/2, 3/2) and from 3/2 up, unit and non-unit fractions.
+COVERAGE_DELTAS = [F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(1), F(5, 4),
+                   F(4, 3), F(3, 2), F(5, 3), F(2), F(5, 2), F(3)]
+
+
+@given(any_graphs(max_n=5), st.sampled_from(COVERAGE_DELTAS))
+@settings(max_examples=60, deadline=None)
+def test_set_cover_masks_equal_pairwise_distances(g, delta):
+    inst = build_set_cover(g, delta)
+    assert (inst.universe, inst.candidates, inst.masks) == coverage_by_distance(g, delta)
 
 
 @given(any_graphs())

@@ -30,18 +30,18 @@ def test_build_set_cover_k2_single_candidate_covers():
     g = build_graph([(0, 1)])
     inst = build_set_cover(g, F(1, 2))  # b = 2, so the grid has 4b+1 = 9 points
     mid = inst.candidates.index(Point.on_edge(0, 1, F(1, 2)))
-    assert len(inst.coverage[mid]) == len(inst.universe) == 9
+    assert inst.masks[mid].bit_count() == len(inst.universe) == 9
 
     inst1 = build_set_cover(g, F(1))
     u = inst1.candidates.index(Point.vertex(0))
-    assert len(inst1.coverage[u]) == len(inst1.universe) == 5
+    assert inst1.masks[u].bit_count() == len(inst1.universe) == 5
 
 
 def test_build_set_cover_k3_far_edge():
     g = k_n(3)
     inst = build_set_cover(g, F(1))
     u = inst.candidates.index(Point.vertex(0))
-    covered = {inst.universe[i] for i in inst.coverage[u]}
+    covered = {p for i, p in enumerate(inst.universe) if inst.masks[u] >> i & 1}
     assert Point.on_edge(1, 2, F(1, 2)) not in covered
     assert Point.vertex(1) in covered and Point.vertex(2) in covered
 
@@ -69,7 +69,7 @@ def test_exact_matches_brute_enumeration():
             continue
         result = solve_exact(inst)
         assert result.optimal
-        masks = inst.masks()
+        masks = inst.masks
         full = (1 << len(inst.universe)) - 1
         assert result.size == brute_set_cover_size(masks, full, result.size + 1)
 
@@ -104,7 +104,8 @@ def test_exact_size_invariant_under_permutation():
             inst.delta,
             tuple(inst.universe[i] for i in uperm),
             tuple(inst.candidates[i] for i in cperm),
-            tuple(tuple(sorted(upos[e] for e in inst.coverage[i])) for i in cperm),
+            tuple(sum(1 << upos[e] for e in range(len(uperm)) if inst.masks[i] >> e & 1)
+                  for i in cperm),
         )
         assert solve_exact(shuffled).size == base
 
