@@ -10,8 +10,6 @@ from .graphs import (
     connected_components,
     induced_subgraph,
     is_forest,
-    lift_cover_to_subdivision,
-    map_cover_from_subdivision,
     point_distance,
     subdivide,
     wreath_k2,

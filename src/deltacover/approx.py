@@ -131,15 +131,19 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
     force is constant work there), trees go to the exact tree solver.
     """
     x = vertex_set_interval(delta)
+    comps = connected_components(g)
     points: set[Point] = set()
-    for comp in connected_components(g):
-        sub, old = induced_subgraph(g, comp)
-        if is_forest(sub):
+    for comp in comps:
+        # A connected component with m edges is a tree iff m = |comp| - 1.
+        m = sum(g.degree(v) for v in comp) // 2
+        if m >= len(comp) and m >= x:
+            points.update(Point.vertex(v) for v in comp)
+            continue
+        sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
+        if m == len(comp) - 1:
             part = tree_cover(sub, delta).cover.points
-        elif sub.m < x:
-            part = min_cover_exact(sub, delta, budget).cover.points
         else:
-            part = {Point.vertex(v) for v in range(sub.n)}
+            part = min_cover_exact(sub, delta, budget).cover.points
         points |= relabel_points(part, old)
     cover = Cover(frozenset(points), delta)
     require_cover(g, cover, delta, "vertex_set_x")
@@ -194,17 +198,15 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    points: set[Point] = set()
+    points = {Point.vertex(v) for v in range(g.n)}
+    for u, v in g.edges:
+        for j in range(1, k + 1):
+            points.add(Point.on_edge(u, v, HALF + (2 * j - k - 1) * delta))
     factor = Fraction(1)
     for comp in connected_components(g):
-        sub, old = induced_subgraph(g, comp)
-        part = {Point.vertex(v) for v in range(sub.n)}
-        for u, v in sub.edges:
-            for j in range(1, k + 1):
-                part.add(Point.on_edge(u, v, HALF + (2 * j - k - 1) * delta))
-        points |= relabel_points(part, old)
-        if sub.m:
-            factor = max(factor, 1 + Fraction(1, k * sub.average_degree() + 1))
+        m = sum(g.degree(v) for v in comp) // 2
+        if m:
+            factor = max(factor, 1 + Fraction(1, k * Fraction(2 * m, len(comp)) + 1))
     cover = Cover(frozenset(points), delta)
     require_cover(g, cover, delta, "small_even")
     return RatioReport(cover, factor, "small_even", g.average_degree(), param=k)
@@ -315,8 +317,9 @@ def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> 
     regime = "exact"
     param: int | None = None
     epsilon: Fraction | None = None
-    for comp in connected_components(g):
-        sub, old = induced_subgraph(g, comp)
+    comps = connected_components(g)
+    for comp in comps:
+        sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
         rep = _component_report(sub, delta, budget)
         points |= relabel_points(rep.cover.points, old)
         if rep.claimed_factor > claimed:

@@ -83,13 +83,15 @@ class Point:
 
 
 class Graph:
-    """Simple undirected graph with unit edges and precomputed hop distances.
+    """Simple undirected graph with unit edges, stored as sorted adjacency.
 
-    Immutable after construction; ``dist[u][v]`` is the BFS distance in
-    edges (``None`` when ``u`` and ``v`` lie in different components).
+    The edges never change after construction, which costs O(n + m).  No
+    distance table is built: ``hop_layers`` runs a BFS bounded by a hop
+    count, and ``point_distance`` caches on the graph the hop row of each
+    source vertex it routes through.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "edge_index", "adj", "dist")
+    __slots__ = ("n", "edges", "edge_set", "edge_index", "adj", "_hop_rows")
 
     def __init__(self, edges: Iterable[Edge], n: int | None = None):
         raw = list(edges)
@@ -117,9 +119,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
-        self.dist: tuple[tuple[int | None, ...], ...] = tuple(
-            tuple(row) for row in (_bfs(self.adj, s) for s in range(n))
-        )
+        self._hop_rows: dict[int, list[int | None]] = {}
 
     @property
     def m(self) -> int:
@@ -151,17 +151,40 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _bfs(adj: Sequence[Sequence[int]], source: int) -> list[int | None]:
-    dist: list[int | None] = [None] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] is None:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def hop_layers(g: Graph, source: int, max_hops: int) -> list[list[int]]:
+    """BFS layers: ``layers[h]`` lists the vertices h hops from ``source``.
+
+    The search stops after ``max_hops`` hops, or sooner once it has
+    reached the whole component of ``source``.
+    """
+    seen = {source}
+    layers = [[source]]
+    while len(layers) <= max_hops:
+        layer = []
+        for u in layers[-1]:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    layer.append(w)
+        if not layer:
+            break
+        layers.append(layer)
+    return layers
+
+
+def _hop_row(g: Graph, source: int) -> list[int | None]:
+    """Hop distance from ``source`` to every vertex (None in other components).
+
+    Computed on first use and cached on the graph.
+    """
+    row = g._hop_rows.get(source)
+    if row is None:
+        row = [None] * g.n
+        for h, layer in enumerate(hop_layers(g, source, g.n)):
+            for w in layer:
+                row[w] = h
+        g._hop_rows[source] = row
+    return row
 
 
 def build_graph(edges: Iterable[Edge], n: int | None = None) -> Graph:
@@ -194,7 +217,8 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
     """Shortest-path distance between two points; None if disconnected.
 
     The minimum runs over the four endpoint routes and, for two points on
-    the same edge, the direct along-edge distance.
+    the same edge, the direct along-edge distance.  Hop counts come from
+    ``_hop_row``, one BFS per anchor of ``p`` the first time it is asked.
     """
     g.check_point(p)
     g.check_point(q)
@@ -202,8 +226,9 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
     if not p.is_vertex and not q.is_vertex and p.edge() == q.edge():
         best = abs(p.t - q.t)
     for a, da in p.anchors():
+        row = _hop_row(g, a)
         for b, db in q.anchors():
-            hops = g.dist[a][b]
+            hops = row[b]
             if hops is None:
                 continue
             d = da + hops + db
@@ -241,11 +266,14 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     return Graph(edges, n=len(old)), old
 
 
-def relabel_points(points: Iterable[Point], old_ids: Sequence[int]) -> frozenset[Point]:
+def relabel_points(points: Iterable[Point], old_ids: Sequence[int] | None) -> frozenset[Point]:
     """Map points of an induced subgraph back to the parent graph's ids.
 
-    The id table is increasing, so canonical edge orientation is preserved.
+    The id table is increasing, so canonical edge orientation is preserved;
+    ``None`` is the identity table of a graph that was not copied.
     """
+    if old_ids is None:
+        return frozenset(points)
     out = set()
     for p in points:
         if p.is_vertex:
@@ -337,19 +365,6 @@ def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
         paths.append(tuple(path))
     sub = Graph(new_edges, n=next_id)
     return sub, SubdivisionMap(x, g.n, tuple(paths), vertex_origin, segment_origin)
-
-
-def lift_cover_to_subdivision(g: Graph, x: int, s: Cover) -> Cover:
-    """Carry a cover of ``g`` onto the x-subdivision (radius scales by x)."""
-    _, smap = subdivide(g, x)
-    points = frozenset(smap.lift_point(g, p) for p in s.points)
-    return Cover(points, s.delta * x)
-
-
-def map_cover_from_subdivision(g: Graph, x: int, s_x: Cover) -> Cover:
-    """Pull a cover of the x-subdivision back onto ``g`` (radius divides by x)."""
-    _, smap = subdivide(g, x)
-    return smap.project_cover(g, s_x)
 
 
 def wreath_k2(g: Graph) -> Graph:

@@ -16,7 +16,7 @@ from math import lcm
 from operator import xor
 from typing import Sequence
 
-from .graphs import Cover, Graph, Point, point_distance
+from .graphs import Cover, Graph, Point, hop_layers
 from .verify import discretized_universe, grid_points, is_delta_cover
 
 
@@ -82,7 +82,9 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
     scale - t + scale * hops(v, w)); these runs grow with r, so its mask is
     the union of the masks of its two anchors, plus the run of uv's
     interior points within the radius of t itself.  Every mask here is
-    built once per (vertex, reach) and per (anchor, offset).
+    built once per (vertex, reach) and per (anchor, offset).  The hop
+    counts come from one ``hop_layers`` BFS per vertex, stopped at
+    radius // scale hops, the farthest a vertex can reach another.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -111,13 +113,7 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
         for w in range(g.n)
     ]
     max_hops = radius // scale
-    layers: list[list[list[int]]] = []
-    for x in range(g.n):
-        by_hops: list[list[int]] = [[] for _ in range(max_hops + 1)]
-        for w, h in enumerate(g.dist[x]):
-            if h is not None and h <= max_hops:
-                by_hops[h].append(w)
-        layers.append(by_hops)
+    layers = [hop_layers(g, x, max_hops) for x in range(g.n)]
 
     reach_masks: dict[tuple[int, int], int] = {}
 
@@ -535,20 +531,3 @@ def harmonic_number(n: int) -> Fraction:
         return Fraction(0)
     common = lcm(*range(1, n + 1))
     return Fraction(sum(common // k for k in range(1, n + 1)), common)
-
-
-def coverage_spot_check(g: Graph, inst: SetCoverInstance, samples: int = 50) -> bool:
-    """Cross-check scaled-integer coverage against Fraction distances."""
-    import random
-
-    rng = random.Random(0xC0FFEE)
-    pairs = [
-        (rng.randrange(len(inst.candidates)), rng.randrange(len(inst.universe)))
-        for _ in range(samples)
-    ]
-    for ci, ui in pairs:
-        d = point_distance(g, inst.candidates[ci], inst.universe[ui])
-        in_cov = bool(inst.masks[ci] >> ui & 1)
-        if (d is not None and d <= inst.delta) != in_cov:
-            return False
-    return True

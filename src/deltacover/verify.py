@@ -195,8 +195,8 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     vertex w is reached only by a point at w, so it is covered iff
     D(w) <= delta.
 
-    Cost: O((n + m) log n + |S| log |S|) integer operations; the all-pairs
-    table ``Graph.dist`` is never read.
+    Cost: O((n + m) log n + |S| log |S|) integer operations; no hop
+    distance between vertices is computed.
     """
     if delta is None:
         delta = s.delta

@@ -182,7 +182,7 @@ def coverage_by_distance(g: Graph, delta: Fraction) -> tuple[tuple, tuple, tuple
 def leaf_levels_by_distance(g: Graph) -> tuple[frozenset, frozenset, frozenset]:
     """(L0, L1, L2): the leaves, and the vertices at hop distance 1 or 2 from one."""
     leaves = [w for w in range(g.n) if len(g.adj[w]) == 1]
-    hops = [_hops_from(g, u) for u in leaves]
+    hops = [hops_from(g, u) for u in leaves]
     return (frozenset(leaves),
             frozenset(v for v in range(g.n) if any(h[v] == 1 for h in hops)),
             frozenset(v for v in range(g.n) if any(h[v] == 2 for h in hops)))
@@ -209,7 +209,8 @@ def covered_by_sampling(g: Graph, cover: Cover, delta: Fraction, p: Point) -> bo
     return best is not None and best <= delta
 
 
-def _hops_from(g: Graph, source: int) -> list[int | None]:
+def hops_from(g: Graph, source: int) -> list[int | None]:
+    """Hop distances from ``source`` by BFS; None in other components."""
     hops: list[int | None] = [None] * g.n
     hops[source] = 0
     queue = deque([source])
@@ -231,7 +232,7 @@ def interval_edge_coverage(g: Graph, e: tuple[int, int], cover: Cover,
     t + delta] when it lies inside e; O(|S|) Fraction work per edge.
     """
     if hops is None:
-        hops = [_hops_from(g, w) for w in range(g.n)]
+        hops = [hops_from(g, w) for w in range(g.n)]
     u, v = e
 
     def reach(q: Point, w: int) -> Fraction | None:
@@ -264,7 +265,7 @@ def interval_verify(g: Graph, cover: Cover, delta: Fraction) -> VerifyReport:
     order, then ((w, w), (0, 0)) for each uncovered isolated vertex w; the
     witness is the midpoint of the first gap.
     """
-    hops = [_hops_from(g, w) for w in range(g.n)]
+    hops = [hops_from(g, w) for w in range(g.n)]
     gaps = []
     for e in g.edges:
         # Gaps lie between consecutive pieces: (0, lo1), (hi1, lo2), ..., (hik, 1).

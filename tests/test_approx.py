@@ -115,6 +115,60 @@ def test_large_delta_route_verifies_once(monkeypatch):
     assert calls == [g]
 
 
+# The radii of the benchmark's ladder_approx and matching_routes workloads,
+# plus 5/9, where a triangle has fewer edges than the vertex-set route's x.
+CONNECTED_ROUTE_DELTAS = [F(2, 7), F(4, 7), F(3, 5), F(2, 3), F(4, 5), F(5, 2), F(1, 3),
+                          F(1, 2), F(1), F(9, 8), F(7, 6), F(5, 4), F(7, 5), F(2, 5), F(5, 9)]
+
+
+def test_connected_input_is_never_copied(monkeypatch):
+    import deltacover.approx
+    import deltacover.graphs
+
+    copies = []
+    real = deltacover.graphs.induced_subgraph
+
+    def counted(*args, **kwargs):
+        copies.append(args[1])
+        return real(*args, **kwargs)
+
+    for module in (deltacover.graphs, deltacover.approx):
+        monkeypatch.setattr(module, "induced_subgraph", counted)
+    for g in (grid(3, 4), k_n(3), path(5), gen_ugc_gadget(k_n(3), x=1, variant="path")):
+        for delta in CONNECTED_ROUTE_DELTAS:
+            rep = approx_cover(g, delta)
+            assert is_delta_cover(g, rep.cover, delta).is_cover
+    assert copies == []
+    approx_cover(build_graph([(0, 1), (2, 3), (3, 4), (2, 4)]), F(1, 3))
+    assert copies == [[0, 1], [2, 3, 4]]
+
+
+def test_component_routes_equal_their_union_over_components():
+    # A 4-cycle, a triangle, a 3-edge path, an edge and an isolated vertex.
+    pieces = [cycle(4), k_n(3), path(3), build_graph([(0, 1)]), build_graph([], n=1)]
+    edges, offsets, n = [], [], 0
+    for piece in pieces:
+        offsets.append(n)
+        edges += [(u + n, v + n) for u, v in piece.edges]
+        n += piece.n
+    g = build_graph(edges, n=n)
+
+    def shifted(points, offset):
+        return {Point(p.u + offset, p.v + offset, p.t) for p in points}
+
+    for delta in (F(4, 7), F(5, 9)):
+        rep = cover_vertex_set(g, delta)
+        union = set()
+        for piece, offset in zip(pieces, offsets):
+            union |= shifted(cover_vertex_set(piece, delta).cover.points, offset)
+        assert rep.cover.points == union
+    rep = cover_small_delta_even(g, 1, F(3, 10))
+    parts = [cover_small_delta_even(piece, 1, F(3, 10)) for piece in pieces]
+    assert rep.cover.points == set().union(
+        *(shifted(part.cover.points, offset) for part, offset in zip(parts, offsets)))
+    assert rep.claimed_factor == max(part.claimed_factor for part in parts) == F(3, 2)
+
+
 def test_one_cover_route_factors():
     g = gen_triangles_center(3).graph
     rep = cover_via_one_cover(g, F(5, 4))

@@ -21,6 +21,7 @@ from deltacover.families import (
 )
 from deltacover.graphs import connected_components
 from conftest import cycle, k_n
+from oracles import hops_from
 
 
 def assert_known_values(inst, budget=Budget(max_seconds=10)):
@@ -138,7 +139,7 @@ def test_ds_reduction_path_longer():
     assert (g.n, g.m) == (12, 12)
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     assert len(leaves) == 4
-    assert all(max(filter(None, g.dist[u])) >= 2 for u in leaves)
+    assert all(max(filter(None, hops_from(g, u))) >= 2 for u in leaves)
 
 
 def test_ugc_gadget_variants():

@@ -8,8 +8,6 @@ from deltacover import (
     InvalidPointError,
     Point,
     build_graph,
-    lift_cover_to_subdivision,
-    map_cover_from_subdivision,
     point_distance,
     subdivide,
     wreath_k2,
@@ -18,21 +16,39 @@ from conftest import cycle, k_n, path
 from oracles import grid_distance
 
 
+def vertex_distance(g, u, v):
+    return point_distance(g, Point.vertex(u), Point.vertex(v))
+
+
 def test_build_single_edge():
     g = build_graph([(0, 1)])
     assert g.n == 2 and g.m == 1
-    assert g.dist[0][1] == 1
+    assert vertex_distance(g, 0, 1) == 1
 
 
 def test_build_triangle_distances():
     g = k_n(3)
-    assert all(g.dist[u][v] == 1 for u in range(3) for v in range(3) if u != v)
+    assert all(vertex_distance(g, u, v) == 1 for u in range(3) for v in range(3) if u != v)
 
 
 def test_build_c4_distance_two():
     g = cycle(4)
-    assert g.dist[0][2] == 2
-    assert g.dist[1][3] == 2
+    assert vertex_distance(g, 0, 2) == 2
+    assert vertex_distance(g, 1, 3) == 2
+
+
+def test_built_graph_has_no_distance_table():
+    g = cycle(4)
+    assert not hasattr(g, "dist")
+    point_distance(g, Point.vertex(0), Point.vertex(2))
+    assert not hasattr(g, "dist")
+
+
+def test_point_distance_across_components_is_none():
+    g = build_graph([(0, 1), (2, 3)], n=5)
+    assert vertex_distance(g, 0, 3) is None
+    assert point_distance(g, Point.on_edge(0, 1, F(1, 2)), Point.vertex(4)) is None
+    assert vertex_distance(g, 3, 2) == 1
 
 
 def test_build_rejections():
@@ -111,27 +127,34 @@ def test_subdivision_scales_distances():
                 assert lifted == x * point_distance(g, p, q)
 
 
+def lift_cover(g, x, cover):
+    _, smap = subdivide(g, x)
+    return Cover.of((smap.lift_point(g, p) for p in cover.points), cover.delta * x)
+
+
 def test_map_cover_from_subdivision_examples():
     k2 = build_graph([(0, 1)])
+    _, smap2 = subdivide(k2, 2)
     mid = Cover.of([Point.vertex(2)], F(1))  # middle vertex of the 2-subdivision
-    assert map_cover_from_subdivision(k2, 2, mid).points == {Point.on_edge(0, 1, F(1, 2))}
+    assert smap2.project_cover(k2, mid).points == {Point.on_edge(0, 1, F(1, 2))}
 
     g3, smap = subdivide(k2, 3)
     inner = Point.on_edge(smap.paths[0][1], smap.paths[0][2], F(1, 2))
-    got = map_cover_from_subdivision(k2, 3, Cover.of([inner], F(1)))
+    got = smap.project_cover(k2, Cover.of([inner], F(1)))
     assert got.points == {Point.on_edge(0, 1, F(1, 2))}
+    assert got.delta == F(1, 3)
 
     verts = Cover.of([Point.vertex(0), Point.vertex(1)], F(1))
-    assert map_cover_from_subdivision(k2, 3, verts).points == verts.points
+    assert smap.project_cover(k2, verts).points == verts.points
 
 
 def test_lift_cover_examples():
     k2 = build_graph([(0, 1)])
-    assert lift_cover_to_subdivision(k2, 2, Cover.of([Point.on_edge(0, 1, F(1, 2))], F(1))
-                                     ).points == {Point.vertex(2)}
-    assert lift_cover_to_subdivision(k2, 5, Cover.of([Point.vertex(0)], F(1))
-                                     ).points == {Point.vertex(0)}
-    got = lift_cover_to_subdivision(k2, 3, Cover.of([Point.on_edge(0, 1, F(1, 3))], F(1)))
+    assert lift_cover(k2, 2, Cover.of([Point.on_edge(0, 1, F(1, 2))], F(1))
+                      ).points == {Point.vertex(2)}
+    assert lift_cover(k2, 5, Cover.of([Point.vertex(0)], F(1))
+                      ).points == {Point.vertex(0)}
+    got = lift_cover(k2, 3, Cover.of([Point.on_edge(0, 1, F(1, 3))], F(1)))
     assert got.points == {Point.vertex(2)}  # first inner vertex sits at offset 1/3
 
 
@@ -142,8 +165,9 @@ def test_lift_map_round_trip():
         F(1, 2),
     )
     for x in (2, 3, 4):
-        assert map_cover_from_subdivision(g, x, lift_cover_to_subdivision(g, x, cover)
-                                          ).points == cover.points
+        _, smap = subdivide(g, x)
+        back = smap.project_cover(g, lift_cover(g, x, cover))
+        assert back.points == cover.points and back.delta == cover.delta
 
 
 def test_wreath_k2_examples():

@@ -13,8 +13,6 @@ from deltacover import (
     gallai_edmonds,
     harmonic_number,
     is_delta_cover,
-    lift_cover_to_subdivision,
-    map_cover_from_subdivision,
     min_cover_exact,
     normalize_neat,
     one_cover_min,
@@ -85,9 +83,10 @@ def test_subdivision_scales_distance(case, x):
 def test_subdivision_round_trip(case, x):
     g, pts = case
     cover = Cover.of(pts, F(1, 2))
-    lifted = lift_cover_to_subdivision(g, x, cover)
+    _, smap = subdivide(g, x)
+    lifted = Cover.of((smap.lift_point(g, p) for p in cover.points), cover.delta * x)
     assert len(lifted) == len(cover)
-    back = map_cover_from_subdivision(g, x, lifted)
+    back = smap.project_cover(g, lifted)
     assert back.points == cover.points
 
 

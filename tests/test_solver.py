@@ -15,9 +15,9 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
-from deltacover.solver import SetCoverInstance, coverage_spot_check
+from deltacover.solver import SetCoverInstance
 from conftest import cycle, k_n, path, star
-from oracles import brute_set_cover_size
+from oracles import brute_set_cover_size, coverage_by_distance
 
 
 def test_candidate_counts():
@@ -49,7 +49,16 @@ def test_build_set_cover_k3_far_edge():
 def test_coverage_agrees_with_point_distance():
     for g, d in [(k_n(4), F(2, 3)), (cycle(5), F(3, 5)), (path(3), F(7, 6))]:
         inst = build_set_cover(g, d)
-        assert coverage_spot_check(g, inst, samples=120)
+        assert (inst.universe, inst.candidates, inst.masks) == coverage_by_distance(g, d)
+
+
+def test_set_cover_reach_stops_at_the_hop_bound():
+    # delta = 7/2 reaches 3 hops, fewer than the path's diameter of 11, and
+    # the triangle is a second component the search must not cross into.
+    edges = [(v, v + 1) for v in range(11)] + [(12, 13), (13, 14), (12, 14)]
+    g = build_graph(edges, n=15)
+    inst = build_set_cover(g, F(7, 2))
+    assert (inst.universe, inst.candidates, inst.masks) == coverage_by_distance(g, F(7, 2))
 
 
 def test_exact_small_sizes():

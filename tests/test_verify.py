@@ -15,7 +15,12 @@ from deltacover import (
 )
 from deltacover.verify import require_cover
 from conftest import cycle, k_n, path
-from oracles import covered_by_sampling, interval_verify, sample_points
+from oracles import (
+    covered_by_sampling,
+    interval_edge_coverage,
+    interval_verify,
+    sample_points,
+)
 
 
 def test_intervals_midpoint_reaches_both_ends():
@@ -91,21 +96,21 @@ def test_verifier_never_reads_the_distance_table():
     ]
     verdicts = []
     for edges, n, cover in cases:
-        table = build_graph(edges, n=n)
         g = build_graph(edges, n=n)
-        g.dist = None
-        expected = is_delta_cover(table, cover)
-        verdicts.append(expected.is_cover)
-        assert is_delta_cover(g, cover) == expected == interval_verify(table, cover, cover.delta)
-        for e in g.edges:
-            assert (edge_coverage_intervals(g, e, cover, cover.delta)
-                    == edge_coverage_intervals(table, e, cover, cover.delta))
-        if expected.is_cover:
+        report = is_delta_cover(g, cover)
+        verdicts.append(report.is_cover)
+        intervals = {e: edge_coverage_intervals(g, e, cover, cover.delta) for e in g.edges}
+        if report.is_cover:
             require_cover(g, cover, cover.delta, "table-free")
         else:
             with pytest.raises(InvalidCoverError) as err:
                 require_cover(g, cover, cover.delta, "table-free")
-            assert err.value.witness == expected.witness
+            assert err.value.witness == report.witness
+        # No hop row was computed on the graph's point_distance cache.
+        assert g._hop_rows == {}
+        assert report == interval_verify(g, cover, cover.delta)
+        for e, iset in intervals.items():
+            assert iset.intervals == interval_edge_coverage(g, e, cover, cover.delta)
     assert verdicts == [False, True, False, True]
 
 
