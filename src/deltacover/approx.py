@@ -4,6 +4,9 @@ Every connected component is routed by the covering radius: forests and
 unit fractions solve exactly, large radii fall back to greedy set cover,
 and each remaining interval gets the algorithm whose factor is proven for
 it.  Each report carries the factor actually claimed for the instance.
+
+The route functions return unverified covers; ``approx_cover`` verifies
+the union of its component covers once, at the public boundary.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from .graphs import (
     relabel_points,
 )
 from .matching import (
+    _one_cover,
+    _tree_points,
+    _unit_fraction_cover,
     gallai_edmonds,
-    one_cover_min,
-    tree_cover,
-    unit_fraction_cover,
     vc_2approx,
 )
 from .solver import (
@@ -37,7 +40,7 @@ from .solver import (
     InternalConsistencyError,
     build_set_cover,
     harmonic_number,
-    min_cover_exact,
+    solve_exact,
     solve_greedy,
 )
 from .verify import is_delta_cover, require_cover
@@ -114,13 +117,14 @@ def _one_cover_factor(delta: Fraction) -> tuple[Fraction, str]:
 
 
 def cover_via_one_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
-    """For radii just above 1, an optimal 1-cover is a bounded-factor answer."""
+    """For radii just above 1, an optimal 1-cover is a bounded-factor answer.
+
+    Unverified: a 1-cover is a delta-cover for every delta >= 1.
+    """
     if not ONE < delta < Fraction(3, 2):
         raise ValueError(f"delta {delta} outside (1, 3/2)")
-    result = one_cover_min(g, budget)
     factor, regime = _one_cover_factor(delta)
-    cover = Cover(result.cover.points, delta)
-    require_cover(g, cover, delta, regime)
+    cover = Cover(_one_cover(g).points, delta)
     return RatioReport(cover, factor, regime, g.average_degree())
 
 
@@ -128,7 +132,8 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
     """Output V per non-tree component: an (x+1)/x approximation.
 
     Components with fewer than x edges are solved exactly instead (brute
-    force is constant work there), trees go to the exact tree solver.
+    force is constant work there), trees go to the exact tree solver.  The
+    cover is unverified, and so are those sub-solves.
     """
     x = vertex_set_interval(delta)
     comps = connected_components(g)
@@ -141,12 +146,11 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
             continue
         sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
         if m == len(comp) - 1:
-            part = tree_cover(sub, delta).cover.points
+            part = _tree_points(sub, delta)
         else:
-            part = min_cover_exact(sub, delta, budget).cover.points
+            part = solve_exact(build_set_cover(sub, delta), budget).cover.points
         points |= relabel_points(part, old)
     cover = Cover(frozenset(points), delta)
-    require_cover(g, cover, delta, "vertex_set_x")
     return RatioReport(cover, Fraction(x + 1, x), "vertex_set_x", g.average_degree(), param=x)
 
 
@@ -154,7 +158,7 @@ def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
     """Leaf-edge points at 2/3, a vertex cover among leaf-neighbors, the rest.
 
     The output is a 2/3-cover of any graph whose components are not trees,
-    hence a delta-cover throughout [2/3, 3/4).
+    hence a delta-cover throughout [2/3, 3/4).  It is returned unverified.
     """
     if not Fraction(2, 3) <= delta < Fraction(3, 4):
         raise ValueError(f"delta {delta} outside [2/3, 3/4)")
@@ -168,9 +172,7 @@ def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
     inner = Graph(sub_edges, n=g.n)
     points |= {Point.vertex(v) for v in vc_2approx(inner)}
     points |= {Point.vertex(v) for v in levels.W}
-    cover = Cover(frozenset(points), delta)
-    require_cover(g, cover, Fraction(2, 3), "leaf_level")
-    return RatioReport(Cover(cover.points, delta), Fraction(3, 2), "leaf_level",
+    return RatioReport(Cover(frozenset(points), delta), Fraction(3, 2), "leaf_level",
                        g.average_degree())
 
 
@@ -195,6 +197,7 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
 
     Valid whenever delta > 1/(2k+2); the guarantee 1 + 1/(k*avg_degree + 1)
     holds against non-tree components, which is all the dispatcher sends.
+    The cover is returned unverified.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -208,7 +211,6 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
         if m:
             factor = max(factor, 1 + Fraction(1, k * Fraction(2 * m, len(comp)) + 1))
     cover = Cover(frozenset(points), delta)
-    require_cover(g, cover, delta, "small_even")
     return RatioReport(cover, factor, "small_even", g.average_degree(), param=k)
 
 
@@ -218,25 +220,26 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction,
 
     Its size is exactly k|E| plus the minimum 1-cover, and any delta-cover
     for delta < 1/(2k) needs at least k|E| points, which yields the factor
-    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).
+    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  Two Edmonds searches:
+    one on the (2k+1)-subdivision, and one on g that gives both cov1 and
+    eps.  The cover is returned unverified.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    result = unit_fraction_cover(g, 2 * k + 1, budget)
-    bound = k * g.m + one_cover_min(g, budget).size
-    if result.size > bound:
-        raise InternalConsistencyError(
-            f"1/{2 * k + 1}-cover of size {result.size} exceeds k|E| + cov1 = {bound}"
-        )
+    cover = _unit_fraction_cover(g, 2 * k + 1)
     ge = gallai_edmonds(g)
+    bound = k * g.m + len(_one_cover(g, ge))
+    if len(cover) > bound:
+        raise InternalConsistencyError(
+            f"1/{2 * k + 1}-cover of size {len(cover)} exceeds k|E| + cov1 = {bound}"
+        )
     eps = Fraction(g.n + ge.c_ge3, g.n + ge.c_ge3 - 1) - 1 if g.n + ge.c_ge3 > 1 else Fraction(1)
     avg = g.average_degree()
     factor = 1 + Fraction(1, 2 * k) + eps
     if avg > 0:
         factor = min(factor, 1 + Fraction(4, 3 * k) / avg)
-    cover = Cover(result.cover.points, delta)
-    require_cover(g, cover, delta, "small_odd")
-    return RatioReport(cover, factor, "small_odd", avg, param=k, epsilon=eps)
+    return RatioReport(Cover(cover.points, delta), factor, "small_odd", avg,
+                       param=k, epsilon=eps)
 
 
 def translate_cover_up(g: Graph, s_prime: Cover, delta: Fraction) -> Cover:
@@ -276,17 +279,17 @@ def translate_cover_up(g: Graph, s_prime: Cover, delta: Fraction) -> Cover:
 
 
 def _component_report(sub: Graph, delta: Fraction, budget: Budget) -> RatioReport:
+    """The unverified report of the route for one connected component."""
     if is_forest(sub):
-        res = tree_cover(sub, delta)
-        return RatioReport(res.cover, Fraction(1), "exact", sub.average_degree())
+        cover = Cover(frozenset(_tree_points(sub, delta)), delta)
+        return RatioReport(cover, Fraction(1), "exact", sub.average_degree())
     if delta == HALF:
         points = frozenset(Point.vertex(v) for v in range(sub.n))
         return RatioReport(Cover(points, delta), Fraction(1), "exact", sub.average_degree())
     if delta.numerator == 1:
-        res = unit_fraction_cover(sub, delta.denominator, budget)
-        return RatioReport(res.cover, Fraction(1), "exact", sub.average_degree())
+        cover = _unit_fraction_cover(sub, delta.denominator)
+        return RatioReport(cover, Fraction(1), "exact", sub.average_degree())
     if delta >= Fraction(3, 2):
-        # approx_cover verifies the union of the component covers.
         inst = build_set_cover(sub, delta)
         res = solve_greedy(inst)
         return RatioReport(res.cover, harmonic_number(len(inst.universe)),
@@ -295,9 +298,8 @@ def _component_report(sub: Graph, delta: Fraction, budget: Budget) -> RatioRepor
         return cover_via_one_cover(sub, delta, budget)
     if delta >= Fraction(3, 4):
         points = frozenset(Point.vertex(v) for v in range(sub.n))
-        cover = Cover(points, delta)
-        require_cover(sub, cover, delta, "vertex set")
-        return RatioReport(cover, Fraction(2), "vertex_set_34_1", sub.average_degree())
+        return RatioReport(Cover(points, delta), Fraction(2), "vertex_set_34_1",
+                           sub.average_degree())
     if delta >= Fraction(2, 3):
         return cover_leaf_level(sub, delta)
     if delta > HALF:
@@ -309,7 +311,11 @@ def _component_report(sub: Graph, delta: Fraction, budget: Budget) -> RatioRepor
 
 
 def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
-    """Route each connected component to its regime and union the covers."""
+    """Route each connected component to its regime and union the covers.
+
+    The routes return unverified covers; the union is verified once here,
+    and a route that produced a non-cover raises InternalConsistencyError.
+    """
     if delta <= ZERO:
         raise ValueError(f"delta must be positive, got {delta}")
     points: set[Point] = set()

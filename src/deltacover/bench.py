@@ -2,7 +2,8 @@
 
 A suite configuration lists instances (graph files or generator specs) and
 a grid of rationals.  Every (instance, delta) row runs the range-dispatched
-approximation, attempts the exact oracle within budget, verifies both, and
+approximation and attempts the exact oracle within budget, each of which
+verifies its own cover once (a failure raises InternalConsistencyError), and
 records the empirical ratio whenever the oracle finished.  Rationals are
 serialized as "a/b" strings; float columns are marked lossy and exist only
 for plotting.
@@ -30,7 +31,6 @@ from .families import (
 from .graphs import Graph
 from .io import format_rational, parse_graph_file, parse_rational
 from .solver import Budget, min_cover_exact
-from .verify import is_delta_cover
 
 CSV_COLUMNS = [
     "instance",
@@ -48,10 +48,6 @@ CSV_COLUMNS = [
     "verify",
     "runtime_ms",
 ]
-
-
-class BenchVerificationError(RuntimeError):
-    """An emitted cover failed re-verification: a correctness bug."""
 
 
 @dataclass(frozen=True)
@@ -126,11 +122,6 @@ def run_row(instance: str, family: str, g: Graph, delta: Fraction,
             budget: Budget) -> BenchRow:
     t0 = time.monotonic()
     report = approx_cover(g, delta, budget)
-    check = is_delta_cover(g, report.cover, delta)
-    if not check.is_cover:
-        raise BenchVerificationError(
-            f"{instance} @ {delta}: cover fails verification near {check.witness}"
-        )
     oracle = min_cover_exact(g, delta, budget)
     ratio = Fraction(len(report.cover), oracle.size) if oracle.optimal else None
     return BenchRow(

@@ -33,7 +33,13 @@ from .io import (
     write_graph_file,
 )
 from .matching import NotAForestError, tree_cover, unit_fraction_cover
-from .solver import Budget, min_cover_exact, build_set_cover, solve_greedy
+from .solver import (
+    Budget,
+    InternalConsistencyError,
+    build_set_cover,
+    min_cover_exact,
+    solve_greedy,
+)
 from .verify import InvalidCoverError, is_delta_cover
 
 EXIT_OK = 0
@@ -279,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidCoverError, benchmod.BenchVerificationError) as exc:
+    except (InvalidCoverError, InternalConsistencyError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (FileFormatError, GraphValidationError, InvalidPointError,

@@ -259,10 +259,15 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph on ``vertices`` plus the new-id -> old-id table."""
+    """Induced subgraph on ``vertices`` plus the new-id -> old-id table.
+
+    Built from the adjacency of ``vertices`` alone, so copying every
+    component of a graph costs O(n + m) in all.
+    """
     old = sorted(vertices)
     to_new = {u: i for i, u in enumerate(old)}
-    edges = [(to_new[u], to_new[v]) for u, v in g.edges if u in to_new and v in to_new]
+    edges = [(i, to_new[w]) for i, u in enumerate(old)
+             for w in g.adj[u] if w > u and w in to_new]
     return Graph(edges, n=len(old)), old
 
 

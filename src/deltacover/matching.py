@@ -278,12 +278,48 @@ def _deficient_set(adj: Sequence[Sequence[int]],
     return set(T), X
 
 
+def _one_cover(g: Graph, ge: GEDecomposition | None = None) -> Cover:
+    """The minimum 1-cover of ``one_cover_min``, unverified.
+
+    ``ge`` is the Gallai-Edmonds split of g when the caller already has it.
+    """
+    if ge is None:
+        ge = gallai_edmonds(g)
+    singles = [v for comp in ge.d_components if len(comp) == 1
+               for v in comp if g.adj[v]]
+    T, X = _deficient_set(g.adj, singles)
+    points = {Point.vertex(v) for v in X}
+    points |= {Point.vertex(v) for v in range(g.n) if not g.adj[v]}
+    touched = set(X)
+    for u, v in ge.matching.edges:
+        if u not in X and v not in X:
+            points.add(Point.on_edge(u, v, HALF))
+            touched.update((u, v))
+    for v in range(g.n):
+        if v not in touched:
+            w = next((w for w in g.adj[v] if w not in X), None)
+            if w is not None:
+                points.add(Point.on_edge(v, w, HALF))
+    cover = Cover(frozenset(points), ONE)
+    expected = g.n - ge.matching.size - (len(T) - len(X))
+    if len(cover) != expected:
+        raise InternalConsistencyError(
+            f"1-cover has {len(cover)} points, the formula gives {expected}"
+        )
+    if all(g.adj) and len(cover) > Fraction(2 * g.n, 3):
+        raise InternalConsistencyError(
+            f"1-cover of size {len(cover)} exceeds 2/3 of {g.n} vertices"
+        )
+    return cover
+
+
 def one_cover_min(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Exact minimum 1-cover in polynomial time: cov1(G) = n - nu(G) - def(B).
 
     B is the bipartite graph between the Gallai-Edmonds set A and the
     D-singletons that have a neighbour; def(B) = #singletons - nu(B).
-    ``budget`` is accepted for compatibility and not read.
+    ``budget`` is accepted for compatibility and not read.  The cover is
+    verified once here; library code calls the unverified ``_one_cover``.
 
     *Neat covers.*  In a 1-cover S keep the vertex points as X and replace
     the points inside each edge by its midpoint (edge set M).  An edge xy
@@ -326,34 +362,21 @@ def one_cover_min(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     against the branch and bound.
     """
     t0 = time.monotonic()
-    ge = gallai_edmonds(g)
-    singles = [v for comp in ge.d_components if len(comp) == 1
-               for v in comp if g.adj[v]]
-    T, X = _deficient_set(g.adj, singles)
-    points = {Point.vertex(v) for v in X}
-    points |= {Point.vertex(v) for v in range(g.n) if not g.adj[v]}
-    touched = set(X)
-    for u, v in ge.matching.edges:
-        if u not in X and v not in X:
-            points.add(Point.on_edge(u, v, HALF))
-            touched.update((u, v))
-    for v in range(g.n):
-        if v not in touched:
-            w = next((w for w in g.adj[v] if w not in X), None)
-            if w is not None:
-                points.add(Point.on_edge(v, w, HALF))
-    cover = Cover(frozenset(points), ONE)
-    expected = g.n - ge.matching.size - (len(T) - len(X))
-    if len(cover) != expected:
-        raise InternalConsistencyError(
-            f"1-cover has {len(cover)} points, the formula gives {expected}"
-        )
-    if all(g.adj) and len(cover) > Fraction(2 * g.n, 3):
-        raise InternalConsistencyError(
-            f"1-cover of size {len(cover)} exceeds 2/3 of {g.n} vertices"
-        )
+    cover = _one_cover(g)
     require_cover(g, cover, ONE, "1-cover")
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
+
+
+def _unit_fraction_cover(g: Graph, b: int) -> Cover:
+    """The minimum (1/b)-cover of ``unit_fraction_cover``, unverified."""
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
+    sub, smap = subdivide(g, b)
+    inner = _one_cover(sub)
+    cover = smap.project_cover(g, inner)
+    if len(cover) != len(inner):
+        raise InternalConsistencyError("subdivision pull-back changed the cover size")
+    return cover
 
 
 def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
@@ -362,19 +385,13 @@ def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> So
     Covers of g at radius 1/b correspond bijectively to covers of the
     b-subdivision at radius 1, where ``one_cover_min`` solves the problem
     in polynomial time.  ``budget`` is accepted for compatibility and not
-    read.
+    read.  Only the pulled-back cover is verified, once, on g; library
+    code calls the unverified ``_unit_fraction_cover``.
     """
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
     t0 = time.monotonic()
-    sub, smap = subdivide(g, b)
-    inner = one_cover_min(sub, budget)
-    cover = smap.project_cover(g, inner.cover)
-    delta = Fraction(1, b)
-    require_cover(g, cover, delta, "unit-fraction cover")
-    if len(cover) != inner.size:
-        raise InternalConsistencyError("subdivision pull-back changed the cover size")
-    return SolveResult(cover, inner.size, True, 0, time.monotonic() - t0)
+    cover = _unit_fraction_cover(g, b)
+    require_cover(g, cover, Fraction(1, b), "unit-fraction cover")
+    return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
 def vc_2approx(g: Graph) -> frozenset[int]:
@@ -388,38 +405,41 @@ def vc_2approx(g: Graph) -> frozenset[int]:
 
 
 def _cover_tree_component(g: Graph, root: int, order: list[int], parent: list[int],
-                          delta: Fraction) -> set[Point]:
+                          p: int, q: int) -> set[Point]:
     """Bottom-up greedy placement on one rooted tree component.
 
-    State per processed vertex: ``need`` = distance to the farthest point
-    below it still uncovered (None if everything is), ``reach`` = leftover
-    covering radius extending upward from placed points (None if none
-    reaches).  Climbing an edge, a point is placed the moment the need
-    would hit exactly delta; deferred placements land on vertices.
+    Lengths are scaled by q, the denominator of delta = p/q: an edge is q
+    long and the radius is p, so every position, need and reach is an
+    integer, and a Fraction is built only for a placed point.  State per
+    processed vertex: ``need`` = distance to the farthest point below it
+    still uncovered (None if everything is), ``reach`` = leftover covering
+    radius extending upward from placed points (None if none reaches).
+    Climbing an edge, a point is placed the moment the need would hit
+    exactly delta; deferred placements land on vertices.
     """
     placed: set[Point] = set()
-    state: dict[int, tuple[Fraction | None, Fraction | None]] = {}
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v in order:
-        if parent[v] != -1:
-            children[parent[v]].append(v)
+    need_at: list[int | None] = [None] * g.n
+    reach_at: list[int | None] = [None] * g.n
 
-    def climb(child: int, top: int, need: Fraction | None, reach: Fraction | None):
-        pos = ZERO
+    def climb(child: int, top: int, need: int | None, reach: int | None):
+        pos = 0
         while True:
-            remaining = ONE - pos
+            remaining = q - pos
             if need is not None:
-                trigger = delta - need
+                trigger = p - need
             elif reach is not None and reach < remaining:
-                trigger = reach + delta
+                trigger = reach + p
             else:
                 trigger = None
             if trigger is not None and trigger <= remaining:
-                if pos + trigger == ONE:
-                    return delta, None  # defer: need hits delta exactly at the vertex
+                if trigger == remaining:
+                    return p, None  # defer: need hits delta exactly at the vertex
                 pos += trigger
-                placed.add(Point.on_edge(child, top, pos))
-                need, reach = None, delta
+                if child < top:
+                    placed.add(Point(child, top, Fraction(pos, q)))
+                else:
+                    placed.add(Point(top, child, Fraction(q - pos, q)))
+                need, reach = None, p
                 continue
             if need is not None:
                 need = need + remaining
@@ -431,50 +451,64 @@ def _cover_tree_component(g: Graph, root: int, order: list[int], parent: list[in
             return need, reach
 
     for v in reversed(order):
-        need: Fraction | None = None
-        reach: Fraction | None = None
-        for c in sorted(children[v]):
-            cn, cr = climb(c, v, *state[c])
+        need: int | None = None
+        reach: int | None = None
+        up = parent[v]
+        for c in g.adj[v]:
+            if c == up:
+                continue
+            cn, cr = climb(c, v, need_at[c], reach_at[c])
             if cn is not None and (need is None or cn > need):
                 need = cn
             if cr is not None and (reach is None or cr > reach):
                 reach = cr
-        if reach is None and (need is None or need < ZERO):
-            need = ZERO  # the vertex itself is uncovered
+        if reach is None and (need is None or need < 0):
+            need = 0  # the vertex itself is uncovered
         if need is not None and reach is not None and need <= reach:
             need = None
-        if need == delta:
+        if need == p:
             placed.add(Point.vertex(v))
-            need, reach = None, delta
-        state[v] = (need, reach)
-    if state[root][0] is not None:
+            need, reach = None, p
+        need_at[v], reach_at[v] = need, reach
+    if need_at[root] is not None:
         placed.add(Point.vertex(root))
     return placed
 
 
-def tree_cover(g: Graph, delta: Fraction) -> SolveResult:
-    """Exact minimum delta-cover of a forest, one greedy pass per component."""
-    if delta <= ZERO:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not is_forest(g):
-        raise NotAForestError("input has a cycle; dispatch non-trees elsewhere")
-    t0 = time.monotonic()
+def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
+    """The minimum delta-cover of the forest g, unverified."""
+    p, q = delta.numerator, delta.denominator
     points: set[Point] = set()
+    parent = [-1] * g.n
+    seen = [False] * g.n
     for comp in connected_components(g):
         root = comp[0]
         if len(comp) == 1:
             points.add(Point.vertex(root))
             continue
-        parent = [-1] * g.n
         order = [root]
-        seen = {root}
+        seen[root] = True
         for u in order:
             for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
                     parent[w] = u
                     order.append(w)
-        points |= _cover_tree_component(g, root, order, parent, delta)
-    cover = Cover(frozenset(points), delta)
+        points |= _cover_tree_component(g, root, order, parent, p, q)
+    return points
+
+
+def tree_cover(g: Graph, delta: Fraction) -> SolveResult:
+    """Exact minimum delta-cover of a forest, one greedy pass per component.
+
+    The cover is verified once here; library code calls the unverified
+    ``_tree_points``.
+    """
+    if delta <= ZERO:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not is_forest(g):
+        raise NotAForestError("input has a cycle; dispatch non-trees elsewhere")
+    t0 = time.monotonic()
+    cover = Cover(frozenset(_tree_points(g, delta)), delta)
     require_cover(g, cover, delta, "tree cover")
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)

@@ -77,3 +77,29 @@ class OracleCache:
 @pytest.fixture(scope="session")
 def oracle() -> OracleCache:
     return OracleCache(Budget(max_seconds=3.0))
+
+
+@pytest.fixture
+def verifier_calls(monkeypatch) -> list[Graph]:
+    """The graph of every ``is_delta_cover`` call the library makes.
+
+    Every module of the package that binds the verifier gets a counting
+    wrapper; the tests' own imports keep the original.
+    """
+    import sys
+
+    import deltacover.verify
+
+    real = deltacover.verify.is_delta_cover
+    calls: list[Graph] = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "deltacover" or name.startswith("deltacover."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

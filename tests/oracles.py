@@ -282,3 +282,80 @@ def interval_verify(g: Graph, cover: Cover, delta: Fraction) -> VerifyReport:
         (u, v), (lo, hi) = gaps[0]
         witness = Point.vertex(u) if u == v else Point.on_edge(u, v, (lo + hi) / 2)
     return VerifyReport(not gaps, witness, tuple(gaps))
+
+
+def tree_cover_by_fractions(g: Graph, delta: Fraction) -> frozenset[Point]:
+    """The greedy bottom-up tree cover, climbing in Fraction arithmetic.
+
+    The library's ``tree_cover`` before it climbed on integers scaled by
+    delta's denominator: per component rooted at its least vertex, each
+    vertex holds ``need`` (distance to the farthest uncovered point below
+    it) and ``reach`` (leftover radius from placed points); a point goes
+    down the moment the need would reach delta, on the vertex when that
+    happens exactly there.  Isolated vertices get a point each.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    placed: set[Point] = set()
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        parent = {root: -1}
+        order = [root]
+        for u in order:
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    order.append(w)
+        if len(order) == 1:
+            placed.add(Point.vertex(root))
+            continue
+        state: dict[int, tuple] = {}
+
+        def climb(child, top, need, reach):
+            pos = zero
+            while True:
+                remaining = one - pos
+                if need is not None:
+                    trigger = delta - need
+                elif reach is not None and reach < remaining:
+                    trigger = reach + delta
+                else:
+                    trigger = None
+                if trigger is not None and trigger <= remaining:
+                    if pos + trigger == one:
+                        return delta, None
+                    pos += trigger
+                    placed.add(Point.on_edge(child, top, pos))
+                    need, reach = None, delta
+                    continue
+                if need is not None:
+                    need = need + remaining
+                elif reach is not None and reach < remaining:
+                    need = remaining - reach
+                reach = reach - remaining if reach is not None and reach >= remaining else None
+                return need, reach
+
+        for v in reversed(order):
+            need = reach = None
+            for c in g.adj[v]:
+                if parent.get(c) != v:
+                    continue
+                cn, cr = climb(c, v, *state[c])
+                if cn is not None and (need is None or cn > need):
+                    need = cn
+                if cr is not None and (reach is None or cr > reach):
+                    reach = cr
+            if reach is None and (need is None or need < zero):
+                need = zero
+            if need is not None and reach is not None and need <= reach:
+                need = None
+            if need == delta:
+                placed.add(Point.vertex(v))
+                need, reach = None, delta
+            state[v] = (need, reach)
+        if state[root][0] is not None:
+            placed.add(Point.vertex(root))
+    return frozenset(placed)

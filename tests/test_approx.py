@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from deltacover import (
     Budget,
     Cover,
+    InternalConsistencyError,
     Point,
     approx_cover,
     build_graph,
@@ -15,8 +18,10 @@ from deltacover import (
     cover_via_one_cover,
     is_delta_cover,
     harmonic_number,
+    is_forest,
     level_partition,
     min_cover_exact,
+    one_cover_min,
     translate_cover_up,
     vertex_set_interval,
 )
@@ -96,23 +101,10 @@ def test_large_delta_route_on_a_large_universe():
     assert is_delta_cover(g, rep.cover, F(5, 2)).is_cover
 
 
-def test_large_delta_route_verifies_once(monkeypatch):
-    import deltacover.approx
-    import deltacover.solver
-    import deltacover.verify
-
-    calls = []
-    real = deltacover.verify.is_delta_cover
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    for module in (deltacover.verify, deltacover.approx, deltacover.solver):
-        monkeypatch.setattr(module, "is_delta_cover", counted)
+def test_large_delta_route_verifies_once(verifier_calls):
     g = grid(6, 7)
     assert approx_cover(g, F(5, 2)).regime == "large_delta"
-    assert calls == [g]
+    assert verifier_calls == [g]
 
 
 # The radii of the benchmark's ladder_approx and matching_routes workloads,
@@ -141,6 +133,87 @@ def test_connected_input_is_never_copied(monkeypatch):
     assert copies == []
     approx_cover(build_graph([(0, 1), (2, 3), (3, 4), (2, 4)]), F(1, 3))
     assert copies == [[0, 1], [2, 3, 4]]
+
+
+# Every regime of approx_cover is reached on these graphs at those radii:
+# a grid, a triangle, a path, a leafy gadget and a graph of two components.
+ROUTE_GRAPHS = [grid(3, 4), k_n(3), path(5), gen_ugc_gadget(k_n(3), x=1, variant="path"),
+                build_graph([(0, 1), (2, 3), (3, 4), (2, 4)])]
+ALL_REGIMES = {"exact", "large_delta", "one_cover_3_2", "one_cover_5_3", "one_cover_2",
+               "vertex_set_34_1", "leaf_level", "vertex_set_x", "small_even", "small_odd"}
+
+
+def test_every_regime_verifies_once(verifier_calls):
+    regimes = set()
+    for g in ROUTE_GRAPHS:
+        for delta in CONNECTED_ROUTE_DELTAS:
+            verifier_calls.clear()
+            rep = approx_cover(g, delta)
+            assert verifier_calls == [g], (g.edges, str(delta), len(verifier_calls))
+            regimes.add(rep.regime)
+    assert regimes == ALL_REGIMES
+
+
+def test_a_route_that_drops_a_point_is_caught_at_the_boundary(monkeypatch):
+    import deltacover.approx
+
+    real = deltacover.approx._component_report
+    broken = set()
+
+    def drop_one(sub, delta, budget):
+        # Drop the first point that the component cannot do without.
+        rep = real(sub, delta, budget)
+        for p in sorted(rep.cover.points):
+            rest = Cover(rep.cover.points - {p}, delta)
+            if not is_delta_cover(sub, rest, delta).is_cover:
+                broken.add(rep.regime)
+                return dataclasses.replace(rep, cover=rest)
+        raise AssertionError(f"every point of the {rep.regime} cover is redundant")
+
+    monkeypatch.setattr(deltacover.approx, "_component_report", drop_one)
+    for g in ROUTE_GRAPHS:
+        for delta in CONNECTED_ROUTE_DELTAS:
+            with pytest.raises(InternalConsistencyError):
+                approx_cover(g, delta)
+    assert broken == ALL_REGIMES
+
+
+def test_small_odd_runs_two_edmonds_searches(monkeypatch):
+    import deltacover.matching
+
+    real = deltacover.matching._edmonds
+    searched = []
+
+    def counted(g):
+        searched.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(deltacover.matching, "_edmonds", counted)
+    for g in (grid(3, 4), k_n(3), cycle(5), gen_triangles_center(3).graph):
+        searched.clear()
+        rep = cover_small_delta_odd(g, 1, F(2, 5))
+        # One search on the 3-subdivision (n + 2m vertices), one on g.
+        assert sorted(searched) == [g.n, g.n + 2 * g.m]
+        assert len(rep.cover) == g.m + one_cover_min(g).size
+
+
+def test_leaf_level_output_is_a_two_thirds_cover(atlas_suite):
+    rng = random.Random(23)
+    graphs = [g for _, g in atlas_suite if not is_forest(g)]
+    graphs += [gen_ugc_gadget(k_n(3), x=1, variant="path"), gen_ugc_gadget(cycle(4), x=2)]
+    while len(graphs) < 300:
+        # A random tree plus at least one chord: connected, not a tree, leafy.
+        n = rng.randrange(3, 16)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, 4))}
+        g = build_graph(sorted(edges), n=n)
+        if not is_forest(g):
+            graphs.append(g)
+    for g in graphs:
+        for delta in (F(2, 3), F(5, 7), F(8, 11)):
+            rep = cover_leaf_level(g, delta)
+            assert rep.cover.delta == delta
+            assert is_delta_cover(g, rep.cover, F(2, 3)).is_cover, g.edges
 
 
 def test_component_routes_equal_their_union_over_components():

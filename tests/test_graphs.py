@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from deltacover import (
     InvalidPointError,
     Point,
     build_graph,
+    connected_components,
+    induced_subgraph,
     point_distance,
     subdivide,
     wreath_k2,
@@ -177,3 +180,25 @@ def test_wreath_k2_examples():
     assert (k2.n, k2.m) == (2, 1)
     doubled = wreath_k2(cycle(4))
     assert (doubled.n, doubled.m) == (8, 20)
+
+
+def test_induced_subgraph_equals_the_edge_scan_definition():
+    rng = random.Random(31)
+    for _ in range(60):
+        # A few random pieces side by side, with isolated vertices among them.
+        edges, n = [], 0
+        for _ in range(rng.randrange(1, 6)):
+            size = rng.randrange(1, 8)
+            pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+            edges += [(u + n, v + n) for u, v in rng.sample(pairs, rng.randrange(len(pairs) + 1))]
+            n += size
+        ids = list(range(n))
+        rng.shuffle(ids)
+        g = build_graph([(ids[u], ids[v]) for u, v in edges], n=n)
+        subsets = connected_components(g) + [rng.sample(range(n), rng.randrange(n + 1))]
+        for vertices in subsets:
+            sub, old = induced_subgraph(g, vertices)
+            to_new = {u: i for i, u in enumerate(sorted(vertices))}
+            scanned = [(to_new[u], to_new[v]) for u, v in g.edges if u in to_new and v in to_new]
+            assert old == sorted(vertices)
+            assert sub == build_graph(scanned, n=len(vertices))

@@ -15,7 +15,7 @@ from deltacover.io import (
     write_cover,
     write_graph_file,
 )
-from conftest import cycle, k_n
+from conftest import cycle, k_n, path
 
 
 def test_parse_minimal_graph():
@@ -202,3 +202,27 @@ def test_cli_bench_has_no_seed_flag(tmp_path):
     cfg.write_text(json.dumps({"deltas": [], "instances": []}))
     assert main(["bench", "--config", str(cfg), "--csv", str(tmp_path / "rows.csv"),
                  "--seed", "1"]) == 3
+
+
+def test_cli_commands_verify_once(tmp_path, verifier_calls):
+    gpath = tmp_path / "p5.graph"
+    write_graph_file(gpath, path(5))
+    cpath = tmp_path / "p5.cover"
+    commands = [
+        ["tree", "--delta", "3/5", "--output", str(cpath)],
+        ["verify", "--delta", "3/5", "--cover", str(cpath)],
+        ["approx", "--delta", "2/3"],
+        ["solve", "--exact", "--delta", "2/3"],
+        ["solve", "--greedy", "--delta", "2/3"],
+        ["solve", "--unit-fraction", "3"],
+    ]
+    for command in commands:
+        verifier_calls.clear()
+        assert main(command + ["--input", str(gpath)]) == 0
+        assert len(verifier_calls) == 1, command
+    # A bench row verifies its approximate cover and its oracle cover once each.
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"deltas": ["2/3"], "instances": [{"id": "p5", "file": str(gpath)}]}))
+    verifier_calls.clear()
+    assert main(["bench", "--config", str(cfg), "--csv", str(tmp_path / "rows.csv")]) == 0
+    assert len(verifier_calls) == 2

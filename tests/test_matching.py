@@ -11,11 +11,13 @@ from deltacover import (
     max_matching,
     min_cover_exact,
     one_cover_min,
+    subdivide,
     tree_cover,
     unit_fraction_cover,
     vc_2approx,
 )
 from deltacover.families import gen_triangles_center
+from deltacover.matching import _one_cover
 from conftest import cycle, grid, k_n, path, star
 from oracles import brute_max_matching
 
@@ -135,3 +137,31 @@ def test_vc_2approx():
     assert len(c4) <= 4
     g = cycle(4)
     assert all(u in c4 or v in c4 for u, v in g.edges)
+
+
+def test_public_entry_points_verify_once(verifier_calls):
+    forest = build_graph([(0, 1), (1, 2), (3, 4)], n=6)
+    calls = [
+        (tree_cover, forest, F(3, 5)),
+        (tree_cover, path(7), F(5, 2)),
+        (one_cover_min, grid(3, 3)),
+        (one_cover_min, forest),
+        (unit_fraction_cover, cycle(5), 3),
+        (unit_fraction_cover, forest, 2),
+        (min_cover_exact, k_n(4), F(2, 3)),
+        (min_cover_exact, forest, F(1, 2)),
+    ]
+    for fn, g, *args in calls:
+        verifier_calls.clear()
+        fn(g, *args)
+        assert verifier_calls == [g], (fn.__name__, g.edges)
+
+
+def test_one_cover_of_a_subdivision_covers_it(atlas_suite):
+    # unit_fraction_cover verifies only the pulled-back cover on g.
+    for _, g in atlas_suite[::5]:
+        for b in (1, 2, 3, 4):
+            sub, smap = subdivide(g, b)
+            inner = _one_cover(sub)
+            assert is_delta_cover(sub, inner, F(1)).is_cover
+            assert len(smap.project_cover(g, inner)) == len(inner) == unit_fraction_cover(g, b).size

@@ -21,13 +21,14 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
-from deltacover.matching import _nu
+from deltacover.matching import _nu, _tree_points
 from oracles import (
     brute_max_matching,
     coverage_by_distance,
     gallai_edmonds_by_definition,
     interval_edge_coverage,
     interval_verify,
+    tree_cover_by_fractions,
 )
 
 
@@ -240,3 +241,27 @@ def test_one_cover_equals_branch_and_bound(g):
     assert fast.optimal and fast.nodes_explored == 0
     assert fast.size == exact.size
     assert is_delta_cover(g, fast.cover, F(1)).is_cover
+
+
+@st.composite
+def forests(draw, max_n=14):
+    """Forests on 1..max_n vertices in shuffled ids; some vertices stay isolated."""
+    n = draw(st.integers(1, max_n))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(-1, v - 1))  # -1: v starts a new tree
+        if u >= 0:
+            edges.append((u, v))
+    ids = draw(st.permutations(range(n)))
+    return build_graph([(ids[u], ids[v]) for u, v in edges], n=n)
+
+
+# Unit fractions, non-unit radii below 1, and radii above 1.
+TREE_RADII = [F(1, 3), F(1, 2), F(1), F(2, 5), F(3, 5), F(2, 3), F(4, 7), F(3, 4),
+              F(5, 4), F(3, 2), F(7, 3), F(5, 2)]
+
+
+@given(forests(), st.sampled_from(TREE_RADII))
+@settings(max_examples=400, deadline=None)
+def test_integer_tree_climb_equals_fraction_climb(g, delta):
+    assert _tree_points(g, delta) == tree_cover_by_fractions(g, delta)
