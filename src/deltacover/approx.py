@@ -280,7 +280,8 @@ def translate_cover_up(g: Graph, s_prime: Cover, delta: Fraction) -> Cover:
 
 def _component_report(sub: Graph, delta: Fraction, budget: Budget) -> RatioReport:
     """The unverified report of the route for one connected component."""
-    if is_forest(sub):
+    # Connected, so a tree iff m = n - 1.
+    if sub.m == sub.n - 1:
         cover = Cover(frozenset(_tree_points(sub, delta)), delta)
         return RatioReport(cover, Fraction(1), "exact", sub.average_degree())
     if delta == HALF:

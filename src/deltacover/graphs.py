@@ -289,15 +289,8 @@ def relabel_points(points: Iterable[Point], old_ids: Sequence[int] | None) -> fr
 
 
 def is_forest(g: Graph) -> bool:
-    comps = connected_components(g)
-    within = [0] * len(comps)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = i
-    for u, v in g.edges:
-        within[comp_of[u]] += 1
-    return all(within[i] == len(comp) - 1 for i, comp in enumerate(comps))
+    """Acyclic iff m = n - c: each of the c components is a tree on its vertices."""
+    return g.m == g.n - len(connected_components(g))
 
 
 @dataclass(frozen=True)

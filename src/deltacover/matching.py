@@ -293,13 +293,13 @@ def _one_cover(g: Graph, ge: GEDecomposition | None = None) -> Cover:
     touched = set(X)
     for u, v in ge.matching.edges:
         if u not in X and v not in X:
-            points.add(Point.on_edge(u, v, HALF))
+            points.add(Point(min(u, v), max(u, v), HALF))
             touched.update((u, v))
     for v in range(g.n):
         if v not in touched:
             w = next((w for w in g.adj[v] if w not in X), None)
             if w is not None:
-                points.add(Point.on_edge(v, w, HALF))
+                points.add(Point(min(v, w), max(v, w), HALF))
     cover = Cover(frozenset(points), ONE)
     expected = g.n - ge.matching.size - (len(T) - len(X))
     if len(cover) != expected:

@@ -17,7 +17,7 @@ from operator import xor
 from typing import Sequence
 
 from .graphs import Cover, Graph, Point, hop_layers
-from .verify import discretized_universe, grid_points, is_delta_cover
+from .verify import GridPoints, grid_points, is_delta_cover
 
 
 class InternalConsistencyError(RuntimeError):
@@ -42,12 +42,14 @@ class SetCoverInstance:
     """Finite set cover equivalent of a covering instance.
 
     Bit j of ``masks[i]`` is set when universe point j lies within
-    ``delta`` of candidate i.
+    ``delta`` of candidate i.  ``build_set_cover`` gives ``universe`` and
+    ``candidates`` as ``GridPoints``, which build a ``Point`` only when one
+    is read, so a solve pays only for the candidates it returns.
     """
 
     delta: Fraction
-    universe: tuple[Point, ...]
-    candidates: tuple[Point, ...]
+    universe: Sequence[Point]
+    candidates: Sequence[Point]
     masks: tuple[int, ...]
 
 
@@ -92,20 +94,14 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
     scale = 4 * b
     inner = scale - 1
     radius = 4 * a
-    universe = discretized_universe(g, b)
-    candidates = candidate_points(g, delta)
-    # Universe indices in grid_points order: vertex u, then the interior
-    # points of each edge (u, v), v > u, by offset.
+    universe = GridPoints(g, scale)
     vertex_at = [0] * g.n
     run_at: dict[tuple[int, int], int] = {}
-    index = 0
-    for u in range(g.n):
-        vertex_at[u] = index
-        index += 1
-        for v in g.adj[u]:
-            if v > u:
-                run_at[(u, v)] = index
-                index += inner
+    for start, (u, v) in zip(universe.starts, universe.blocks):
+        if u == v:
+            vertex_at[u] = start
+        else:
+            run_at[(u, v)] = start
     # Runs at w of reach r start at the near end of each edge: (start, shift)
     # puts a run of length c at ``start + shift * (inner - c)``.
     ends = [
@@ -161,7 +157,7 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
         covered |= m
     if covered != (1 << len(universe)) - 1:
         raise InfeasibleInstanceError("universe element with no candidate in range")
-    return SetCoverInstance(delta, tuple(universe), tuple(candidates), tuple(masks))
+    return SetCoverInstance(delta, universe, GridPoints(g, 2 * b), tuple(masks))
 
 
 def _element_candidates(masks: Sequence[int], size: int) -> list[int]:
@@ -180,6 +176,17 @@ def _element_candidates(masks: Sequence[int], size: int) -> list[int]:
             diff[low.bit_length() - 1] ^= bit
             flips ^= low
     return list(accumulate(diff[:size], xor))
+
+
+def _bits(m: int) -> list[int]:
+    """The indices of the set bits of ``m``, ascending."""
+    out = []
+    while m:
+        top = m.bit_length() - 1
+        out.append(top)
+        m ^= 1 << top
+    out.reverse()
+    return out
 
 
 def _greedy_indices(masks: Sequence[int], full: int, start: int = 0) -> list[int]:
@@ -252,74 +259,61 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
 
     # Keep only a core of universe elements: an element whose candidate set
     # contains another element's is covered for free once the harder one is.
-    # A kept set inside ``ce`` has its lowest candidate in ``ce``, so kept
-    # sets are filed under their lowest candidate.
-    kept: list[int] = []
-    kept_by_low: dict[int, list[int]] = {}
-    for e in sorted(range(nu_full), key=lambda e: (elem_cands_full[e].bit_count(), e)):
-        ce = elem_cands_full[e]
-        covered_free = False
-        mm = ce
-        while mm and not covered_free:
-            low = mm & -mm
-            for ck in kept_by_low.get(low, ()):
-                if ck & ce == ck:
-                    covered_free = True
-                    break
-            mm ^= low
-        if not covered_free:
-            kept.append(e)
-            kept_by_low.setdefault(ce & -ce, []).append(ce)
-    kept.sort()
-    nu = len(kept)
+    # Taken by candidate count, then index, a kept element e drops every
+    # element all of its candidates cover: those are the elements whose
+    # candidate sets contain e's.  Each kept element's candidate indices are
+    # decoded once, and the rest of the root reduction reads those lists.
+    counts = [ec.bit_count() for ec in elem_cands_full]
+    core: list[tuple[int, list[int]]] = []
+    dropped = 0
+    for e in sorted(range(nu_full), key=counts.__getitem__):
+        if dropped >> e & 1:
+            continue
+        ce = _bits(elem_cands_full[e])
+        common = inst.masks[ce[0]]
+        for c in ce[1:]:
+            common &= inst.masks[c]
+        dropped |= common
+        core.append((e, ce))
+    core.sort()
+    nu = len(core)
     full = (1 << nu) - 1
-    elem_cands = [elem_cands_full[e] for e in kept]
+    elem_cands = [elem_cands_full[e] for e, _ in core]
+    cand_lists = [ce for _, ce in core]
     masks = [0] * nc
-    for i, ce in enumerate(elem_cands):
+    for i, ce in enumerate(cand_lists):
         bit = 1 << i
-        while ce:
-            low = ce & -ce
-            masks[low.bit_length() - 1] |= bit
-            ce ^= low
+        for c in ce:
+            masks[c] |= bit
 
     # Forced candidates (elements coverable one way only), then dominance:
     # a candidate whose uncovered elements another one also covers is
-    # dropped (ties keep the lower index).
-    forced = sorted({ec.bit_length() - 1 for ec in elem_cands if ec.bit_count() == 1})
+    # dropped (ties keep the lower index).  A forced candidate has nothing
+    # left uncovered, so it drops out here too.
+    forced = sorted({ce[0] for ce in cand_lists if len(ce) == 1})
     covered0 = 0
     for c in forced:
         covered0 |= masks[c]
-    forced_bits = sum(1 << c for c in forced)
-    avail0 = 0
-    for i in range(nc):
-        mi = masks[i] & ~covered0
-        if mi == 0 or (forced_bits >> i) & 1:
+    rest = [m & ~covered0 for m in masks]
+    in_avail0 = [False] * nc
+    for i, mi in enumerate(rest):
+        if mi == 0:
             continue
-        others = elem_cands[(mi & -mi).bit_length() - 1] & ~(1 << i)
-        while others:
-            low = others & -others
-            j = low.bit_length() - 1
-            mj = masks[j] & ~covered0
-            if mi | mj == mj and (mi != mj or j < i):
+        for j in cand_lists[(mi & -mi).bit_length() - 1]:
+            mj = rest[j]
+            if j != i and mi | mj == mj and (mi != mj or j < i):
                 break
-            others ^= low
         else:
-            avail0 |= 1 << i
+            in_avail0[i] = True
+    avail0 = sum(1 << c for c in range(nc) if in_avail0[c])
     cand_by_elem = [ec & avail0 for ec in elem_cands]
     # union_reach[e]: every element sharing a root candidate with e.
     union_reach = [0] * nu
-    for e in range(nu):
-        mm = cand_by_elem[e]
-        while mm:
-            low = mm & -mm
-            union_reach[e] |= masks[low.bit_length() - 1]
-            mm ^= low
-    max_deg = 1
-    mm = avail0
-    while mm:
-        low = mm & -mm
-        max_deg = max(max_deg, (masks[low.bit_length() - 1] & ~covered0).bit_count())
-        mm ^= low
+    for e, ce in enumerate(cand_lists):
+        for c in ce:
+            if in_avail0[c]:
+                union_reach[e] |= masks[c]
+    max_deg = max([rest[c].bit_count() for c in range(nc) if in_avail0[c]], default=1)
 
     def pack_more(open_: int, count: int, pack: int, ub: int) -> tuple[int, int]:
         """Min-degree greedy: add open elements to ``pack`` until ``ub``."""
@@ -411,7 +405,17 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     def solve_elems(
         elems: int, avail: int, ub: int, pack: int, at_root: bool
     ) -> list[int] | None:
-        """Exact minimum cover of ``elems`` if smaller than ``ub``, else None."""
+        """A minimum cover of ``elems`` from ``avail`` if it has fewer than ``ub``
+        candidates, else None; an empty ``elems`` gives [] for every ``ub``.
+
+        That holds at ``ub = 0`` too, so once a child has found a cover, a
+        later child that covers its node's elements just as well replaces
+        it: among equal covers the last one in branch order wins.  At
+        ``ub == 2`` a cover is one candidate, and the branch order would
+        try those by index, so this node scans the candidates of its lowest
+        element from the highest index down and returns the first that
+        covers every element.
+        """
         nonlocal nodes, best_size, best_chosen
         nodes += 1
         if nodes > budget.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
@@ -419,6 +423,14 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         if elems == 0:
             return []
         if ub <= 1:
+            return None
+        if ub == 2:
+            cm = cand_by_elem[(elems & -elems).bit_length() - 1] & avail
+            while cm:
+                c = cm.bit_length() - 1
+                if masks[c] & elems == elems:
+                    return [c]
+                cm ^= 1 << c
             return None
         lb, pack = bound(elems, ub, pack)
         if lb >= ub:

@@ -11,11 +11,12 @@ packings verify.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
-from typing import Iterable
 
 from .graphs import Cover, Edge, Graph, ONE, Point, ZERO
 
@@ -255,6 +256,48 @@ def grid_points(g: Graph, step: int) -> list[Point]:
             if v > u:
                 points.extend(Point(u, v, t) for t in offsets)
     return points
+
+
+class GridPoints(Sequence[Point]):
+    """``grid_points(g, step)`` as a sequence that builds a point only when read.
+
+    The points fall in blocks: vertex u (one point), then the step - 1
+    interior points of each edge (u, v), v > u.  ``starts`` holds the index
+    of each block's first point, ascending, and ``blocks`` its (u, v), with
+    u == v for a vertex; an index finds its block by bisection.
+    """
+
+    __slots__ = ("step", "starts", "blocks", "_len")
+
+    def __init__(self, g: Graph, step: int):
+        self.step = step
+        self.starts: list[int] = []
+        self.blocks: list[Edge] = []
+        index = 0
+        for u in range(g.n):
+            self.starts.append(index)
+            self.blocks.append((u, u))
+            index += 1
+            for v in g.adj[u]:
+                if v > u:
+                    self.starts.append(index)
+                    self.blocks.append((u, v))
+                    index += step - 1
+        self._len = index
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Point:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"grid index {i} out of range")
+        k = bisect_right(self.starts, i) - 1
+        u, v = self.blocks[k]
+        if u == v:
+            return Point(u, u, ZERO)
+        return Point(u, v, Fraction(i - self.starts[k] + 1, self.step))
 
 
 def normalize_neat(g: Graph, s: Cover, delta: Fraction | None = None) -> Cover:

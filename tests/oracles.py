@@ -5,7 +5,8 @@ sharing no code path with the library: distances by BFS on a fine grid,
 matchings and the Gallai-Edmonds split by bitmask dynamic programming, set
 cover by subset enumeration, coverage by random point probing, coverage
 per edge by the reach of every cover point separately, set-cover masks by
-one distance per candidate and universe point, and leaf levels by BFS.
+one distance per candidate and universe point, leaf levels and forests
+by BFS.
 """
 
 from __future__ import annotations
@@ -186,6 +187,26 @@ def leaf_levels_by_distance(g: Graph) -> tuple[frozenset, frozenset, frozenset]:
     return (frozenset(leaves),
             frozenset(v for v in range(g.n) if any(h[v] == 1 for h in hops)),
             frozenset(v for v in range(g.n) if any(h[v] == 2 for h in hops)))
+
+
+def is_forest_by_components(g: Graph) -> bool:
+    """Each component, found by BFS, has exactly one edge fewer than vertices."""
+    comp: list[int | None] = [None] * g.n
+    sizes: list[int] = []
+    for s in range(g.n):
+        if comp[s] is None:
+            comp[s] = len(sizes)
+            queue = [s]
+            for u in queue:
+                for w in g.adj[u]:
+                    if comp[w] is None:
+                        comp[w] = len(sizes)
+                        queue.append(w)
+            sizes.append(len(queue))
+    within = [0] * len(sizes)
+    for u, _ in g.edges:
+        within[comp[u]] += 1
+    return all(m == size - 1 for m, size in zip(within, sizes))
 
 
 def sample_points(g: Graph, count: int, rng: random.Random,

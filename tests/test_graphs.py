@@ -11,12 +11,13 @@ from deltacover import (
     build_graph,
     connected_components,
     induced_subgraph,
+    is_forest,
     point_distance,
     subdivide,
     wreath_k2,
 )
 from conftest import cycle, k_n, path
-from oracles import grid_distance
+from oracles import grid_distance, is_forest_by_components
 
 
 def vertex_distance(g, u, v):
@@ -202,3 +203,24 @@ def test_induced_subgraph_equals_the_edge_scan_definition():
             scanned = [(to_new[u], to_new[v]) for u, v in g.edges if u in to_new and v in to_new]
             assert old == sorted(vertices)
             assert sub == build_graph(scanned, n=len(vertices))
+
+
+def test_is_forest_equals_the_per_component_definition():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(80):
+        # Random trees side by side, isolated vertices among them, and
+        # sometimes one extra edge inside a piece, which closes a cycle.
+        edges, n = [], 0
+        for _ in range(rng.randrange(1, 6)):
+            size = rng.randrange(1, 8)
+            tree = [(rng.randrange(v), v) for v in range(1, size)]
+            if size >= 3 and rng.random() < 0.3:
+                pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+                tree.append(rng.choice([e for e in pairs if e not in tree]))
+            edges += [(u + n, v + n) for u, v in tree]
+            n += size
+        g = build_graph(edges, n=n)
+        verdicts.add(is_forest(g))
+        assert is_forest(g) == is_forest_by_components(g)
+    assert verdicts == {True, False}

@@ -217,7 +217,8 @@ COVERAGE_DELTAS = [F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(1), F
 @settings(max_examples=60, deadline=None)
 def test_set_cover_masks_equal_pairwise_distances(g, delta):
     inst = build_set_cover(g, delta)
-    assert (inst.universe, inst.candidates, inst.masks) == coverage_by_distance(g, delta)
+    got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
+    assert got == coverage_by_distance(g, delta)
 
 
 @given(any_graphs())

@@ -49,7 +49,8 @@ def test_build_set_cover_k3_far_edge():
 def test_coverage_agrees_with_point_distance():
     for g, d in [(k_n(4), F(2, 3)), (cycle(5), F(3, 5)), (path(3), F(7, 6))]:
         inst = build_set_cover(g, d)
-        assert (inst.universe, inst.candidates, inst.masks) == coverage_by_distance(g, d)
+        got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
+        assert got == coverage_by_distance(g, d)
 
 
 def test_set_cover_reach_stops_at_the_hop_bound():
@@ -58,7 +59,8 @@ def test_set_cover_reach_stops_at_the_hop_bound():
     edges = [(v, v + 1) for v in range(11)] + [(12, 13), (13, 14), (12, 14)]
     g = build_graph(edges, n=15)
     inst = build_set_cover(g, F(7, 2))
-    assert (inst.universe, inst.candidates, inst.masks) == coverage_by_distance(g, F(7, 2))
+    got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
+    assert got == coverage_by_distance(g, F(7, 2))
 
 
 def test_exact_small_sizes():
@@ -117,6 +119,27 @@ def test_exact_size_invariant_under_permutation():
                   for i in cperm),
         )
         assert solve_exact(shuffled).size == base
+
+
+def test_one_candidate_leaf_proves_atlas52_within_100_nodes(atlas_suite):
+    # At ub == 2 a node scans its lowest element's candidates instead of
+    # spending a bound, a component split and one child per candidate.
+    g = dict(atlas_suite)["atlas52"]
+    res = min_cover_exact(g, F(5, 4), Budget(max_nodes=100, max_seconds=1e9))
+    assert res.optimal and res.size == 3
+
+
+def test_one_candidate_leaf_keeps_the_highest_index():
+    # Elements 0..5.  Greedy takes three candidates; the optimum is two,
+    # {1, 3} or {3, 4}.  Under candidate 3 the node with ub == 2 must cover
+    # {1, 5}, which candidates 1 and 4 both do.  The branch loop keeps the
+    # last equal cover it finds, so the leaf returns the highest index.
+    sets = [{0, 2, 3, 5}, {1, 2, 3, 5}, {3, 4}, {0, 2, 3, 4}, {0, 1, 3, 5}, {1, 2, 3}]
+    points = tuple(Point.vertex(i) for i in range(6))
+    inst = SetCoverInstance(F(1), points, points, tuple(sum(1 << e for e in s) for s in sets))
+    res = solve_exact(inst)
+    assert res.optimal
+    assert res.cover.points == {Point.vertex(3), Point.vertex(4)}
 
 
 def test_greedy_basics():

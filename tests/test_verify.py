@@ -13,7 +13,7 @@ from deltacover import (
     is_delta_cover,
     normalize_neat,
 )
-from deltacover.verify import require_cover
+from deltacover.verify import GridPoints, grid_points, require_cover
 from conftest import cycle, k_n, path
 from oracles import (
     covered_by_sampling,
@@ -118,6 +118,26 @@ def test_universe_sizes():
     assert len(discretized_universe(build_graph([(0, 1)]), 1)) == 5
     assert len(discretized_universe(k_n(3), 1)) == 12
     assert len(discretized_universe(build_graph([(0, 1)]), 3)) == 13
+
+
+def test_grid_points_decoder_matches_the_list():
+    rng = random.Random(8)
+    for _ in range(4):
+        # Nine vertices, of which the two highest and any a draw misses
+        # are isolated.
+        pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+        g = build_graph(rng.sample(pairs, rng.randint(3, 10)), n=9)
+        for b in (1, 2, 3, 5):
+            for step in (2 * b, 4 * b):
+                listed = grid_points(g, step)
+                lazy = GridPoints(g, step)
+                assert len(lazy) == len(listed)
+                assert list(lazy) == listed
+                assert [lazy[i] for i in range(-len(listed), 0)] == listed
+                for i in rng.sample(range(len(listed)), 6):
+                    assert lazy.index(listed[i]) == i
+                with pytest.raises(IndexError):
+                    lazy[len(listed)]
 
 
 def test_monotonicity_adding_points():
