@@ -46,6 +46,9 @@ from .solver import (
 from .verify import is_delta_cover, require_cover
 
 HALF = Fraction(1, 2)
+TWO_THIRDS = Fraction(2, 3)
+THREE_QUARTERS = Fraction(3, 4)
+THREE_HALVES = Fraction(3, 2)
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def level_partition(g: Graph) -> LevelPartition:
 
 def vertex_set_interval(delta: Fraction) -> int:
     """The integer x >= 2 with (x+1)/(2x+1) <= delta < x/(2x-1)."""
-    if not HALF < delta < Fraction(2, 3):
+    if not HALF < delta < TWO_THIRDS:
         raise ValueError(f"delta {delta} outside (1/2, 2/3)")
     x = math.ceil((1 - delta) / (2 * delta - 1))
     assert Fraction(x + 1, 2 * x + 1) <= delta < Fraction(x, 2 * x - 1)
@@ -110,7 +113,7 @@ def vertex_set_interval(delta: Fraction) -> int:
 
 def _one_cover_factor(delta: Fraction) -> tuple[Fraction, str]:
     if delta < Fraction(7, 6):
-        return Fraction(3, 2), "one_cover_3_2"
+        return THREE_HALVES, "one_cover_3_2"
     if delta < Fraction(5, 4):
         return Fraction(5, 3), "one_cover_5_3"
     return Fraction(2), "one_cover_2"
@@ -121,11 +124,25 @@ def cover_via_one_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDG
 
     Unverified: a 1-cover is a delta-cover for every delta >= 1.
     """
-    if not ONE < delta < Fraction(3, 2):
+    if not ONE < delta < THREE_HALVES:
         raise ValueError(f"delta {delta} outside (1, 3/2)")
     factor, regime = _one_cover_factor(delta)
     cover = Cover(_one_cover(g).points, delta)
     return RatioReport(cover, factor, regime, g.average_degree())
+
+
+def _vertex_set_points(g: Graph, x: int, delta: Fraction, budget: Budget) -> frozenset[Point]:
+    """The vertex-set route's points on the connected graph g, unverified."""
+    if g.m >= g.n and g.m >= x:
+        return frozenset(Point.vertex(v) for v in range(g.n))
+    if g.m == g.n - 1:
+        return frozenset(_tree_points(g, delta))
+    return solve_exact(build_set_cover(g, delta), budget).cover.points
+
+
+def _vertex_set_report(g: Graph, x: int, points: frozenset[Point], delta: Fraction) -> RatioReport:
+    return RatioReport(Cover(points, delta), Fraction(x + 1, x), "vertex_set_x",
+                       g.average_degree(), param=x)
 
 
 def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
@@ -137,21 +154,27 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
     """
     x = vertex_set_interval(delta)
     comps = connected_components(g)
+    if len(comps) == 1:
+        return _vertex_set_report(g, x, _vertex_set_points(g, x, delta, budget), delta)
     points: set[Point] = set()
     for comp in comps:
-        # A connected component with m edges is a tree iff m = |comp| - 1.
-        m = sum(g.degree(v) for v in comp) // 2
-        if m >= len(comp) and m >= x:
-            points.update(Point.vertex(v) for v in comp)
-            continue
-        sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
-        if m == len(comp) - 1:
-            part = _tree_points(sub, delta)
-        else:
-            part = solve_exact(build_set_cover(sub, delta), budget).cover.points
-        points |= relabel_points(part, old)
-    cover = Cover(frozenset(points), delta)
-    return RatioReport(cover, Fraction(x + 1, x), "vertex_set_x", g.average_degree(), param=x)
+        sub, old = induced_subgraph(g, comp)
+        points |= relabel_points(_vertex_set_points(sub, x, delta, budget), old)
+    return _vertex_set_report(g, x, frozenset(points), delta)
+
+
+def _leaf_level_report(g: Graph, delta: Fraction) -> RatioReport:
+    """``cover_leaf_level`` on a graph already known to be no forest."""
+    levels = level_partition(g)
+    points: set[Point] = set()
+    for u0, u1 in levels.E01:
+        points.add(Point.on_edge(u0, u1, TWO_THIRDS))
+    sub_edges = [(u, v) for u, v in levels.E11]
+    inner = Graph(sub_edges, n=g.n)
+    points |= {Point.vertex(v) for v in vc_2approx(inner)}
+    points |= {Point.vertex(v) for v in levels.W}
+    return RatioReport(Cover(frozenset(points), delta), THREE_HALVES, "leaf_level",
+                       g.average_degree())
 
 
 def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
@@ -160,20 +183,11 @@ def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
     The output is a 2/3-cover of any graph whose components are not trees,
     hence a delta-cover throughout [2/3, 3/4).  It is returned unverified.
     """
-    if not Fraction(2, 3) <= delta < Fraction(3, 4):
+    if not TWO_THIRDS <= delta < THREE_QUARTERS:
         raise ValueError(f"delta {delta} outside [2/3, 3/4)")
     if is_forest(g):
         raise ValueError("leaf-level algorithm expects non-tree input")
-    levels = level_partition(g)
-    points: set[Point] = set()
-    for u0, u1 in levels.E01:
-        points.add(Point.on_edge(u0, u1, Fraction(2, 3)))
-    sub_edges = [(u, v) for u, v in levels.E11]
-    inner = Graph(sub_edges, n=g.n)
-    points |= {Point.vertex(v) for v in vc_2approx(inner)}
-    points |= {Point.vertex(v) for v in levels.W}
-    return RatioReport(Cover(frozenset(points), delta), Fraction(3, 2), "leaf_level",
-                       g.average_degree())
+    return _leaf_level_report(g, delta)
 
 
 def small_delta_interval(delta: Fraction) -> tuple[str, int]:
@@ -192,6 +206,20 @@ def small_delta_interval(delta: Fraction) -> tuple[str, int]:
     return "even", (m - 1) // 2
 
 
+def _small_even_factor(n: int, m: int, k: int) -> Fraction:
+    """1 + 1/(k*avg_degree + 1) for one connected component with n vertices, m edges."""
+    return 1 + Fraction(1, k * Fraction(2 * m, n) + 1) if m else ONE
+
+
+def _small_even_report(g: Graph, k: int, delta: Fraction, factor: Fraction) -> RatioReport:
+    points = {Point.vertex(v) for v in range(g.n)}
+    for u, v in g.edges:
+        for j in range(1, k + 1):
+            points.add(Point.on_edge(u, v, HALF + (2 * j - k - 1) * delta))
+    cover = Cover(frozenset(points), delta)
+    return RatioReport(cover, factor, "small_even", g.average_degree(), param=k)
+
+
 def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """All vertices plus k evenly spread interior points per edge.
 
@@ -201,17 +229,9 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    points = {Point.vertex(v) for v in range(g.n)}
-    for u, v in g.edges:
-        for j in range(1, k + 1):
-            points.add(Point.on_edge(u, v, HALF + (2 * j - k - 1) * delta))
-    factor = Fraction(1)
-    for comp in connected_components(g):
-        m = sum(g.degree(v) for v in comp) // 2
-        if m:
-            factor = max(factor, 1 + Fraction(1, k * Fraction(2 * m, len(comp)) + 1))
-    cover = Cover(frozenset(points), delta)
-    return RatioReport(cover, factor, "small_even", g.average_degree(), param=k)
+    factor = max([ONE] + [_small_even_factor(len(comp), sum(g.degree(v) for v in comp) // 2, k)
+                          for comp in connected_components(g)])
+    return _small_even_report(g, k, delta, factor)
 
 
 def cover_small_delta_odd(g: Graph, k: int, delta: Fraction,
@@ -283,31 +303,34 @@ def _component_report(sub: Graph, delta: Fraction, budget: Budget) -> RatioRepor
     # Connected, so a tree iff m = n - 1.
     if sub.m == sub.n - 1:
         cover = Cover(frozenset(_tree_points(sub, delta)), delta)
-        return RatioReport(cover, Fraction(1), "exact", sub.average_degree())
+        return RatioReport(cover, ONE, "exact", sub.average_degree())
     if delta == HALF:
         points = frozenset(Point.vertex(v) for v in range(sub.n))
-        return RatioReport(Cover(points, delta), Fraction(1), "exact", sub.average_degree())
+        return RatioReport(Cover(points, delta), ONE, "exact", sub.average_degree())
     if delta.numerator == 1:
         cover = _unit_fraction_cover(sub, delta.denominator)
-        return RatioReport(cover, Fraction(1), "exact", sub.average_degree())
-    if delta >= Fraction(3, 2):
+        return RatioReport(cover, ONE, "exact", sub.average_degree())
+    if delta >= THREE_HALVES:
         inst = build_set_cover(sub, delta)
         res = solve_greedy(inst)
         return RatioReport(res.cover, harmonic_number(len(inst.universe)),
                            "large_delta", sub.average_degree())
     if delta > ONE:
         return cover_via_one_cover(sub, delta, budget)
-    if delta >= Fraction(3, 4):
+    if delta >= THREE_QUARTERS:
         points = frozenset(Point.vertex(v) for v in range(sub.n))
         return RatioReport(Cover(points, delta), Fraction(2), "vertex_set_34_1",
                            sub.average_degree())
-    if delta >= Fraction(2, 3):
-        return cover_leaf_level(sub, delta)
+    # sub is connected and, past the tree check above, no tree: the routes
+    # below take it whole, without splitting it into components again.
+    if delta >= TWO_THIRDS:
+        return _leaf_level_report(sub, delta)
     if delta > HALF:
-        return cover_vertex_set(sub, delta, budget)
+        x = vertex_set_interval(delta)
+        return _vertex_set_report(sub, x, _vertex_set_points(sub, x, delta, budget), delta)
     case, k = small_delta_interval(delta)
     if case == "even":
-        return cover_small_delta_even(sub, k, delta)
+        return _small_even_report(sub, k, delta, _small_even_factor(sub.n, sub.m, k))
     return cover_small_delta_odd(sub, k, delta, budget)
 
 

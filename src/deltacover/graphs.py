@@ -34,7 +34,8 @@ class Point:
     Interior points store the offset ``t`` from the lesser endpoint ``u``
     with ``0 < t < 1``; the same location written from the other end,
     ``(v, u, 1 - t)``, normalizes to this form.  Vertex points use
-    ``u == v`` and ``t == 0``, so equality and hashing are structural.
+    ``u == v`` and ``t == 0``, so equality and hashing are structural;
+    the hash reads ``t`` as its integer numerator and denominator.
     """
 
     u: int
@@ -61,6 +62,13 @@ class Point:
             u, v, t = v, u, ONE - t
         return Point(u, v, t)
 
+    def __hash__(self) -> int:
+        # A Fraction is in lowest terms and an int has denominator 1, so
+        # equal points give equal tuples; Fraction.__hash__ would compute a
+        # modular inverse on every set insertion.
+        t = self.t
+        return hash((self.u, self.v, t.numerator, t.denominator))
+
     @property
     def is_vertex(self) -> bool:
         return self.u == self.v
@@ -69,12 +77,6 @@ class Point:
         if self.is_vertex:
             raise InvalidPointError(f"vertex point {self} lies on no single edge")
         return (self.u, self.v)
-
-    def anchors(self) -> tuple[tuple[int, Fraction], ...]:
-        """(vertex, distance-to-it) pairs through which paths must leave."""
-        if self.is_vertex:
-            return ((self.u, ZERO),)
-        return ((self.u, self.t), (self.v, ONE - self.t))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_vertex:
@@ -91,29 +93,28 @@ class Graph:
     source vertex it routes through.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "edge_index", "adj", "_hop_rows")
+    __slots__ = ("n", "edges", "edge_index", "adj", "_hop_rows")
 
     def __init__(self, edges: Iterable[Edge], n: int | None = None):
         raw = list(edges)
         if n is None:
             n = 1 + max((max(u, v) for u, v in raw), default=-1)
         canon: list[Edge] = []
-        seen: set[Edge] = set()
         for i, (u, v) in enumerate(raw):
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphValidationError(f"edge {i}: vertex outside [0, {n}) in ({u}, {v})")
             if u == v:
                 raise GraphValidationError(f"edge {i}: loop ({u}, {v})")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise GraphValidationError(f"edge {i}: duplicate ({u}, {v})")
-            seen.add(e)
-            canon.append(e)
+            canon.append((u, v) if u < v else (v, u))
         canon.sort()
+        self.edge_index = {e: i for i, e in enumerate(canon)}
+        if len(self.edge_index) < len(canon):
+            dup = next(a for a, b in zip(canon, canon[1:]) if a == b)
+            i = [j for j, (u, v) in enumerate(raw) if (min(u, v), max(u, v)) == dup][1]
+            u, v = raw[i]
+            raise GraphValidationError(f"edge {i}: duplicate ({u}, {v})")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(canon)
-        self.edge_set = frozenset(canon)
-        self.edge_index = {e: i for i, e in enumerate(canon)}
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in canon:
             adj[u].append(v)
@@ -129,7 +130,7 @@ class Graph:
         return len(self.adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_set
+        return ((u, v) if u < v else (v, u)) in self.edge_index
 
     def average_degree(self) -> Fraction:
         return Fraction(2 * self.m, self.n) if self.n else ZERO
@@ -138,7 +139,7 @@ class Graph:
         if p.is_vertex:
             if not 0 <= p.u < self.n:
                 raise InvalidPointError(f"vertex {p.u} outside [0, {self.n})")
-        elif (p.u, p.v) not in self.edge_set:
+        elif (p.u, p.v) not in self.edge_index:
             raise InvalidPointError(f"edge ({p.u}, {p.v}) not in graph")
 
     def __eq__(self, other: object) -> bool:
@@ -219,22 +220,29 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
     The minimum runs over the four endpoint routes and, for two points on
     the same edge, the direct along-edge distance.  Hop counts come from
     ``_hop_row``, one BFS per anchor of ``p`` the first time it is asked.
+    Every route is an integer over the common denominator of the two
+    offsets, and one Fraction is built for the result.
     """
     g.check_point(p)
     g.check_point(q)
-    best: Fraction | None = None
-    if not p.is_vertex and not q.is_vertex and p.edge() == q.edge():
-        best = abs(p.t - q.t)
-    for a, da in p.anchors():
+    pn, pd = p.t.numerator, p.t.denominator
+    qn, qd = q.t.numerator, q.t.denominator
+    den = pd * qd
+    p_anchors = ((p.u, 0),) if p.u == p.v else ((p.u, pn * qd), (p.v, (pd - pn) * qd))
+    q_anchors = ((q.u, 0),) if q.u == q.v else ((q.u, qn * pd), (q.v, (qd - qn) * pd))
+    best: int | None = None
+    if p.u != p.v and (p.u, p.v) == (q.u, q.v):
+        best = abs(pn * qd - qn * pd)
+    for a, da in p_anchors:
         row = _hop_row(g, a)
-        for b, db in q.anchors():
+        for b, db in q_anchors:
             hops = row[b]
             if hops is None:
                 continue
-            d = da + hops + db
+            d = da + hops * den + db
             if best is None or d < best:
                 best = d
-    return best
+    return None if best is None else Fraction(best, den)
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -299,14 +307,14 @@ class SubdivisionMap:
 
     ``paths[i]`` lists the vertices replacing edge i, oriented from the
     lesser original endpoint.  Positions on an original edge map bijectively
-    onto positions along the replacing path, scaled by the factor.
+    onto positions along the replacing path, scaled by the factor.  New
+    vertex ``j`` of edge ``i`` (1 <= j < x) has id ``n + i*(x-1) + j - 1``,
+    so its edge and position are one ``divmod`` away.
     """
 
     factor: int
     base_n: int
     paths: tuple[tuple[int, ...], ...]
-    vertex_origin: dict[int, tuple[int, int]]
-    segment_origin: dict[Edge, tuple[int, int, bool]]
 
     def lift_point(self, g: Graph, p: Point) -> Point:
         """Position bijection from the base graph into the subdivision."""
@@ -321,17 +329,35 @@ class SubdivisionMap:
         return Point.on_edge(path[seg], path[seg + 1], frac)
 
     def project_point(self, g: Graph, p: Point) -> Point:
-        """Inverse bijection: a subdivision point back onto the base graph."""
+        """Inverse bijection: a subdivision point back onto the base graph.
+
+        Integer arithmetic only.  Every new id exceeds every base id, so a
+        segment ``(a, b)`` with ``a < b`` is canonically oriented from the
+        lesser base endpoint ``u`` unless ``a`` is the greater one, ``v``:
+        then it is the last segment, read from ``v``.  The offset is
+        strictly inside edge ``(u, v)``, and ``u < v`` holds in ``g.edges``,
+        so the point is built already normalized.
+        """
+        x, n = self.factor, self.base_n
         if p.is_vertex:
-            if p.u < self.base_n:
+            if p.u < n:
                 return p
-            eid, offset = self.vertex_origin[p.u]
+            eid, j = divmod(p.u - n, x - 1)
             u, v = g.edges[eid]
-            return Point.on_edge(u, v, Fraction(offset, self.factor))
-        eid, seg, flipped = self.segment_origin[p.edge()]
-        t = ONE - p.t if flipped else p.t
+            return Point(u, v, Fraction(j + 1, x))
+        a, b = p.u, p.v
+        if b < n:  # x == 1: the subdivision is g itself
+            return p
+        tn, td = p.t.numerator, p.t.denominator
+        eid, j = divmod(b - n, x - 1)
         u, v = g.edges[eid]
-        return Point.on_edge(u, v, (seg + t) / self.factor)
+        if a < n:
+            # First segment (from u) or last segment (from v, reversed).
+            num = tn if a == u else x * td - tn
+        else:
+            # Segment j: from new vertex a = b - 1 at position j.
+            num = j * td + tn
+        return Point(u, v, Fraction(num, x * td))
 
     def project_cover(self, g: Graph, s_x: Cover) -> Cover:
         """Pull a cover of the subdivision back onto ``g`` (radius divides by the factor)."""
@@ -346,23 +372,14 @@ def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
     next_id = g.n
     new_edges: list[Edge] = []
     paths: list[tuple[int, ...]] = []
-    vertex_origin: dict[int, tuple[int, int]] = {}
-    segment_origin: dict[Edge, tuple[int, int, bool]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        path = [u]
-        for j in range(1, x):
-            path.append(next_id)
-            vertex_origin[next_id] = (eid, j)
-            next_id += 1
-        path.append(v)
-        for seg in range(x):
-            a, b = path[seg], path[seg + 1]
-            key = (a, b) if a < b else (b, a)
-            new_edges.append(key)
-            segment_origin[key] = (eid, seg, a > b)
-        paths.append(tuple(path))
+    for u, v in g.edges:
+        path = (u, *range(next_id, next_id + x - 1), v)
+        next_id += x - 1
+        for a, b in zip(path, path[1:]):
+            new_edges.append((a, b) if a < b else (b, a))
+        paths.append(path)
     sub = Graph(new_edges, n=next_id)
-    return sub, SubdivisionMap(x, g.n, tuple(paths), vertex_origin, segment_origin)
+    return sub, SubdivisionMap(x, g.n, tuple(paths))
 
 
 def wreath_k2(g: Graph) -> Graph:

@@ -21,7 +21,6 @@ from .graphs import (
     ONE,
     Point,
     ZERO,
-    connected_components,
     is_forest,
     subdivide,
 )
@@ -306,7 +305,7 @@ def _one_cover(g: Graph, ge: GEDecomposition | None = None) -> Cover:
         raise InternalConsistencyError(
             f"1-cover has {len(cover)} points, the formula gives {expected}"
         )
-    if all(g.adj) and len(cover) > Fraction(2 * g.n, 3):
+    if all(g.adj) and 3 * len(cover) > 2 * g.n:
         raise InternalConsistencyError(
             f"1-cover of size {len(cover)} exceeds 2/3 of {g.n} vertices"
         )
@@ -476,15 +475,17 @@ def _cover_tree_component(g: Graph, root: int, order: list[int], parent: list[in
 
 
 def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
-    """The minimum delta-cover of the forest g, unverified."""
+    """The minimum delta-cover of the forest g, unverified.
+
+    Each component is found by its own BFS from its least vertex, which
+    also gives the climb its order and parents.
+    """
     p, q = delta.numerator, delta.denominator
     points: set[Point] = set()
     parent = [-1] * g.n
     seen = [False] * g.n
-    for comp in connected_components(g):
-        root = comp[0]
-        if len(comp) == 1:
-            points.add(Point.vertex(root))
+    for root in range(g.n):
+        if seen[root]:
             continue
         order = [root]
         seen[root] = True
@@ -494,6 +495,9 @@ def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
                     seen[w] = True
                     parent[w] = u
                     order.append(w)
+        if len(order) == 1:
+            points.add(Point.vertex(root))
+            continue
         points |= _cover_tree_component(g, root, order, parent, p, q)
     return points
 

@@ -189,6 +189,34 @@ def _bits(m: int) -> list[int]:
     return out
 
 
+def _core_elements(masks: Sequence[int], elem_cands: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """The kept universe elements with their candidate indices, by element.
+
+    An element whose candidate set contains another element's is covered
+    for free once the harder one is.  Taken by candidate count, then index,
+    a kept element e drops every element all of its candidates cover: those
+    are the elements whose candidate sets contain e's.  So an element is
+    kept iff no other element's candidate set is a proper subset of its
+    own and no lower element's is equal to it.  Each kept element's
+    candidate indices are decoded once, and the rest of the root reduction
+    reads those lists.
+    """
+    counts = [ec.bit_count() for ec in elem_cands]
+    core: list[tuple[int, list[int]]] = []
+    dropped = 0
+    for e in sorted(range(len(elem_cands)), key=counts.__getitem__):
+        if dropped >> e & 1:
+            continue
+        ce = _bits(elem_cands[e])
+        common = masks[ce[0]]
+        for c in ce[1:]:
+            common &= masks[c]
+        dropped |= common
+        core.append((e, ce))
+    core.sort()
+    return core
+
+
 def _greedy_indices(masks: Sequence[int], full: int, start: int = 0) -> list[int]:
     covered = start
     chosen: list[int] = []
@@ -257,25 +285,7 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     if any(c == 0 for c in elem_cands_full):
         raise InfeasibleInstanceError("universe element with no candidate")
 
-    # Keep only a core of universe elements: an element whose candidate set
-    # contains another element's is covered for free once the harder one is.
-    # Taken by candidate count, then index, a kept element e drops every
-    # element all of its candidates cover: those are the elements whose
-    # candidate sets contain e's.  Each kept element's candidate indices are
-    # decoded once, and the rest of the root reduction reads those lists.
-    counts = [ec.bit_count() for ec in elem_cands_full]
-    core: list[tuple[int, list[int]]] = []
-    dropped = 0
-    for e in sorted(range(nu_full), key=counts.__getitem__):
-        if dropped >> e & 1:
-            continue
-        ce = _bits(elem_cands_full[e])
-        common = inst.masks[ce[0]]
-        for c in ce[1:]:
-            common &= inst.masks[c]
-        dropped |= common
-        core.append((e, ce))
-    core.sort()
+    core = _core_elements(inst.masks, elem_cands_full)
     nu = len(core)
     full = (1 << nu) - 1
     elem_cands = [elem_cands_full[e] for e, _ in core]

@@ -160,7 +160,7 @@ class _Nearest:
 def edge_coverage_intervals(g: Graph, e: Edge, s: Cover, delta: Fraction) -> IntervalSet:
     """The subset of edge ``e`` within ``delta`` of some point of ``s``."""
     u, v = e if e[0] < e[1] else (e[1], e[0])
-    if (u, v) not in g.edge_set:
+    if (u, v) not in g.edge_index:
         raise InvalidCoverError(f"edge ({u}, {v}) not in graph")
     near = _Nearest(g, s, delta)
     return IntervalSet((u, v), near.as_intervals(near.edge_pieces(u, v)))

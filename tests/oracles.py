@@ -6,7 +6,9 @@ matchings and the Gallai-Edmonds split by bitmask dynamic programming, set
 cover by subset enumeration, coverage by random point probing, coverage
 per edge by the reach of every cover point separately, set-cover masks by
 one distance per candidate and universe point, leaf levels and forests
-by BFS.
+by BFS.  Others keep a library routine as it was before it moved to
+integer arithmetic (tree climb, point distance, subdivision pull-back),
+and the root core of set cover by its subset definition.
 """
 
 from __future__ import annotations
@@ -380,3 +382,57 @@ def tree_cover_by_fractions(g: Graph, delta: Fraction) -> frozenset[Point]:
         if state[root][0] is not None:
             placed.add(Point.vertex(root))
     return frozenset(placed)
+
+
+def point_distance_by_fractions(g: Graph, p: Point, q: Point) -> Fraction | None:
+    """``point_distance`` summed in Fraction arithmetic, as the library did.
+
+    The minimum over the four anchor routes (hop counts by BFS) and, for
+    two points inside the same edge, the direct along-edge distance.
+    """
+    def anchors(r: Point) -> list[tuple[int, Fraction]]:
+        return [(r.u, Fraction(0))] if r.is_vertex else [(r.u, r.t), (r.v, 1 - r.t)]
+
+    best: Fraction | None = None
+    if not p.is_vertex and not q.is_vertex and (p.u, p.v) == (q.u, q.v):
+        best = abs(p.t - q.t)
+    for a, da in anchors(p):
+        row = hops_from(g, a)
+        for b, db in anchors(q):
+            if row[b] is not None and (best is None or da + row[b] + db < best):
+                best = da + row[b] + db
+    return best
+
+
+def project_point_by_fractions(g: Graph, smap, p: Point) -> Point:
+    """A point of a subdivision of g pulled back onto g, in Fractions.
+
+    Reads only ``smap.paths`` (``paths[i]`` lists the vertices replacing
+    edge i of g from its lesser endpoint) and ``smap.factor``.  A vertex at
+    index j of a path sits at j/factor; a point at offset t on segment
+    (path[j], path[j+1]), read from the segment's lesser end, sits at
+    (j + t)/factor or (j + 1 - t)/factor.  Points on no path (isolated
+    vertices) map to themselves.
+    """
+    factor = smap.factor
+    for (u, v), path in zip(g.edges, smap.paths):
+        for j, w in enumerate(path):
+            if p.is_vertex and p.u == w:
+                return Point.on_edge(u, v, Fraction(j, factor))
+        for j, (a, b) in enumerate(zip(path, path[1:])):
+            if not p.is_vertex and {a, b} == {p.u, p.v}:
+                t = p.t if a < b else 1 - p.t
+                return Point.on_edge(u, v, (j + t) / factor)
+    return p
+
+
+def core_by_subsets(masks: list[int], size: int) -> list[tuple[int, list[int]]]:
+    """The kept set-cover elements with their candidate lists, by definition.
+
+    Element e is dropped iff some other element's candidate set is a proper
+    subset of e's, or equals it and belongs to a lower element; everything
+    covering the harder element then covers e for free.
+    """
+    cands = [frozenset(i for i, m in enumerate(masks) if m >> e & 1) for e in range(size)]
+    return [(e, sorted(ce)) for e, ce in enumerate(cands)
+            if not any(cf < ce or (cf == ce and f < e) for f, cf in enumerate(cands))]

@@ -17,7 +17,12 @@ from deltacover import (
     wreath_k2,
 )
 from conftest import cycle, k_n, path
-from oracles import grid_distance, is_forest_by_components
+from oracles import (
+    grid_distance,
+    is_forest_by_components,
+    point_distance_by_fractions,
+    project_point_by_fractions,
+)
 
 
 def vertex_distance(g, u, v):
@@ -101,6 +106,64 @@ def test_point_distance_matches_grid_bfs():
             key_q = (q.u,) if q.is_vertex else (q.u, q.v, int(q.t * 6))
             want = grid_distance(list(g.edges), g.n, key_p, key_q, 6)
             assert got == want
+
+
+def random_graph(rng, n):
+    """A seeded random graph on n vertices; it may be disconnected."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return build_graph(rng.sample(pairs, rng.randint(1, len(pairs))), n=n)
+
+
+def random_point(rng, g):
+    if rng.random() < 0.3:
+        return Point.vertex(rng.randrange(g.n))
+    u, v = rng.choice(g.edges)
+    den = rng.randint(1, 40)
+    return Point.on_edge(u, v, F(rng.randint(0, den), den))
+
+
+def test_integer_point_distance_equals_fraction_sums():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(2, 8))
+        pts = [random_point(rng, g) for _ in range(8)]
+        # Points on one shared edge exercise the along-edge route.
+        u, v = g.edges[0]
+        pts += [Point.on_edge(u, v, F(1, 3)), Point.on_edge(u, v, F(5, 7))]
+        for p in pts:
+            for q in pts:
+                got = point_distance(g, p, q)
+                assert got == point_distance_by_fractions(g, p, q), (g.edges, p, q)
+                assert got is None or type(got) is F
+
+
+def test_project_point_equals_the_fraction_formula(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("project_point used Fraction arithmetic or Point.on_edge")
+
+    rng = random.Random(9)
+    graphs = [random_graph(rng, n) for n in (2, 3, 5, 6, 7)]
+    graphs.append(build_graph([(0, 2), (2, 3), (1, 3)], n=5))  # vertex 4 is isolated
+    flipped = 0
+    for g in graphs:
+        for x in range(1, 6):
+            sub, smap = subdivide(g, x)
+            probes = [Point.vertex(w) for w in range(sub.n)]
+            for a, b in sub.edges:
+                den = rng.randint(2, 30)
+                probes += [Point(a, b, F(1, 2)), Point(a, b, F(rng.randrange(1, den), den))]
+            flipped += sum(path[j] > path[j + 1] for path in smap.paths for j in range(x))
+            with monkeypatch.context() as m:
+                m.setattr(Point, "on_edge", staticmethod(forbidden))
+                for op in ("add", "sub", "mul", "truediv", "floordiv", "mod"):
+                    m.setattr(F, f"__{op}__", forbidden)
+                    m.setattr(F, f"__r{op}__", forbidden)
+                for op in ("lt", "le", "gt", "ge", "eq", "neg", "abs"):
+                    m.setattr(F, f"__{op}__", forbidden)
+                got = [smap.project_point(g, p) for p in probes]
+            for p, q in zip(probes, got):
+                assert q == project_point_by_fractions(g, smap, p), (g.edges, x, p)
+    assert flipped > 0  # last segments run from a new vertex down to v
 
 
 def test_point_distance_rejects_foreign_edge():

@@ -59,6 +59,19 @@ def graphs_with_points(draw, count):
     return g, pts
 
 
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_equal_points_hash_equal(u, v, den, data):
+    num = data.draw(st.integers(0, den))
+    k = data.draw(st.integers(2, 6))
+    p = Point(u, v, F(num, den))
+    same = [Point(u, v, F(num * k, den * k))]
+    if num % den == 0:
+        same.append(Point(u, v, num // den))  # an int offset, as in Point(u, u, 0)
+    for q in same:
+        assert q == p and hash(q) == hash(p) and len({p, q}) == 1
+
+
 @given(graphs_with_points(3))
 @settings(max_examples=150, deadline=None)
 def test_point_distance_is_a_metric(case):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import networkx as nx
@@ -15,9 +16,9 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
-from deltacover.solver import SetCoverInstance
+from deltacover.solver import SetCoverInstance, _core_elements, _element_candidates
 from conftest import cycle, k_n, path, star
-from oracles import brute_set_cover_size, coverage_by_distance
+from oracles import brute_set_cover_size, core_by_subsets, coverage_by_distance
 
 
 def test_candidate_counts():
@@ -61,6 +62,21 @@ def test_set_cover_reach_stops_at_the_hop_bound():
     inst = build_set_cover(g, F(7, 2))
     got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
     assert got == coverage_by_distance(g, F(7, 2))
+
+
+def test_root_core_equals_the_subset_definition():
+    rng = random.Random(77)
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    dropped = 0
+    for _ in range(12):
+        g = build_graph(rng.sample(pairs, rng.randint(2, 7)), n=5)
+        for d in (F(1, 2), F(2, 3), F(1), F(3, 2), F(5, 2)):
+            inst = build_set_cover(g, d)
+            size = len(inst.universe)
+            core = _core_elements(inst.masks, _element_candidates(inst.masks, size))
+            assert core == core_by_subsets(list(inst.masks), size), (g.edges, str(d))
+            dropped += size - len(core)
+    assert dropped > 0
 
 
 def test_exact_small_sizes():
