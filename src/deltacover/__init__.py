@@ -16,6 +16,7 @@ from .graphs import (
 )
 from .verify import (
     IntervalSet,
+    InternalConsistencyError,
     InvalidCoverError,
     VerifyReport,
     discretized_universe,
@@ -25,7 +26,6 @@ from .verify import (
 )
 from .solver import (
     Budget,
-    InternalConsistencyError,
     SetCoverInstance,
     SolveResult,
     build_set_cover,

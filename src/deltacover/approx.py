@@ -5,14 +5,15 @@ unit fractions solve exactly, large radii fall back to greedy set cover,
 and each remaining interval gets the algorithm whose factor is proven for
 it.  Each report carries the factor actually claimed for the instance.
 
-The route functions return unverified covers; ``approx_cover`` verifies
-the union of its component covers once, at the public boundary.
+Each regime has one core: it takes a connected graph and returns the
+unverified ``_Part`` of its route.  ``_per_component`` runs a core on every
+component and unions the parts; ``approx_cover`` verifies the union once,
+at the public boundary.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,13 +38,12 @@ from .matching import (
 from .solver import (
     Budget,
     DEFAULT_BUDGET,
-    InternalConsistencyError,
     build_set_cover,
     harmonic_number,
     solve_exact,
     solve_greedy,
 )
-from .verify import is_delta_cover, require_cover
+from .verify import InternalConsistencyError, require_cover, require_output
 
 HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
@@ -61,6 +61,47 @@ class RatioReport:
     avg_degree: Fraction
     param: int | None = None
     epsilon: Fraction | None = None
+
+
+@dataclass(frozen=True)
+class _Part:
+    """A core's unverified points on one connected graph and the claim for them."""
+
+    points: frozenset[Point]
+    claimed_factor: Fraction
+    regime: str
+    param: int | None = None
+    epsilon: Fraction | None = None
+
+
+def _report(g: Graph, delta: Fraction, part: _Part) -> RatioReport:
+    return RatioReport(Cover(part.points, delta), part.claimed_factor, part.regime,
+                       g.average_degree(), part.param, part.epsilon)
+
+
+def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
+    """Run ``core(sub, delta)`` on each connected component and union the parts.
+
+    A connected g goes to the core whole, without a copy.  The union claims
+    the largest factor, and the regime and param of the last part that is
+    not exact (with the last epsilon any of those gave).  Unverified.
+    """
+    points: set[Point] = set()
+    claimed, regime, param, epsilon = ONE, "exact", None, None
+    comps = connected_components(g)
+    for comp in comps:
+        sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
+        part = core(sub, delta)
+        points |= relabel_points(part.points, old)
+        claimed = max(claimed, part.claimed_factor)
+        if part.regime != "exact":
+            regime, param = part.regime, part.param
+            epsilon = part.epsilon if part.epsilon is not None else epsilon
+    return _report(g, delta, _Part(frozenset(points), claimed, regime, param, epsilon))
+
+
+def _vertices(g: Graph) -> frozenset[Point]:
+    return frozenset(Point.vertex(v) for v in range(g.n))
 
 
 @dataclass(frozen=True)
@@ -111,38 +152,34 @@ def vertex_set_interval(delta: Fraction) -> int:
     return x
 
 
-def _one_cover_factor(delta: Fraction) -> tuple[Fraction, str]:
+def _one_cover_part(g: Graph, delta: Fraction) -> _Part:
     if delta < Fraction(7, 6):
-        return THREE_HALVES, "one_cover_3_2"
-    if delta < Fraction(5, 4):
-        return Fraction(5, 3), "one_cover_5_3"
-    return Fraction(2), "one_cover_2"
+        factor, regime = THREE_HALVES, "one_cover_3_2"
+    elif delta < Fraction(5, 4):
+        factor, regime = Fraction(5, 3), "one_cover_5_3"
+    else:
+        factor, regime = Fraction(2), "one_cover_2"
+    return _Part(_one_cover(g).points, factor, regime)
 
 
-def cover_via_one_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
+def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
     """For radii just above 1, an optimal 1-cover is a bounded-factor answer.
 
     Unverified: a 1-cover is a delta-cover for every delta >= 1.
     """
     if not ONE < delta < THREE_HALVES:
         raise ValueError(f"delta {delta} outside (1, 3/2)")
-    factor, regime = _one_cover_factor(delta)
-    cover = Cover(_one_cover(g).points, delta)
-    return RatioReport(cover, factor, regime, g.average_degree())
+    return _report(g, delta, _one_cover_part(g, delta))
 
 
-def _vertex_set_points(g: Graph, x: int, delta: Fraction, budget: Budget) -> frozenset[Point]:
-    """The vertex-set route's points on the connected graph g, unverified."""
+def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> _Part:
     if g.m >= g.n and g.m >= x:
-        return frozenset(Point.vertex(v) for v in range(g.n))
-    if g.m == g.n - 1:
-        return frozenset(_tree_points(g, delta))
-    return solve_exact(build_set_cover(g, delta), budget).cover.points
-
-
-def _vertex_set_report(g: Graph, x: int, points: frozenset[Point], delta: Fraction) -> RatioReport:
-    return RatioReport(Cover(points, delta), Fraction(x + 1, x), "vertex_set_x",
-                       g.average_degree(), param=x)
+        points = _vertices(g)
+    elif g.m == g.n - 1:
+        points = frozenset(_tree_points(g, delta))
+    else:
+        points = solve_exact(build_set_cover(g, delta), budget).cover.points
+    return _Part(points, Fraction(x + 1, x), "vertex_set_x", param=x)
 
 
 def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
@@ -153,28 +190,15 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
     cover is unverified, and so are those sub-solves.
     """
     x = vertex_set_interval(delta)
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return _vertex_set_report(g, x, _vertex_set_points(g, x, delta, budget), delta)
-    points: set[Point] = set()
-    for comp in comps:
-        sub, old = induced_subgraph(g, comp)
-        points |= relabel_points(_vertex_set_points(sub, x, delta, budget), old)
-    return _vertex_set_report(g, x, frozenset(points), delta)
+    return _per_component(g, delta, lambda sub, d: _vertex_set_part(sub, d, x, budget))
 
 
-def _leaf_level_report(g: Graph, delta: Fraction) -> RatioReport:
-    """``cover_leaf_level`` on a graph already known to be no forest."""
+def _leaf_level_part(g: Graph, delta: Fraction) -> _Part:
     levels = level_partition(g)
-    points: set[Point] = set()
-    for u0, u1 in levels.E01:
-        points.add(Point.on_edge(u0, u1, TWO_THIRDS))
-    sub_edges = [(u, v) for u, v in levels.E11]
-    inner = Graph(sub_edges, n=g.n)
-    points |= {Point.vertex(v) for v in vc_2approx(inner)}
+    points = {Point.on_edge(u0, u1, TWO_THIRDS) for u0, u1 in levels.E01}
+    points |= {Point.vertex(v) for v in vc_2approx(Graph(levels.E11, n=g.n))}
     points |= {Point.vertex(v) for v in levels.W}
-    return RatioReport(Cover(frozenset(points), delta), THREE_HALVES, "leaf_level",
-                       g.average_degree())
+    return _Part(frozenset(points), THREE_HALVES, "leaf_level")
 
 
 def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
@@ -187,7 +211,7 @@ def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
         raise ValueError(f"delta {delta} outside [2/3, 3/4)")
     if is_forest(g):
         raise ValueError("leaf-level algorithm expects non-tree input")
-    return _leaf_level_report(g, delta)
+    return _report(g, delta, _leaf_level_part(g, delta))
 
 
 def small_delta_interval(delta: Fraction) -> tuple[str, int]:
@@ -206,46 +230,28 @@ def small_delta_interval(delta: Fraction) -> tuple[str, int]:
     return "even", (m - 1) // 2
 
 
-def _small_even_factor(n: int, m: int, k: int) -> Fraction:
-    """1 + 1/(k*avg_degree + 1) for one connected component with n vertices, m edges."""
-    return 1 + Fraction(1, k * Fraction(2 * m, n) + 1) if m else ONE
-
-
-def _small_even_report(g: Graph, k: int, delta: Fraction, factor: Fraction) -> RatioReport:
-    points = {Point.vertex(v) for v in range(g.n)}
+def _small_even_part(g: Graph, delta: Fraction, k: int) -> _Part:
+    points = set(_vertices(g))
     for u, v in g.edges:
         for j in range(1, k + 1):
             points.add(Point.on_edge(u, v, HALF + (2 * j - k - 1) * delta))
-    cover = Cover(frozenset(points), delta)
-    return RatioReport(cover, factor, "small_even", g.average_degree(), param=k)
+    factor = 1 + Fraction(1, k * g.average_degree() + 1) if g.m else ONE
+    return _Part(frozenset(points), factor, "small_even", param=k)
 
 
 def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """All vertices plus k evenly spread interior points per edge.
 
     Valid whenever delta > 1/(2k+2); the guarantee 1 + 1/(k*avg_degree + 1)
-    holds against non-tree components, which is all the dispatcher sends.
-    The cover is returned unverified.
+    holds per connected component against non-tree components, which is
+    all the dispatcher sends.  The cover is returned unverified.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    factor = max([ONE] + [_small_even_factor(len(comp), sum(g.degree(v) for v in comp) // 2, k)
-                          for comp in connected_components(g)])
-    return _small_even_report(g, k, delta, factor)
+    return _per_component(g, delta, lambda sub, d: _small_even_part(sub, d, k))
 
 
-def cover_small_delta_odd(g: Graph, k: int, delta: Fraction,
-                          budget: Budget = DEFAULT_BUDGET) -> RatioReport:
-    """A minimum 1/(2k+1)-cover, reused for every delta above 1/(2k+1).
-
-    Its size is exactly k|E| plus the minimum 1-cover, and any delta-cover
-    for delta < 1/(2k) needs at least k|E| points, which yields the factor
-    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  Two Edmonds searches:
-    one on the (2k+1)-subdivision, and one on g that gives both cov1 and
-    eps.  The cover is returned unverified.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def _small_odd_part(g: Graph, delta: Fraction, k: int) -> _Part:
     cover = _unit_fraction_cover(g, 2 * k + 1)
     ge = gallai_edmonds(g)
     bound = k * g.m + len(_one_cover(g, ge))
@@ -258,8 +264,21 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction,
     factor = 1 + Fraction(1, 2 * k) + eps
     if avg > 0:
         factor = min(factor, 1 + Fraction(4, 3 * k) / avg)
-    return RatioReport(Cover(cover.points, delta), factor, "small_odd", avg,
-                       param=k, epsilon=eps)
+    return _Part(cover.points, factor, "small_odd", param=k, epsilon=eps)
+
+
+def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
+    """A minimum 1/(2k+1)-cover, reused for every delta above 1/(2k+1).
+
+    Its size is exactly k|E| plus the minimum 1-cover, and any delta-cover
+    for delta < 1/(2k) needs at least k|E| points, which yields the factor
+    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  Two Edmonds searches:
+    one on the (2k+1)-subdivision, and one on g that gives both cov1 and
+    eps.  The cover is returned unverified.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _report(g, delta, _small_odd_part(g, delta, k))
 
 
 def translate_cover_up(g: Graph, s_prime: Cover, delta: Fraction) -> Cover:
@@ -269,98 +288,66 @@ def translate_cover_up(g: Graph, s_prime: Cover, delta: Fraction) -> Cover:
     2*delta apart, starting at (2*delta + 1) times the smallest offset; an
     edge with at most one point contributes nothing.
     """
-    delta_prime = delta / (2 * delta + 1)
-    require_cover(g, s_prime, delta_prime, "translation input")
+    require_cover(g, s_prime, delta / (2 * delta + 1), "translation input")
+    at_vertex: set[int] = set()
+    inside: dict[tuple[int, int], list[Fraction]] = {}
+    for p in s_prime.points:
+        if p.is_vertex:
+            at_vertex.add(p.u)
+        else:
+            inside.setdefault((p.u, p.v), []).append(p.t)
     out: set[Point] = set()
     for u, v in g.edges:
-        offsets = sorted(
-            p.t if not p.is_vertex and p.edge() == (u, v)
-            else (ZERO if p == Point.vertex(u) else ONE)
-            for p in s_prime.points
-            if (not p.is_vertex and p.edge() == (u, v))
-            or p == Point.vertex(u)
-            or p == Point.vertex(v)
-        )
-        k = len(offsets)
+        offsets = inside.get((u, v), [])
+        k = len(offsets) + (u in at_vertex) + (v in at_vertex)
         if k <= 1:
             continue
-        mu = offsets[0]
-        lam = mu * (2 * delta + 1)
+        lam = (ZERO if u in at_vertex else min(offsets)) * (2 * delta + 1)
         for _ in range(k - 1):
             out.add(Point.on_edge(u, v, min(lam, ONE)))
             lam += 2 * delta
     cover = Cover(frozenset(out), delta)
-    report = is_delta_cover(g, cover, delta)
-    if not report.is_cover:
-        raise InternalConsistencyError(
-            f"translated cover misses {report.witness}"
-        )
+    require_output(g, cover, "translated cover")
     return cover
 
 
-def _component_report(sub: Graph, delta: Fraction, budget: Budget) -> RatioReport:
-    """The unverified report of the route for one connected component."""
+def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
+    """The core of ``approx_cover``: the route for one connected component."""
     # Connected, so a tree iff m = n - 1.
-    if sub.m == sub.n - 1:
-        cover = Cover(frozenset(_tree_points(sub, delta)), delta)
-        return RatioReport(cover, ONE, "exact", sub.average_degree())
+    if g.m == g.n - 1:
+        return _Part(frozenset(_tree_points(g, delta)), ONE, "exact")
     if delta == HALF:
-        points = frozenset(Point.vertex(v) for v in range(sub.n))
-        return RatioReport(Cover(points, delta), ONE, "exact", sub.average_degree())
+        return _Part(_vertices(g), ONE, "exact")
     if delta.numerator == 1:
-        cover = _unit_fraction_cover(sub, delta.denominator)
-        return RatioReport(cover, ONE, "exact", sub.average_degree())
+        return _Part(_unit_fraction_cover(g, delta.denominator).points, ONE, "exact")
     if delta >= THREE_HALVES:
-        inst = build_set_cover(sub, delta)
-        res = solve_greedy(inst)
-        return RatioReport(res.cover, harmonic_number(len(inst.universe)),
-                           "large_delta", sub.average_degree())
+        inst = build_set_cover(g, delta)
+        return _Part(solve_greedy(inst).cover.points, harmonic_number(len(inst.universe)),
+                     "large_delta")
     if delta > ONE:
-        return cover_via_one_cover(sub, delta, budget)
+        return _one_cover_part(g, delta)
     if delta >= THREE_QUARTERS:
-        points = frozenset(Point.vertex(v) for v in range(sub.n))
-        return RatioReport(Cover(points, delta), Fraction(2), "vertex_set_34_1",
-                           sub.average_degree())
-    # sub is connected and, past the tree check above, no tree: the routes
+        return _Part(_vertices(g), Fraction(2), "vertex_set_34_1")
+    # g is connected and, past the tree check above, no tree: the cores
     # below take it whole, without splitting it into components again.
     if delta >= TWO_THIRDS:
-        return _leaf_level_report(sub, delta)
+        return _leaf_level_part(g, delta)
     if delta > HALF:
-        x = vertex_set_interval(delta)
-        return _vertex_set_report(sub, x, _vertex_set_points(sub, x, delta, budget), delta)
+        return _vertex_set_part(g, delta, vertex_set_interval(delta), budget)
     case, k = small_delta_interval(delta)
     if case == "even":
-        return _small_even_report(sub, k, delta, _small_even_factor(sub.n, sub.m, k))
-    return cover_small_delta_odd(sub, k, delta, budget)
+        return _small_even_part(g, delta, k)
+    return _small_odd_part(g, delta, k)
 
 
 def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
     """Route each connected component to its regime and union the covers.
 
-    The routes return unverified covers; the union is verified once here,
-    and a route that produced a non-cover raises InternalConsistencyError.
+    The cores return unverified parts; the union is verified once here,
+    and a core that produced a non-cover raises InternalConsistencyError.
     """
     if delta <= ZERO:
         raise ValueError(f"delta must be positive, got {delta}")
-    points: set[Point] = set()
-    claimed = Fraction(1)
-    regime = "exact"
-    param: int | None = None
-    epsilon: Fraction | None = None
-    comps = connected_components(g)
-    for comp in comps:
-        sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
-        rep = _component_report(sub, delta, budget)
-        points |= relabel_points(rep.cover.points, old)
-        if rep.claimed_factor > claimed:
-            claimed = rep.claimed_factor
-        if rep.regime != "exact":
-            regime = rep.regime
-            param = rep.param
-            epsilon = rep.epsilon if rep.epsilon is not None else epsilon
-    cover = Cover(frozenset(points), delta)
-    report = is_delta_cover(g, cover, delta)
-    if not report.is_cover:
-        raise InternalConsistencyError(f"approx cover misses {report.witness}")
-    return RatioReport(cover, claimed, regime, g.average_degree(), param=param,
-                       epsilon=epsilon)
+    report = _per_component(g, delta, lambda sub, d: _component_part(sub, d, budget))
+    require_output(g, report.cover, "approx cover")
+    return report

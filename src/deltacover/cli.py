@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import bench as benchmod
-from .approx import approx_cover, translate_cover_up
+from .approx import approx_cover
 from .families import (
     gen_ds_reduction,
     gen_star_subdivision,
@@ -33,14 +33,8 @@ from .io import (
     write_graph_file,
 )
 from .matching import NotAForestError, tree_cover, unit_fraction_cover
-from .solver import (
-    Budget,
-    InternalConsistencyError,
-    build_set_cover,
-    min_cover_exact,
-    solve_greedy,
-)
-from .verify import InvalidCoverError, is_delta_cover
+from .solver import Budget, build_set_cover, min_cover_exact, solve_greedy
+from .verify import InternalConsistencyError, InvalidCoverError, is_delta_cover, require_output
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -74,7 +68,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--delta", help="covering radius a/b")
-    p.add_argument("--exact", action="store_true", default=False)
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--unit-fraction", type=int, metavar="B",
                    help="solve at delta = 1/B via the subdivision route")
@@ -131,10 +124,7 @@ def _cmd_solve(args) -> int:
         delta = parse_rational(args.delta)
         if args.greedy:
             result = solve_greedy(build_set_cover(g, delta))
-            rep = is_delta_cover(g, result.cover, delta)
-            if not rep.is_cover:
-                print(f"greedy cover fails near {rep.witness}", file=sys.stderr)
-                return EXIT_VERIFY
+            require_output(g, result.cover, "greedy cover")
         else:
             result = min_cover_exact(g, delta, _budget(args))
     if args.output:
@@ -208,20 +198,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    meta: dict = {"family": args.family}
-    if args.family == "triangles_center":
-        if args.k is None:
-            raise _UsageError("triangles_center needs --k")
-        inst = gen_triangles_center(args.k)
-    elif args.family == "triangles_paths":
-        if args.k is None:
-            raise _UsageError("triangles_paths needs --k")
-        inst = gen_triangles_paths(args.k, args.variant or "per_vertex", args.path_len)
-    elif args.family == "star_subdivision":
-        if args.k is None or args.x is None:
-            raise _UsageError("star_subdivision needs --x and --k")
-        inst = gen_star_subdivision(args.x, args.k)
-    else:
+    if args.family in ("ds_reduction", "ugc_gadget"):
         if not args.source:
             raise _UsageError(f"{args.family} needs --source")
         src = parse_graph_file(args.source)
@@ -229,30 +206,33 @@ def _cmd_gen(args) -> int:
             g = gen_ds_reduction(src, args.ell, args.variant or "path")
         else:
             g = gen_ugc_gadget(src, args.x or 1, args.variant or "path")
-        write_graph_file(args.output, g, comments=(f"family {args.family}",))
-        meta.update({"n": g.n, "m": g.m, "source_n": src.n, "source_m": src.m,
-                     "variant": args.variant or "path"})
-        if args.metadata:
-            with open(args.metadata, "w") as fh:
-                json.dump(meta, fh, indent=2)
-                fh.write("\n")
-        print(f"wrote {args.output}: n={g.n} m={g.m}")
-        return EXIT_OK
-    g = inst.graph
-    write_graph_file(args.output, g, comments=(f"family {inst.family}",))
-    meta.update({
-        "n": g.n,
-        "m": g.m,
-        "params": dict(inst.params),
-        "known_values": [
-            {"delta": format_rational(kv.delta), "label": kv.label,
-             "size": kv.size, "provenance": kv.provenance}
-            for kv in inst.known_values
-        ],
-    })
+        extra = {"source_n": src.n, "source_m": src.m, "variant": args.variant or "path"}
+    else:
+        if args.family == "triangles_center":
+            if args.k is None:
+                raise _UsageError("triangles_center needs --k")
+            inst = gen_triangles_center(args.k)
+        elif args.family == "triangles_paths":
+            if args.k is None:
+                raise _UsageError("triangles_paths needs --k")
+            inst = gen_triangles_paths(args.k, args.variant or "per_vertex", args.path_len)
+        else:
+            if args.k is None or args.x is None:
+                raise _UsageError("star_subdivision needs --x and --k")
+            inst = gen_star_subdivision(args.x, args.k)
+        g = inst.graph
+        extra = {
+            "params": dict(inst.params),
+            "known_values": [
+                {"delta": format_rational(kv.delta), "label": kv.label,
+                 "size": kv.size, "provenance": kv.provenance}
+                for kv in inst.known_values
+            ],
+        }
+    write_graph_file(args.output, g, comments=(f"family {args.family}",))
     if args.metadata:
         with open(args.metadata, "w") as fh:
-            json.dump(meta, fh, indent=2)
+            json.dump({"family": args.family, "n": g.n, "m": g.m, **extra}, fh, indent=2)
             fh.write("\n")
     print(f"wrote {args.output}: n={g.n} m={g.m}")
     return EXIT_OK

@@ -7,7 +7,7 @@ as constructed upper bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Edge, Graph

@@ -115,11 +115,13 @@ class Graph:
             raise GraphValidationError(f"edge {i}: duplicate ({u}, {v})")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(canon)
+        # Read off the sorted edge list, each list comes out ascending: the
+        # neighbours w < u of u, from edges (w, u), precede all its (u, v).
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._hop_rows: dict[int, list[int | None]] = {}
 
     @property

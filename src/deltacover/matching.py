@@ -24,13 +24,8 @@ from .graphs import (
     is_forest,
     subdivide,
 )
-from .solver import (
-    Budget,
-    DEFAULT_BUDGET,
-    InternalConsistencyError,
-    SolveResult,
-)
-from .verify import require_cover
+from .solver import Budget, DEFAULT_BUDGET, SolveResult
+from .verify import InternalConsistencyError, require_output
 
 HALF = Fraction(1, 2)
 
@@ -312,13 +307,13 @@ def _one_cover(g: Graph, ge: GEDecomposition | None = None) -> Cover:
     return cover
 
 
-def one_cover_min(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
+def one_cover_min(g: Graph) -> SolveResult:
     """Exact minimum 1-cover in polynomial time: cov1(G) = n - nu(G) - def(B).
 
     B is the bipartite graph between the Gallai-Edmonds set A and the
-    D-singletons that have a neighbour; def(B) = #singletons - nu(B).
-    ``budget`` is accepted for compatibility and not read.  The cover is
-    verified once here; library code calls the unverified ``_one_cover``.
+    D-singletons that have a neighbour; def(B) = #singletons - nu(B).  The
+    cover is verified once here; library code calls the unverified
+    ``_one_cover``.
 
     *Neat covers.*  In a 1-cover S keep the vertex points as X and replace
     the points inside each edge by its midpoint (edge set M).  An edge xy
@@ -362,7 +357,7 @@ def one_cover_min(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """
     t0 = time.monotonic()
     cover = _one_cover(g)
-    require_cover(g, cover, ONE, "1-cover")
+    require_output(g, cover, "1-cover")
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
@@ -383,13 +378,13 @@ def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> So
 
     Covers of g at radius 1/b correspond bijectively to covers of the
     b-subdivision at radius 1, where ``one_cover_min`` solves the problem
-    in polynomial time.  ``budget`` is accepted for compatibility and not
-    read.  Only the pulled-back cover is verified, once, on g; library
-    code calls the unverified ``_unit_fraction_cover``.
+    in polynomial time.  ``budget`` is not read; ``perfbench``
+    still passes it positionally.  Only the pulled-back cover is verified,
+    once, on g; library code calls the unverified ``_unit_fraction_cover``.
     """
     t0 = time.monotonic()
     cover = _unit_fraction_cover(g, b)
-    require_cover(g, cover, Fraction(1, b), "unit-fraction cover")
+    require_output(g, cover, "unit-fraction cover")
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
@@ -514,5 +509,5 @@ def tree_cover(g: Graph, delta: Fraction) -> SolveResult:
         raise NotAForestError("input has a cycle; dispatch non-trees elsewhere")
     t0 = time.monotonic()
     cover = Cover(frozenset(_tree_points(g, delta)), delta)
-    require_cover(g, cover, delta, "tree cover")
+    require_output(g, cover, "tree cover")
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)

@@ -9,7 +9,7 @@ exact integer arithmetic: offsets scale by 4b, the radius becomes 4a.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -17,11 +17,8 @@ from operator import xor
 from typing import Sequence
 
 from .graphs import Cover, Graph, Point, hop_layers
-from .verify import GridPoints, grid_points, is_delta_cover
-
-
-class InternalConsistencyError(RuntimeError):
-    """A solver produced something its own verifier rejects: a bug."""
+# InternalConsistencyError is re-exported here for the library's callers.
+from .verify import GridPoints, InternalConsistencyError, grid_points, require_output
 
 
 class InfeasibleInstanceError(ValueError):
@@ -535,11 +532,7 @@ def min_cover_exact(
     """Build the finite instance, solve it, and verify the result."""
     inst = build_set_cover(g, delta)
     result = solve_exact(inst, budget)
-    report = is_delta_cover(g, result.cover, delta)
-    if not report.is_cover:
-        raise InternalConsistencyError(
-            f"solver output fails verification near {report.witness}"
-        )
+    require_output(g, result.cover, "exact solver output")
     return result
 
 

@@ -24,11 +24,15 @@ Interval = tuple[Fraction, Fraction]
 
 
 class InvalidCoverError(ValueError):
-    """Raised when an operation requires a delta-cover and got none."""
+    """Raised when a cover supplied by the caller is no delta-cover."""
 
     def __init__(self, message: str, witness: Point | None = None):
         super().__init__(message)
         self.witness = witness
+
+
+class InternalConsistencyError(RuntimeError):
+    """The library produced something its own verifier rejects: a bug."""
 
 
 @dataclass(frozen=True)
@@ -37,9 +41,6 @@ class IntervalSet:
 
     edge: Edge
     intervals: tuple[Interval, ...]
-
-    def covers_fully(self) -> bool:
-        return self.intervals == ((ZERO, ONE),)
 
     def gaps(self) -> list[Interval]:
         """Maximal uncovered stretches, as (lo, hi) pairs."""
@@ -222,11 +223,25 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
 
 
 def require_cover(g: Graph, s: Cover, delta: Fraction, what: str) -> None:
+    """Check a cover the caller supplied; InvalidCoverError if it is none."""
     report = is_delta_cover(g, s, delta)
     if not report.is_cover:
         raise InvalidCoverError(
             f"{what}: not a {delta}-cover, uncovered near {report.witness}",
             witness=report.witness,
+        )
+
+
+def require_output(g: Graph, cover: Cover, what: str) -> None:
+    """Check a cover the library built, at its own radius.
+
+    Every public entry point checks its answer here once; a non-cover is a
+    bug and raises InternalConsistencyError.
+    """
+    report = is_delta_cover(g, cover, cover.delta)
+    if not report.is_cover:
+        raise InternalConsistencyError(
+            f"{what}: not a {cover.delta}-cover, uncovered near {report.witness}"
         )
 
 
@@ -311,12 +326,7 @@ def normalize_neat(g: Graph, s: Cover, delta: Fraction | None = None) -> Cover:
         delta = s.delta
     if delta < Fraction(1, 2):
         raise ValueError(f"neat normalization requires delta >= 1/2, got {delta}")
-    report = is_delta_cover(g, s, delta)
-    if not report.is_cover:
-        raise InvalidCoverError(
-            f"normalize_neat: input not a {delta}-cover, uncovered near {report.witness}",
-            witness=report.witness,
-        )
+    require_cover(g, s, delta, "normalize_neat input")
     points = set(s.points)
     changed = True
     while changed:
@@ -330,7 +340,7 @@ def normalize_neat(g: Graph, s: Cover, delta: Fraction | None = None) -> Cover:
                 points.add(Point.vertex(v))
                 changed = True
     out = Cover(frozenset(points), delta)
-    require_cover(g, out, delta, "normalize_neat output")
+    require_output(g, out, "normalize_neat output")
     if len(out) > len(s):
         raise AssertionError("neat normalization must not grow the cover")
     return out

@@ -181,20 +181,20 @@ def test_connected_components_runs_once_per_call_on_a_connected_graph(monkeypatc
 def test_a_route_that_drops_a_point_is_caught_at_the_boundary(monkeypatch):
     import deltacover.approx
 
-    real = deltacover.approx._component_report
+    real = deltacover.approx._component_part
     broken = set()
 
     def drop_one(sub, delta, budget):
         # Drop the first point that the component cannot do without.
-        rep = real(sub, delta, budget)
-        for p in sorted(rep.cover.points):
-            rest = Cover(rep.cover.points - {p}, delta)
-            if not is_delta_cover(sub, rest, delta).is_cover:
-                broken.add(rep.regime)
-                return dataclasses.replace(rep, cover=rest)
-        raise AssertionError(f"every point of the {rep.regime} cover is redundant")
+        part = real(sub, delta, budget)
+        for p in sorted(part.points):
+            rest = part.points - {p}
+            if not is_delta_cover(sub, Cover(rest, delta), delta).is_cover:
+                broken.add(part.regime)
+                return dataclasses.replace(part, points=rest)
+        raise AssertionError(f"every point of the {part.regime} cover is redundant")
 
-    monkeypatch.setattr(deltacover.approx, "_component_report", drop_one)
+    monkeypatch.setattr(deltacover.approx, "_component_part", drop_one)
     for g in ROUTE_GRAPHS:
         for delta in CONNECTED_ROUTE_DELTAS:
             with pytest.raises(InternalConsistencyError):

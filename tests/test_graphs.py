@@ -69,6 +69,19 @@ def test_build_rejections():
         build_graph([(0, 5)], n=3)
 
 
+def test_adjacency_is_ascending_whatever_the_edge_order():
+    rng = random.Random(41)
+    for _ in range(100):
+        n = rng.randrange(1, 30)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in rng.sample(pairs, rng.randrange(len(pairs) + 1))]
+        g = build_graph(edges, n=n)
+        for u in range(n):
+            assert all(a < b for a, b in zip(g.adj[u], g.adj[u][1:])), (edges, u)
+            assert list(g.adj[u]) == sorted(w for e in g.edges if u in e for w in e if w != u)
+
+
 def test_point_normalization():
     assert Point.on_edge(0, 1, F(0)) == Point.vertex(0)
     assert Point.on_edge(0, 1, F(1)) == Point.vertex(1)

@@ -87,7 +87,7 @@ def test_cli_solve_verify_flow(tmp_path):
     gpath = tmp_path / "c4.graph"
     write_graph_file(gpath, cycle(4))
     cpath = tmp_path / "c4.cover"
-    assert main(["solve", "--exact", "--delta", "1/1", "--input", str(gpath),
+    assert main(["solve", "--delta", "1/1", "--input", str(gpath),
                  "--output", str(cpath)]) == 0
     assert main(["verify", "--delta", "1/1", "--input", str(gpath),
                  "--cover", str(cpath)]) == 0
@@ -111,7 +111,7 @@ def test_cli_verify_probes_edgeless_and_disconnected(tmp_path, capsys):
 def test_cli_budget_exit_code(tmp_path):
     gpath = tmp_path / "k5.graph"
     write_graph_file(gpath, k_n(5))
-    rc = main(["solve", "--exact", "--delta", "2/5", "--input", str(gpath),
+    rc = main(["solve", "--delta", "2/5", "--input", str(gpath),
                "--budget-nodes", "2"])
     assert rc == 2
 
@@ -212,7 +212,7 @@ def test_cli_commands_verify_once(tmp_path, verifier_calls):
         ["tree", "--delta", "3/5", "--output", str(cpath)],
         ["verify", "--delta", "3/5", "--cover", str(cpath)],
         ["approx", "--delta", "2/3"],
-        ["solve", "--exact", "--delta", "2/3"],
+        ["solve", "--delta", "2/3"],
         ["solve", "--greedy", "--delta", "2/3"],
         ["solve", "--unit-fraction", "3"],
     ]

@@ -1,10 +1,17 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+import deltacover.approx
+import deltacover.matching
+import deltacover.solver
 from deltacover import (
     Budget,
+    Cover,
+    InternalConsistencyError,
     NotAForestError,
+    approx_cover,
     build_graph,
     gallai_edmonds,
     is_delta_cover,
@@ -155,6 +162,61 @@ def test_public_entry_points_verify_once(verifier_calls):
         verifier_calls.clear()
         fn(g, *args)
         assert verifier_calls == [g], (fn.__name__, g.edges)
+
+
+def _without_a_needed_point(g, points, delta):
+    for p in sorted(points):
+        rest = frozenset(points) - {p}
+        if not is_delta_cover(g, Cover(rest, delta), delta).is_cover:
+            return rest
+    raise AssertionError("every point is redundant")
+
+
+def test_a_core_that_drops_a_point_raises_internal_consistency_error(monkeypatch):
+    # Each entry point's unverified core loses a point its answer needs; the
+    # output check must report a library bug, not a bad caller cover.
+    g, forest = grid(3, 3), path(7)
+    real_one = deltacover.matching._one_cover
+    real_unit = deltacover.matching._unit_fraction_cover
+    real_tree = deltacover.matching._tree_points
+    real_exact = deltacover.solver.solve_exact
+    real_part = deltacover.approx._component_part
+
+    def one_cover(h, ge=None):
+        return Cover(_without_a_needed_point(h, real_one(h, ge).points, F(1)), F(1))
+
+    def unit_fraction(h, b):
+        return Cover(_without_a_needed_point(h, real_unit(h, b).points, F(1, b)), F(1, b))
+
+    def tree_points(h, delta):
+        return set(_without_a_needed_point(h, real_tree(h, delta), delta))
+
+    def solve_exact(inst, budget):
+        res = real_exact(inst, budget)
+        rest = _without_a_needed_point(g, res.cover.points, inst.delta)
+        return dataclasses.replace(res, cover=Cover(rest, inst.delta), size=len(rest))
+
+    def component_part(h, delta, budget):
+        part = real_part(h, delta, budget)
+        return dataclasses.replace(part, points=_without_a_needed_point(h, part.points, delta))
+
+    monkeypatch.setattr(deltacover.matching, "_one_cover", one_cover)
+    monkeypatch.setattr(deltacover.matching, "_unit_fraction_cover", unit_fraction)
+    monkeypatch.setattr(deltacover.matching, "_tree_points", tree_points)
+    monkeypatch.setattr(deltacover.solver, "solve_exact", solve_exact)
+    monkeypatch.setattr(deltacover.approx, "_component_part", component_part)
+    calls = [
+        (one_cover_min, g),
+        (unit_fraction_cover, g, 3),
+        (tree_cover, forest, F(3, 5)),
+        (min_cover_exact, g, F(2, 3)),
+        (approx_cover, g, F(4, 5)),
+    ]
+    for fn, h, *args in calls:
+        with pytest.raises(InternalConsistencyError):
+            fn(h, *args)
+    # One class, whichever module a caller imports it from.
+    assert deltacover.solver.InternalConsistencyError is InternalConsistencyError
 
 
 def test_one_cover_of_a_subdivision_covers_it(atlas_suite):
