@@ -12,8 +12,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from deltacover.bench import run_row, summarize, write_csv
-from deltacover.families import gen_star_subdivision, gen_triangles_center, gen_triangles_paths
+from deltacover.bench import build_instance, run_row, summarize, write_csv
 from deltacover.io import format_rational
 from deltacover.solver import Budget
 
@@ -28,16 +27,14 @@ def main() -> int:
     args = ap.parse_args()
 
     budget = Budget(max_seconds=args.budget_secs)
-    instances = []
-    for k in range(3, args.kmax + 1):
-        instances.append((f"hub_k{k}", "triangles_center", gen_triangles_center(k).graph))
-    instances.append(("paths_k3", "triangles_paths",
-                      gen_triangles_paths(3, "per_vertex").graph))
-    instances.append(("connector_k3", "triangles_paths",
-                      gen_triangles_paths(3, "per_triangle").graph))
-    for x, k in ((2, 3), (3, 3)):
-        instances.append((f"star_x{x}_k{k}", "star_subdivision",
-                          gen_star_subdivision(x, k).graph))
+    specs = [{"id": f"hub_k{k}", "family": "triangles_center", "k": k}
+             for k in range(3, args.kmax + 1)]
+    specs += [{"id": "paths_k3", "family": "triangles_paths", "k": 3, "variant": "per_vertex"},
+              {"id": "connector_k3", "family": "triangles_paths", "k": 3,
+               "variant": "per_triangle"}]
+    specs += [{"id": f"star_x{x}_k{k}", "family": "star_subdivision", "x": x, "k": k}
+              for x, k in ((2, 3), (3, 3))]
+    instances = [build_instance(spec) for spec in specs]
 
     rows = []
     for iid, family, g in instances:

@@ -15,12 +15,9 @@ from .graphs import (
     wreath_k2,
 )
 from .verify import (
-    IntervalSet,
     InternalConsistencyError,
     InvalidCoverError,
     VerifyReport,
-    discretized_universe,
-    edge_coverage_intervals,
     is_delta_cover,
     normalize_neat,
 )
@@ -30,6 +27,7 @@ from .solver import (
     SolveResult,
     build_set_cover,
     candidate_points,
+    discretized_universe,
     harmonic_number,
     min_cover_exact,
     solve_exact,

@@ -281,14 +281,20 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
     return _report(g, delta, _small_odd_part(g, delta, k))
 
 
-def translate_cover_up(g: Graph, s_prime: Cover, delta: Fraction) -> Cover:
-    """Shrink a delta/(2*delta+1)-cover into a delta-cover, edge by edge.
+def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
+    """Shrink a delta'-cover into a delta-cover, edge by edge.
 
-    Every edge carrying k >= 2 points contributes k - 1 points spaced
-    2*delta apart, starting at (2*delta + 1) times the smallest offset; an
-    edge with at most one point contributes nothing.
+    delta' = ``s_prime.delta`` must be below 1/2, and delta =
+    delta'/(1 - 2*delta'), so that delta' = delta/(2*delta + 1).  Every
+    edge carrying k >= 2 points contributes k - 1 points spaced 2*delta
+    apart, starting at (2*delta + 1) times the smallest offset; an edge
+    with at most one point contributes nothing.
     """
-    require_cover(g, s_prime, delta / (2 * delta + 1), "translation input")
+    d_prime = s_prime.delta
+    if d_prime >= HALF:
+        raise ValueError(f"translation needs delta' < 1/2, got {d_prime}")
+    delta = d_prime / (1 - 2 * d_prime)
+    require_cover(g, s_prime, "translation input")
     at_vertex: set[int] = set()
     inside: dict[tuple[int, int], list[Fraction]] = {}
     for p in s_prime.points:
@@ -321,9 +327,11 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
     if delta.numerator == 1:
         return _Part(_unit_fraction_cover(g, delta.denominator).points, ONE, "exact")
     if delta >= THREE_HALVES:
+        # Greedy picks at most H(d) times the optimum, d the largest
+        # candidate's element count (Chvatal 1979).
         inst = build_set_cover(g, delta)
-        return _Part(solve_greedy(inst).cover.points, harmonic_number(len(inst.universe)),
-                     "large_delta")
+        d = max(m.bit_count() for m in inst.masks)
+        return _Part(solve_greedy(inst).cover.points, harmonic_number(d), "large_delta")
     if delta > ONE:
         return _one_cover_part(g, delta)
     if delta >= THREE_QUARTERS:

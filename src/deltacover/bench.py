@@ -21,13 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from .approx import approx_cover
-from .families import (
-    gen_ds_reduction,
-    gen_star_subdivision,
-    gen_triangles_center,
-    gen_triangles_paths,
-    gen_ugc_gadget,
-)
+from .families import gen_family
 from .graphs import Graph
 from .io import format_rational, parse_graph_file, parse_rational
 from .solver import Budget, min_cover_exact
@@ -94,26 +88,13 @@ def build_instance(spec: dict[str, Any], base_dir: Path | None = None) -> tuple[
             path = base_dir / path
         return iid or path.stem, "file", parse_graph_file(path)
     family = spec.get("family")
-    if family == "triangles_center":
-        inst = gen_triangles_center(int(spec["k"]))
-    elif family == "triangles_paths":
-        inst = gen_triangles_paths(
-            int(spec["k"]), spec.get("variant", "per_vertex"), int(spec.get("path_len", 3))
-        )
-    elif family == "star_subdivision":
-        inst = gen_star_subdivision(int(spec["x"]), int(spec["k"]))
-    elif family == "ds_reduction":
-        src = parse_graph_file(spec["source"] if base_dir is None
-                               else base_dir / spec["source"])
-        g = gen_ds_reduction(src, int(spec.get("ell", 2)), spec.get("variant", "path"))
-        return iid or f"ds_{spec.get('variant', 'path')}", family, g
-    elif family == "ugc_gadget":
-        src = parse_graph_file(spec["source"] if base_dir is None
-                               else base_dir / spec["source"])
-        g = gen_ugc_gadget(src, int(spec.get("x", 1)), spec.get("variant", "path"))
-        return iid or f"ugc_{spec.get('variant', 'path')}", family, g
-    else:
+    if family is None:
         raise ValueError(f"instance spec needs 'file' or a known 'family': {spec}")
+    src = None
+    if "source" in spec:
+        src = parse_graph_file(spec["source"] if base_dir is None else base_dir / spec["source"])
+    ints = {key: int(spec[key]) for key in ("k", "x", "ell", "path_len") if key in spec}
+    inst = gen_family(family, source=src, variant=spec.get("variant"), **ints)
     default = "{}_{}".format(family, "_".join(str(v) for _, v in inst.params))
     return iid or default, family, inst.graph
 

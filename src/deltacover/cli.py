@@ -15,13 +15,7 @@ from fractions import Fraction
 
 from . import bench as benchmod
 from .approx import approx_cover
-from .families import (
-    gen_ds_reduction,
-    gen_star_subdivision,
-    gen_triangles_center,
-    gen_triangles_paths,
-    gen_ugc_gadget,
-)
+from .families import FAMILIES, SOURCE_FAMILIES, gen_family
 from .graphs import GraphValidationError, InvalidPointError, Point, point_distance
 from .io import (
     FileFormatError,
@@ -95,8 +89,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="emit a generated instance")
     p.add_argument("--family", required=True,
-                   choices=["triangles_center", "triangles_paths",
-                            "star_subdivision", "ds_reduction", "ugc_gadget"])
+                   choices=FAMILIES)
     p.add_argument("--k", type=int)
     p.add_argument("--x", type=int)
     p.add_argument("--ell", type=int, default=2)
@@ -174,7 +167,7 @@ def _cmd_verify(args) -> int:
     g = parse_graph_file(args.input)
     delta = parse_rational(args.delta)
     cover = read_cover(args.cover, g, delta)
-    report = is_delta_cover(g, cover, delta)
+    report = is_delta_cover(g, cover)
     if not report.is_cover:
         w = report.witness
         where = (f"vertex {w.u + 1}" if w.is_vertex
@@ -198,29 +191,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family in ("ds_reduction", "ugc_gadget"):
-        if not args.source:
-            raise _UsageError(f"{args.family} needs --source")
-        src = parse_graph_file(args.source)
-        if args.family == "ds_reduction":
-            g = gen_ds_reduction(src, args.ell, args.variant or "path")
-        else:
-            g = gen_ugc_gadget(src, args.x or 1, args.variant or "path")
-        extra = {"source_n": src.n, "source_m": src.m, "variant": args.variant or "path"}
+    src = parse_graph_file(args.source) if args.source else None
+    inst = gen_family(args.family, k=args.k, x=args.x, ell=args.ell, variant=args.variant,
+                      path_len=args.path_len, source=src)
+    g = inst.graph
+    if args.family in SOURCE_FAMILIES:
+        extra = {"source_n": src.n, "source_m": src.m, "variant": inst.param("variant")}
     else:
-        if args.family == "triangles_center":
-            if args.k is None:
-                raise _UsageError("triangles_center needs --k")
-            inst = gen_triangles_center(args.k)
-        elif args.family == "triangles_paths":
-            if args.k is None:
-                raise _UsageError("triangles_paths needs --k")
-            inst = gen_triangles_paths(args.k, args.variant or "per_vertex", args.path_len)
-        else:
-            if args.k is None or args.x is None:
-                raise _UsageError("star_subdivision needs --x and --k")
-            inst = gen_star_subdivision(args.x, args.k)
-        g = inst.graph
         extra = {
             "params": dict(inst.params),
             "known_values": [

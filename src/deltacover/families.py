@@ -207,3 +207,40 @@ def gen_ugc_gadget(g: Graph, x: int = 1, variant: str = "path") -> Graph:
             nxt += 2
             edges += [(t, t1), (t, t2), (t1, t2)]
     return Graph(edges, n=nxt)
+
+
+FAMILIES = ("triangles_center", "triangles_paths", "star_subdivision",
+            "ds_reduction", "ugc_gadget")
+SOURCE_FAMILIES = ("ds_reduction", "ugc_gadget")
+
+
+def gen_family(family: str, *, k: int | None = None, x: int | None = None, ell: int = 2,
+               variant: str | None = None, path_len: int = 3,
+               source: Graph | None = None) -> FamilyInstance:
+    """The generator named ``family``, with the defaults every caller shares.
+
+    The ``SOURCE_FAMILIES`` transform ``source`` and know no cover sizes;
+    their params are their own two arguments.  A missing parameter raises
+    ValueError.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family in SOURCE_FAMILIES:
+        if source is None:
+            raise ValueError(f"{family} needs a source graph")
+        variant = variant or "path"
+        if family == "ds_reduction":
+            return FamilyInstance(gen_ds_reduction(source, ell, variant), family,
+                                  (("ell", ell), ("variant", variant)), ())
+        x = 1 if x is None else x
+        return FamilyInstance(gen_ugc_gadget(source, x, variant), family,
+                              (("x", x), ("variant", variant)), ())
+    if family == "star_subdivision":
+        if k is None or x is None:
+            raise ValueError("star_subdivision needs x and k")
+        return gen_star_subdivision(x, k)
+    if k is None:
+        raise ValueError(f"{family} needs k")
+    if family == "triangles_center":
+        return gen_triangles_center(k)
+    return gen_triangles_paths(k, variant or "per_vertex", path_len)

@@ -307,28 +307,32 @@ def is_forest(g: Graph) -> bool:
 class SubdivisionMap:
     """Bookkeeping for an x-subdivision: where every new vertex/edge came from.
 
-    ``paths[i]`` lists the vertices replacing edge i, oriented from the
-    lesser original endpoint.  Positions on an original edge map bijectively
-    onto positions along the replacing path, scaled by the factor.  New
-    vertex ``j`` of edge ``i`` (1 <= j < x) has id ``n + i*(x-1) + j - 1``,
-    so its edge and position are one ``divmod`` away.
+    Positions on an original edge map bijectively onto positions along the
+    replacing path, scaled by the factor.  New vertex ``j`` of edge ``i``
+    (1 <= j < x), counted from the lesser original endpoint, has id
+    ``n + i*(x-1) + j - 1``, so its edge and position are one ``divmod``
+    away.
     """
 
     factor: int
     base_n: int
-    paths: tuple[tuple[int, ...], ...]
 
     def lift_point(self, g: Graph, p: Point) -> Point:
         """Position bijection from the base graph into the subdivision."""
         if p.is_vertex:
             return p
-        path = self.paths[g.edge_index[p.edge()]]
-        s = p.t * self.factor
+        x = self.factor
+        first = self.base_n + g.edge_index[p.edge()] * (x - 1) - 1
+
+        def path_vertex(j: int) -> int:
+            return p.u if j == 0 else p.v if j == x else first + j
+
+        s = p.t * x
         seg = int(s)
         frac = s - seg
         if frac == 0:
-            return Point.vertex(path[seg])
-        return Point.on_edge(path[seg], path[seg + 1], frac)
+            return Point.vertex(path_vertex(seg))
+        return Point.on_edge(path_vertex(seg), path_vertex(seg + 1), frac)
 
     def project_point(self, g: Graph, p: Point) -> Point:
         """Inverse bijection: a subdivision point back onto the base graph.
@@ -373,15 +377,13 @@ def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
         raise ValueError(f"subdivision factor must be >= 1, got {x}")
     next_id = g.n
     new_edges: list[Edge] = []
-    paths: list[tuple[int, ...]] = []
     for u, v in g.edges:
         path = (u, *range(next_id, next_id + x - 1), v)
         next_id += x - 1
         for a, b in zip(path, path[1:]):
             new_edges.append((a, b) if a < b else (b, a))
-        paths.append(path)
     sub = Graph(new_edges, n=next_id)
-    return sub, SubdivisionMap(x, g.n, tuple(paths))
+    return sub, SubdivisionMap(x, g.n)
 
 
 def wreath_k2(g: Graph) -> Graph:

@@ -9,16 +9,17 @@ exact integer arithmetic: offsets scale by 4b, the radius becomes 4a.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import xor
-from typing import Sequence
 
-from .graphs import Cover, Graph, Point, hop_layers
+from .graphs import Cover, Edge, Graph, Point, ZERO, hop_layers
 # InternalConsistencyError is re-exported here for the library's callers.
-from .verify import GridPoints, InternalConsistencyError, grid_points, require_output
+from .verify import InternalConsistencyError, require_output
 
 
 class InfeasibleInstanceError(ValueError):
@@ -59,12 +60,67 @@ class SolveResult:
     elapsed: float
 
 
+class GridPoints(Sequence[Point]):
+    """Every vertex and every edge point at offsets k/step, built only when read.
+
+    Points sort by (u, v, t): vertex u first, then the step - 1 interior
+    points of each edge (u, v), v > u, by offset.  ``starts`` holds the
+    index of each block's first point, ascending, and ``blocks`` its
+    (u, v), with u == v for a vertex; an index finds its block by
+    bisection.
+    """
+
+    __slots__ = ("step", "starts", "blocks", "_len")
+
+    def __init__(self, g: Graph, step: int):
+        self.step = step
+        self.starts: list[int] = []
+        self.blocks: list[Edge] = []
+        index = 0
+        for u in range(g.n):
+            self.starts.append(index)
+            self.blocks.append((u, u))
+            index += 1
+            for v in g.adj[u]:
+                if v > u:
+                    self.starts.append(index)
+                    self.blocks.append((u, v))
+                    index += step - 1
+        self._len = index
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Point:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"grid index {i} out of range")
+        k = bisect_right(self.starts, i) - 1
+        u, v = self.blocks[k]
+        if u == v:
+            return Point(u, u, ZERO)
+        return Point(u, v, Fraction(i - self.starts[k] + 1, self.step))
+
+
+def discretized_universe(g: Graph, b: int) -> list[Point]:
+    """The finite verification grid: every edge sampled at steps of 1/(4b).
+
+    Any cover whose points sit on the half-grid (steps of 1/(2b)) covers the
+    whole graph if and only if it covers these points, so they form the
+    universe of the finite set-cover formulation.
+    """
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
+    return list(GridPoints(g, 4 * b))
+
+
 def candidate_points(g: Graph, delta: Fraction) -> list[Point]:
     """All half-grid points: offsets x/(2b) per edge, plus every vertex.
 
     Some optimal cover uses only these, so they are the full candidate set.
     """
-    return grid_points(g, 2 * delta.denominator)
+    return list(GridPoints(g, 2 * delta.denominator))
 
 
 def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
@@ -136,7 +192,7 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
             anchor_masks[(x, dx)] = m
         return m
 
-    # Candidates in grid_points order with step 2b: scaled offsets 2, 4, ...
+    # Candidates in GridPoints order with step 2b: scaled offsets 2, 4, ...
     masks: list[int] = []
     for u in range(g.n):
         masks.append(anchor_mask(u, 0))

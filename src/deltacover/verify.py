@@ -11,14 +11,13 @@ packings verify.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .graphs import Cover, Edge, Graph, ONE, Point, ZERO
+from .graphs import Cover, Edge, Graph, Point, ZERO
 
 Interval = tuple[Fraction, Fraction]
 
@@ -33,32 +32,6 @@ class InvalidCoverError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """The library produced something its own verifier rejects: a bug."""
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """Sorted, disjoint closed intervals within [0, 1] of one edge."""
-
-    edge: Edge
-    intervals: tuple[Interval, ...]
-
-    def gaps(self) -> list[Interval]:
-        """Maximal uncovered stretches, as (lo, hi) pairs."""
-        out: list[Interval] = []
-        prev = ZERO
-        first = True
-        for lo, hi in self.intervals:
-            if first and lo > ZERO:
-                out.append((ZERO, lo))
-            elif not first and lo > prev:
-                out.append((prev, lo))
-            prev = hi
-            first = False
-        if first:
-            out.append((ZERO, ONE))
-        elif prev < ONE:
-            out.append((prev, ONE))
-        return out
 
 
 @dataclass(frozen=True)
@@ -151,27 +124,16 @@ class _Nearest:
         merged = _merge(pieces)
         return None if merged == [(0, scale)] else merged
 
-    def as_intervals(self, pieces: list[tuple[int, int]] | None) -> tuple[Interval, ...]:
-        if pieces is None:
-            return ((ZERO, ONE),)
-        scale = self.scale
-        return tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in pieces)
-
-
-def edge_coverage_intervals(g: Graph, e: Edge, s: Cover, delta: Fraction) -> IntervalSet:
-    """The subset of edge ``e`` within ``delta`` of some point of ``s``."""
-    u, v = e if e[0] < e[1] else (e[1], e[0])
-    if (u, v) not in g.edge_index:
-        raise InvalidCoverError(f"edge ({u}, {v}) not in graph")
-    near = _Nearest(g, s, delta)
-    return IntervalSet((u, v), near.as_intervals(near.edge_pieces(u, v)))
-
 
 def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyReport:
-    """Decide exactly whether ``s`` covers every point of the graph.
+    """Decide exactly whether ``s`` covers every point of the graph at ``s.delta``.
 
-    The witness, when coverage fails, is the midpoint of the first maximal
-    uncovered gap in canonical edge order (deterministic output).
+    ``delta``, when given, overrides the cover's own radius; the library
+    never passes it.  ``per_edge_gaps`` lists the maximal uncovered
+    stretches (lo, hi) of each edge in canonical edge order, then
+    ((w, w), (0, 0)) for each uncovered isolated vertex w.  The witness,
+    when coverage fails, is the midpoint of the first gap (deterministic
+    output).
 
     Method: one multi-source Dijkstra from the cover points gives, for each
     vertex w, the distance D(w) to the nearest cover point (see
@@ -193,41 +155,50 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     reaches delta - D(u) and delta - D(v) sum to at least 1, their two
     pieces cover the edge (if one reach is negative, the other exceeds 1).
     A vertex farther than delta from every cover point adds no piece, so
-    the search stops at the radius.  An isolated
+    the search stops at the radius.  The gaps of an edge lie between its
+    merged, sorted pieces [lo1, hi1], ..., [lok, hik]: they are the pairs
+    (0, lo1), (hi1, lo2), ..., (hik, 1) with lo < hi.  An isolated
     vertex w is reached only by a point at w, so it is covered iff
     D(w) <= delta.
 
     Cost: O((n + m) log n + |S| log |S|) integer operations; no hop
-    distance between vertices is computed.
+    distance between vertices is computed, and a Fraction is built only
+    for a reported gap and the witness.
     """
-    if delta is None:
-        delta = s.delta
-    near = _Nearest(g, s, delta)
+    near = _Nearest(g, s, s.delta if delta is None else delta)
+    scale = near.scale
     witness: Point | None = None
-    gap_records: list[tuple[Edge, Interval]] = []
+    gaps: list[tuple[Edge, Interval]] = []
     for e in g.edges:
         pieces = near.edge_pieces(*e)
         if pieces is None:
             continue
-        for gap in IntervalSet(e, near.as_intervals(pieces)).gaps():
-            gap_records.append((e, gap))
-            if witness is None:
-                mid = (gap[0] + gap[1]) / 2
-                witness = Point.on_edge(e[0], e[1], mid)
+        ends = [0]
+        for piece in pieces:
+            ends.extend(piece)
+        ends.append(scale)
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            if lo < hi:
+                gaps.append((e, (Fraction(lo, scale), Fraction(hi, scale))))
+                if witness is None:
+                    witness = Point.on_edge(e[0], e[1], Fraction(lo + hi, 2 * scale))
     for w in range(g.n):
         if g.degree(w) == 0 and near.dist[w] is None:
-            gap_records.append(((w, w), (ZERO, ZERO)))
+            gaps.append(((w, w), (ZERO, ZERO)))
             if witness is None:
                 witness = Point.vertex(w)
-    return VerifyReport(witness is None, witness, tuple(gap_records))
+    return VerifyReport(witness is None, witness, tuple(gaps))
 
 
-def require_cover(g: Graph, s: Cover, delta: Fraction, what: str) -> None:
-    """Check a cover the caller supplied; InvalidCoverError if it is none."""
-    report = is_delta_cover(g, s, delta)
+def require_cover(g: Graph, s: Cover, what: str) -> None:
+    """Check a cover the caller supplied, at its own radius.
+
+    InvalidCoverError, carrying the witness, if it is no cover.
+    """
+    report = is_delta_cover(g, s)
     if not report.is_cover:
         raise InvalidCoverError(
-            f"{what}: not a {delta}-cover, uncovered near {report.witness}",
+            f"{what}: not a {s.delta}-cover, uncovered near {report.witness}",
             witness=report.witness,
         )
 
@@ -238,108 +209,57 @@ def require_output(g: Graph, cover: Cover, what: str) -> None:
     Every public entry point checks its answer here once; a non-cover is a
     bug and raises InternalConsistencyError.
     """
-    report = is_delta_cover(g, cover, cover.delta)
+    report = is_delta_cover(g, cover)
     if not report.is_cover:
         raise InternalConsistencyError(
             f"{what}: not a {cover.delta}-cover, uncovered near {report.witness}"
         )
 
 
-def discretized_universe(g: Graph, b: int) -> list[Point]:
-    """The finite verification grid: every edge sampled at steps of 1/(4b).
+def normalize_neat(g: Graph, s: Cover) -> Cover:
+    """Replace multi-point edges by their endpoints (valid for s.delta >= 1/2).
 
-    Any cover whose points sit on the half-grid (steps of 1/(2b)) covers the
-    whole graph if and only if it covers these points, so they form the
-    universe of the finite set-cover formulation.
+    An edge is eligible when it carries an interior cover point and at
+    least two cover points in all, counting its endpoints.  An eligible
+    edge gets its interior points swapped for its two endpoints, until no
+    edge is eligible; the result is never larger and remains a cover.
+
+    The points are grouped by edge once.  Swapping only removes interior
+    points and adds vertices, so an edge, once eligible, stays eligible
+    until it is swapped, and the swapped edges are the least set closed
+    under "eligible given the vertices so far": the result does not depend
+    on the order edges are swapped in.  An edge with an interior point
+    becomes eligible when one of its endpoints joins the cover, so each
+    new vertex queues the edges at it; the work is O(|S| + n) set and
+    dictionary operations.
     """
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    return grid_points(g, 4 * b)
-
-
-def grid_points(g: Graph, step: int) -> list[Point]:
-    """Every vertex and every edge point at offsets k/step, in sorted order.
-
-    Points sort by (u, v, t): vertex u first, then the interior points of
-    each edge (u, v) with v > u, by offset.
-    """
-    offsets = [Fraction(k, step) for k in range(1, step)]
-    points: list[Point] = []
-    for u in range(g.n):
-        points.append(Point.vertex(u))
-        for v in g.adj[u]:
-            if v > u:
-                points.extend(Point(u, v, t) for t in offsets)
-    return points
-
-
-class GridPoints(Sequence[Point]):
-    """``grid_points(g, step)`` as a sequence that builds a point only when read.
-
-    The points fall in blocks: vertex u (one point), then the step - 1
-    interior points of each edge (u, v), v > u.  ``starts`` holds the index
-    of each block's first point, ascending, and ``blocks`` its (u, v), with
-    u == v for a vertex; an index finds its block by bisection.
-    """
-
-    __slots__ = ("step", "starts", "blocks", "_len")
-
-    def __init__(self, g: Graph, step: int):
-        self.step = step
-        self.starts: list[int] = []
-        self.blocks: list[Edge] = []
-        index = 0
-        for u in range(g.n):
-            self.starts.append(index)
-            self.blocks.append((u, u))
-            index += 1
-            for v in g.adj[u]:
-                if v > u:
-                    self.starts.append(index)
-                    self.blocks.append((u, v))
-                    index += step - 1
-        self._len = index
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i: int) -> Point:
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError(f"grid index {i} out of range")
-        k = bisect_right(self.starts, i) - 1
-        u, v = self.blocks[k]
-        if u == v:
-            return Point(u, u, ZERO)
-        return Point(u, v, Fraction(i - self.starts[k] + 1, self.step))
-
-
-def normalize_neat(g: Graph, s: Cover, delta: Fraction | None = None) -> Cover:
-    """Replace multi-point edges by their endpoints (valid for delta >= 1/2).
-
-    Any edge carrying two or more cover points other than exactly its two
-    endpoints gets those points swapped for the endpoints; the result is
-    never larger and remains a cover.
-    """
-    if delta is None:
-        delta = s.delta
-    if delta < Fraction(1, 2):
-        raise ValueError(f"neat normalization requires delta >= 1/2, got {delta}")
-    require_cover(g, s, delta, "normalize_neat input")
-    points = set(s.points)
-    changed = True
-    while changed:
-        changed = False
-        for u, v in g.edges:
-            on_edge = {p for p in points if not p.is_vertex and p.edge() == (u, v)}
-            endpoints = {p for p in (Point.vertex(u), Point.vertex(v)) if p in points}
-            if len(on_edge) + len(endpoints) >= 2 and on_edge:
-                points -= on_edge
-                points.add(Point.vertex(u))
-                points.add(Point.vertex(v))
-                changed = True
-    out = Cover(frozenset(points), delta)
+    if s.delta < Fraction(1, 2):
+        raise ValueError(f"neat normalization requires delta >= 1/2, got {s.delta}")
+    require_cover(g, s, "normalize_neat input")
+    vertices: set[int] = set()
+    inside: dict[Edge, list[Point]] = {}
+    for p in s.points:
+        if p.is_vertex:
+            vertices.add(p.u)
+        else:
+            inside.setdefault((p.u, p.v), []).append(p)
+    at: dict[int, list[Edge]] = {}
+    for e in inside:
+        for w in e:
+            at.setdefault(w, []).append(e)
+    todo = [e for e, ps in inside.items()
+            if len(ps) >= 2 or e[0] in vertices or e[1] in vertices]
+    while todo:
+        e = todo.pop()
+        if inside.pop(e, None) is None:
+            continue
+        for w in e:
+            if w not in vertices:
+                vertices.add(w)
+                todo.extend(f for f in at[w] if f in inside)
+    points = {Point.vertex(w) for w in vertices}
+    points.update(p for ps in inside.values() for p in ps)
+    out = Cover(frozenset(points), s.delta)
     require_output(g, out, "normalize_neat output")
     if len(out) > len(s):
         raise AssertionError("neat normalization must not grow the cover")

@@ -6,9 +6,11 @@ matchings and the Gallai-Edmonds split by bitmask dynamic programming, set
 cover by subset enumeration, coverage by random point probing, coverage
 per edge by the reach of every cover point separately, set-cover masks by
 one distance per candidate and universe point, leaf levels and forests
-by BFS.  Others keep a library routine as it was before it moved to
-integer arithmetic (tree climb, point distance, subdivision pull-back),
-and the root core of set cover by its subset definition.
+by BFS, the vertex paths of a subdivision by walking it.  Others keep a
+library routine as it was before it moved to integer arithmetic (tree
+climb, point distance, subdivision pull-back) or before it grouped points
+by edge (neat normalization), and the root core of set cover by its subset
+definition.
 """
 
 from __future__ import annotations
@@ -154,23 +156,24 @@ def brute_set_cover_size(masks: list[int], full: int, upper: int) -> int:
     return upper
 
 
+def grid(g: Graph, step: int) -> tuple[Point, ...]:
+    """Every vertex and every edge point at offsets k/step, in sorted point order."""
+    points = [Point.vertex(w) for w in range(g.n)]
+    points += [Point(u, v, Fraction(k, step)) for u, v in g.edges for k in range(1, step)]
+    return tuple(sorted(points))
+
+
 def coverage_by_distance(g: Graph, delta: Fraction) -> tuple[tuple, tuple, tuple]:
     """(universe, candidates, masks) of the discretized set cover, pair by pair.
 
-    The universe is every vertex and every edge point at offsets k/(4b),
-    the candidates the same at k/(2b), both in sorted point order; bit j of
-    mask i is set when ``point_distance`` puts universe point j within
+    The universe is ``grid(g, 4b)``, the candidates ``grid(g, 2b)``; bit j
+    of mask i is set when ``point_distance`` puts universe point j within
     delta of candidate i.  O(|C| |U|) Fraction distances.
     """
     from deltacover import point_distance
 
-    def grid(step: int) -> tuple[Point, ...]:
-        points = [Point.vertex(w) for w in range(g.n)]
-        points += [Point(u, v, Fraction(k, step)) for u, v in g.edges for k in range(1, step)]
-        return tuple(sorted(points))
-
     b = delta.denominator
-    universe, candidates = grid(4 * b), grid(2 * b)
+    universe, candidates = grid(g, 4 * b), grid(g, 2 * b)
     masks = []
     for c in candidates:
         mask = 0
@@ -404,18 +407,40 @@ def point_distance_by_fractions(g: Graph, p: Point, q: Point) -> Fraction | None
     return best
 
 
-def project_point_by_fractions(g: Graph, smap, p: Point) -> Point:
+def subdivision_paths(g: Graph, sub: Graph) -> list[tuple[int, ...]]:
+    """The vertex path replacing each edge (u, v) of g in its subdivision sub.
+
+    Found by walking sub from u through the new vertices (ids >= g.n, each
+    of degree 2) until a vertex of g is reached; the walk that ends at v is
+    the path of (u, v).  The edge itself when sub adds no vertices.
+    """
+    paths = []
+    for u, v in g.edges:
+        if v in sub.adj[u]:
+            paths.append((u, v))
+            continue
+        for first in sub.adj[u]:
+            walk = [u, first]
+            while walk[-1] >= g.n:
+                walk.append(next(w for w in sub.adj[walk[-1]] if w != walk[-2]))
+            if walk[-1] == v:
+                paths.append(tuple(walk))
+                break
+    return paths
+
+
+def project_point_by_fractions(g: Graph, paths: list[tuple[int, ...]], factor: int,
+                               p: Point) -> Point:
     """A point of a subdivision of g pulled back onto g, in Fractions.
 
-    Reads only ``smap.paths`` (``paths[i]`` lists the vertices replacing
-    edge i of g from its lesser endpoint) and ``smap.factor``.  A vertex at
-    index j of a path sits at j/factor; a point at offset t on segment
-    (path[j], path[j+1]), read from the segment's lesser end, sits at
-    (j + t)/factor or (j + 1 - t)/factor.  Points on no path (isolated
-    vertices) map to themselves.
+    ``paths[i]`` lists the vertices replacing edge i of g from its lesser
+    endpoint (see ``subdivision_paths``).  A vertex at index j of a path
+    sits at j/factor; a point at offset t on segment (path[j], path[j+1]),
+    read from the segment's lesser end, sits at (j + t)/factor or
+    (j + 1 - t)/factor.  Points on no path (isolated vertices) map to
+    themselves.
     """
-    factor = smap.factor
-    for (u, v), path in zip(g.edges, smap.paths):
+    for (u, v), path in zip(g.edges, paths):
         for j, w in enumerate(path):
             if p.is_vertex and p.u == w:
                 return Point.on_edge(u, v, Fraction(j, factor))
@@ -424,6 +449,29 @@ def project_point_by_fractions(g: Graph, smap, p: Point) -> Point:
                 t = p.t if a < b else 1 - p.t
                 return Point.on_edge(u, v, (j + t) / factor)
     return p
+
+
+def normalize_neat_by_rescanning(g: Graph, cover: Cover) -> frozenset[Point]:
+    """The points of ``normalize_neat(g, cover)``, rescanning every point per edge.
+
+    The library's loop before it grouped points by edge: pass over the
+    edges in order, and give every edge that carries an interior point and
+    at least two points in all, counting its endpoints, its two endpoints
+    in place of its interior points; repeat until a pass changes nothing.
+    """
+    points = set(cover.points)
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edges:
+            on_edge = {p for p in points if not p.is_vertex and p.edge() == (u, v)}
+            endpoints = {p for p in (Point.vertex(u), Point.vertex(v)) if p in points}
+            if len(on_edge) + len(endpoints) >= 2 and on_edge:
+                points -= on_edge
+                points.add(Point.vertex(u))
+                points.add(Point.vertex(v))
+                changed = True
+    return frozenset(points)
 
 
 def core_by_subsets(masks: list[int], size: int) -> list[tuple[int, list[int]]]:

@@ -25,7 +25,6 @@ from deltacover import (
     Point,
     approx_cover,
     build_set_cover,
-    edge_coverage_intervals,
     gallai_edmonds,
     harmonic_number,
     is_delta_cover,
@@ -42,7 +41,7 @@ from deltacover.approx import RatioReport
 from deltacover.families import gen_star_subdivision, gen_triangles_center, gen_triangles_paths
 from deltacover.graphs import is_forest
 from deltacover.solver import SolveResult
-from oracles import brute_set_cover_size
+from oracles import brute_set_cover_size, hops_from, interval_edge_coverage
 
 DELTAS = [
     F(1, 4), F(2, 7), F(1, 3), F(2, 5), F(1, 2), F(4, 7), F(3, 5), F(2, 3),
@@ -148,8 +147,8 @@ def test_criterion_3_reduction_equivalences(atlas_suite):
             shifted = min_cover_exact(g, d_prime, ROW_BUDGET)
             assert base.optimal and shifted.optimal, (name, str(delta))
             assert shifted.size == base.size + g.m, (name, str(delta))
-            translated = translate_cover_up(g, shifted.cover, delta)
-            assert is_delta_cover(g, translated, delta).is_cover
+            translated = translate_cover_up(g, shifted.cover)
+            assert translated.delta == delta and is_delta_cover(g, translated).is_cover
             assert len(translated) == base.size, (name, str(delta))
             trans_checked += 1
     print(f"\ncriterion 3: PASS - subdivision equality on {sub_checked} cases, "
@@ -239,21 +238,24 @@ def test_criterion_7_probes_and_greedy(atlas_suite, suite_rows):
     for idx, delta in PROBE_CASES:
         row = by_key[(names[idx], delta)]
         g, cover = row.g, row.approx.cover
-        intervals = {e: edge_coverage_intervals(g, e, cover, delta) for e in g.edges}
+        gaps = is_delta_cover(g, cover).per_edge_gaps
+        hops = [hops_from(g, w) for w in range(g.n)]
+        intervals = {e: interval_edge_coverage(g, e, cover, delta, hops) for e in g.edges}
         for _ in range(10_000):
             u, v = g.edges[rng.randrange(g.m)]
             p = Point.on_edge(u, v, F(rng.randrange(10**4 + 1), 10**4))
             near = min(point_distance(g, p, q) for q in cover.points)
             if p.is_vertex:
+                # A vertex is covered iff some edge at it is covered at that end.
                 by_interval = any(
-                    iset.intervals and (
-                        (e[0] == p.u and iset.intervals[0][0] == 0)
-                        or (e[1] == p.u and iset.intervals[-1][1] == 1))
-                    for e, iset in intervals.items() if p.u in e
+                    pieces and ((e[0] == p.u and pieces[0][0] == 0)
+                                or (e[1] == p.u and pieces[-1][1] == 1))
+                    for e, pieces in intervals.items() if p.u in e
                 )
             else:
-                by_interval = any(lo <= p.t <= hi
-                                  for lo, hi in intervals[p.edge()].intervals)
+                # An interior point is uncovered iff it lies strictly inside a gap.
+                by_interval = not any(e == p.edge() and lo < p.t < hi
+                                      for e, (lo, hi) in gaps)
             assert (near <= delta) == by_interval, (row.name, str(delta), p)
             probes_run += 1
     greedy_checked = 0

@@ -90,14 +90,15 @@ def test_dispatcher_regimes_by_delta():
 
 
 def test_large_delta_route_on_a_large_universe():
-    # |U| = 539 on the 6x7 grid at 5/2: H(|U|) used to overflow the stack.
+    # |U| = 539 on the 6x7 grid at 5/2, and the largest candidate covers
+    # d = 201 elements: the greedy claims H(d), not H(|U|).
     rows, cols = 6, 7
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
     g = build_graph(edges, n=rows * cols)
     rep = approx_cover(g, F(5, 2))
     assert rep.regime == "large_delta"
-    assert rep.claimed_factor == harmonic_number(539)
+    assert rep.claimed_factor == harmonic_number(201)
     assert is_delta_cover(g, rep.cover, F(5, 2)).is_cover
 
 
@@ -386,8 +387,11 @@ def test_small_odd_k3(oracle):
 def test_translate_cover_up_formula():
     k2 = build_graph([(0, 1)])
     s_prime = Cover.of([Point.on_edge(0, 1, F(1, 4)), Point.on_edge(0, 1, F(3, 4))], F(1, 3))
-    out = translate_cover_up(k2, s_prime, F(1))
+    out = translate_cover_up(k2, s_prime)
     assert out.points == {Point.on_edge(0, 1, F(3, 4))}
+    assert out.delta == F(1)
+    with pytest.raises(ValueError):
+        translate_cover_up(k2, Cover.of(s_prime.points, F(1, 2)))
 
 
 def test_translate_single_point_edge_contributes_nothing():
@@ -399,7 +403,7 @@ def test_translate_single_point_edge_contributes_nothing():
          Point.on_edge(1, 2, F(1, 3)), Point.on_edge(1, 2, F(5, 6))],
         F(1, 3),
     )
-    out = translate_cover_up(g, s_prime, F(1))
+    out = translate_cover_up(g, s_prime)
     assert not any(not p.is_vertex and p.edge() == (0, 2) for p in out.points)
     assert is_delta_cover(g, out, F(1)).is_cover
 
@@ -410,7 +414,7 @@ def test_translate_optimal_gives_optimal(oracle):
             d_prime = d / (2 * d + 1)
             inner = min_cover_exact(g, d_prime)
             assert inner.optimal
-            out = translate_cover_up(g, inner.cover, d)
+            out = translate_cover_up(g, inner.cover)
             opt = oracle.opt(g, d)
             assert inner.size == opt + g.m
             assert len(out) == opt

@@ -12,8 +12,10 @@ from deltacover import (
     one_cover_min,
     tree_cover,
 )
+from deltacover.bench import build_instance
 from deltacover.families import (
     gen_ds_reduction,
+    gen_family,
     gen_star_subdivision,
     gen_triangles_center,
     gen_triangles_paths,
@@ -85,6 +87,21 @@ def test_triangles_paths_path_len_one_is_center_family():
     a = gen_triangles_paths(4, "per_triangle", path_len=1)
     b = gen_triangles_center(4)
     assert a.graph == b.graph
+
+
+def test_family_table_defaults_and_bench_ids():
+    assert gen_family("triangles_paths", k=3).graph == gen_triangles_paths(3, "per_vertex").graph
+    assert gen_family("ds_reduction", source=k_n(3)).graph == gen_ds_reduction(k_n(3), 2, "path")
+    ugc = gen_family("ugc_gadget", source=k_n(3), variant="c")
+    assert ugc.graph == gen_ugc_gadget(k_n(3), 1, "path_triangle")
+    assert ugc.params == (("x", 1), ("variant", "c"))
+    for family, params in (("triangles_center", {}), ("star_subdivision", {"k": 3}),
+                           ("ugc_gadget", {"x": 1}), ("no_such_family", {"k": 3})):
+        with pytest.raises(ValueError):
+            gen_family(family, **params)
+    iid, family, g = build_instance({"family": "star_subdivision", "x": "2", "k": "3"})
+    assert (iid, family, g) == ("star_subdivision_2_3", "star_subdivision",
+                                gen_star_subdivision(2, 3).graph)
 
 
 def test_star_subdivision_counts_and_tree_values():

@@ -22,6 +22,7 @@ from oracles import (
     is_forest_by_components,
     point_distance_by_fractions,
     project_point_by_fractions,
+    subdivision_paths,
 )
 
 
@@ -165,7 +166,9 @@ def test_project_point_equals_the_fraction_formula(monkeypatch):
             for a, b in sub.edges:
                 den = rng.randint(2, 30)
                 probes += [Point(a, b, F(1, 2)), Point(a, b, F(rng.randrange(1, den), den))]
-            flipped += sum(path[j] > path[j + 1] for path in smap.paths for j in range(x))
+            paths = subdivision_paths(g, sub)
+            assert len(paths) == g.m and all(len(path) == x + 1 for path in paths)
+            flipped += sum(path[j] > path[j + 1] for path in paths for j in range(x))
             with monkeypatch.context() as m:
                 m.setattr(Point, "on_edge", staticmethod(forbidden))
                 for op in ("add", "sub", "mul", "truediv", "floordiv", "mod"):
@@ -175,7 +178,7 @@ def test_project_point_equals_the_fraction_formula(monkeypatch):
                     m.setattr(F, f"__{op}__", forbidden)
                 got = [smap.project_point(g, p) for p in probes]
             for p, q in zip(probes, got):
-                assert q == project_point_by_fractions(g, smap, p), (g.edges, x, p)
+                assert q == project_point_by_fractions(g, paths, x, p), (g.edges, x, p)
     assert flipped > 0  # last segments run from a new vertex down to v
 
 
@@ -219,7 +222,7 @@ def test_map_cover_from_subdivision_examples():
     assert smap2.project_cover(k2, mid).points == {Point.on_edge(0, 1, F(1, 2))}
 
     g3, smap = subdivide(k2, 3)
-    inner = Point.on_edge(smap.paths[0][1], smap.paths[0][2], F(1, 2))
+    inner = Point.on_edge(2, 3, F(1, 2))  # the middle segment of the path 0, 2, 3, 1
     got = smap.project_cover(k2, Cover.of([inner], F(1)))
     assert got.points == {Point.on_edge(0, 1, F(1, 2))}
     assert got.delta == F(1, 3)

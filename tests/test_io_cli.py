@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from deltacover import Cover, Point, build_graph
+from deltacover import Cover, Point, build_graph, harmonic_number
 from deltacover.cli import main
 from deltacover.io import (
     FileFormatError,
@@ -138,6 +138,20 @@ def test_cli_tree_and_approx(tmp_path, capsys):
     data = json.loads(report.read_text())
     assert data["regime"] == "exact"
     assert data["verified"] is True
+
+
+def test_cli_large_delta_report_on_a_large_universe(tmp_path):
+    # |U| = 10,400 on the 1,300-vertex cycle at 5/2: H(|U|) has more digits
+    # than int-to-str converts.  The claim is H(41), for the 41 elements of
+    # the largest candidate.
+    gpath = tmp_path / "c1300.graph"
+    write_graph_file(gpath, cycle(1300))
+    report = tmp_path / "r.json"
+    assert main(["approx", "--delta", "5/2", "--input", str(gpath),
+                 "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["regime"] == "large_delta"
+    assert F(data["claimed_factor"]) == harmonic_number(41)
 
 
 def test_cli_gen_and_metadata(tmp_path):

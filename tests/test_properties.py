@@ -9,7 +9,6 @@ from deltacover import (
     build_graph,
     build_set_cover,
     discretized_universe,
-    edge_coverage_intervals,
     gallai_edmonds,
     harmonic_number,
     is_delta_cover,
@@ -26,8 +25,8 @@ from oracles import (
     brute_max_matching,
     coverage_by_distance,
     gallai_edmonds_by_definition,
-    interval_edge_coverage,
     interval_verify,
+    normalize_neat_by_rescanning,
     tree_cover_by_fractions,
 )
 
@@ -134,9 +133,6 @@ def verify_cases(draw):
 def test_verifier_report_equals_interval_oracle(case):
     g, cover, delta = case
     assert is_delta_cover(g, cover, delta) == interval_verify(g, cover, delta)
-    for e in g.edges:
-        iset = edge_coverage_intervals(g, e, cover, delta)
-        assert iset.intervals == interval_edge_coverage(g, e, cover, delta)
 
 
 @given(graphs_with_points(3), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]))
@@ -191,7 +187,7 @@ def test_normalize_neat_preserves_covering(g, delta):
                              Point.on_edge(*g.edges[0], F(2, 3))},
         delta,
     )
-    out = normalize_neat(g, extra, delta)
+    out = normalize_neat(g, extra)
     assert len(out) <= len(extra)
     assert is_delta_cover(g, out, delta).is_cover
     for u, v in g.edges:
@@ -199,6 +195,20 @@ def test_normalize_neat_preserves_covering(g, delta):
         endpoints = [p for p in (Point.vertex(u), Point.vertex(v)) if p in out.points]
         if len(interior) + len(endpoints) >= 2:
             assert not interior
+
+
+@given(connected_graphs(max_n=7), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_normalize_neat_equals_the_rescanning_loop(g, delta, data):
+    inner = data.draw(st.lists(st.tuples(st.sampled_from(g.edges), st.integers(1, 5)),
+                               max_size=10))
+    points = {Point.on_edge(u, v, F(k, 6)) for (u, v), k in inner}
+    points |= {Point.vertex(w) for w in data.draw(st.sets(st.integers(0, g.n - 1)))}
+    if not is_delta_cover(g, Cover.of(points, delta)).is_cover:
+        points |= {Point.vertex(w) for w in range(g.n)}
+    cover = Cover.of(points, delta)
+    assert normalize_neat(g, cover).points == normalize_neat_by_rescanning(g, cover)
 
 
 @given(connected_graphs(max_n=5), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]))

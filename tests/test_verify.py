@@ -9,16 +9,18 @@ from deltacover import (
     Point,
     build_graph,
     discretized_universe,
-    edge_coverage_intervals,
     is_delta_cover,
     normalize_neat,
 )
-from deltacover.verify import GridPoints, grid_points, require_cover
-from conftest import cycle, k_n, path
+from deltacover.solver import GridPoints
+from deltacover.verify import require_cover
+from conftest import cycle, grid, k_n, path
 from oracles import (
     covered_by_sampling,
+    grid as oracle_grid,
     interval_edge_coverage,
     interval_verify,
+    normalize_neat_by_rescanning,
     sample_points,
 )
 
@@ -26,24 +28,23 @@ from oracles import (
 def test_intervals_midpoint_reaches_both_ends():
     g = build_graph([(0, 1)])
     s = Cover.of([Point.on_edge(0, 1, F(1, 2))], F(1, 2))
-    iset = edge_coverage_intervals(g, (0, 1), s, F(1, 2))
-    assert iset.intervals == ((F(0), F(1)),)
+    assert is_delta_cover(g, s).per_edge_gaps == ()
 
 
 def test_intervals_single_vertex():
     g = build_graph([(0, 1)])
     s = Cover.of([Point.vertex(0)], F(1, 3))
-    iset = edge_coverage_intervals(g, (0, 1), s, F(1, 3))
-    assert iset.intervals == ((F(0), F(1, 3)),)
+    report = is_delta_cover(g, s)
+    assert report.per_edge_gaps == (((0, 1), (F(1, 3), F(1))),)
+    assert report.witness == Point.on_edge(0, 1, F(2, 3))
 
 
 def test_intervals_far_vertex_touches_endpoints_only():
     g = k_n(3)
     s = Cover.of([Point.vertex(0)], F(1))
-    iset = edge_coverage_intervals(g, (1, 2), s, F(1))
-    assert iset.intervals == ((F(0), F(0)), (F(1), F(1)))
-    gaps = iset.gaps()
-    assert gaps == [(F(0), F(1))]
+    assert interval_edge_coverage(g, (1, 2), s, F(1)) == ((F(0), F(0)), (F(1), F(1)))
+    # Touching both ends leaves the whole open edge uncovered.
+    assert is_delta_cover(g, s).per_edge_gaps == (((1, 2), (F(0), F(1))),)
 
 
 def test_is_cover_triangle():
@@ -99,18 +100,15 @@ def test_verifier_never_reads_the_distance_table():
         g = build_graph(edges, n=n)
         report = is_delta_cover(g, cover)
         verdicts.append(report.is_cover)
-        intervals = {e: edge_coverage_intervals(g, e, cover, cover.delta) for e in g.edges}
         if report.is_cover:
-            require_cover(g, cover, cover.delta, "table-free")
+            require_cover(g, cover, "table-free")
         else:
             with pytest.raises(InvalidCoverError) as err:
-                require_cover(g, cover, cover.delta, "table-free")
+                require_cover(g, cover, "table-free")
             assert err.value.witness == report.witness
         # No hop row was computed on the graph's point_distance cache.
         assert g._hop_rows == {}
         assert report == interval_verify(g, cover, cover.delta)
-        for e, iset in intervals.items():
-            assert iset.intervals == interval_edge_coverage(g, e, cover, cover.delta)
     assert verdicts == [False, True, False, True]
 
 
@@ -129,7 +127,7 @@ def test_grid_points_decoder_matches_the_list():
         g = build_graph(rng.sample(pairs, rng.randint(3, 10)), n=9)
         for b in (1, 2, 3, 5):
             for step in (2 * b, 4 * b):
-                listed = grid_points(g, step)
+                listed = list(oracle_grid(g, step))
                 lazy = GridPoints(g, step)
                 assert len(lazy) == len(listed)
                 assert list(lazy) == listed
@@ -160,11 +158,11 @@ def test_sampling_agreement():
         (path(4), Cover.of([Point.on_edge(1, 2, F(3, 4))], F(2)), F(2)),
     ]
     for g, cover, delta in cases:
+        gaps = is_delta_cover(g, cover).per_edge_gaps
         for p in sample_points(g, 300, rng):
             by_sampling = covered_by_sampling(g, cover, delta, p)
-            iset = edge_coverage_intervals(g, p.edge(), cover, delta)
-            by_intervals = any(lo <= p.t <= hi for lo, hi in iset.intervals)
-            assert by_sampling == by_intervals
+            by_gaps = not any(e == p.edge() and lo < p.t < hi for e, (lo, hi) in gaps)
+            assert by_sampling == by_gaps
 
 
 def test_normalize_neat_two_interior_points():
@@ -199,3 +197,16 @@ def test_normalize_neat_rejects_non_cover():
     with pytest.raises(InvalidCoverError) as err:
         normalize_neat(g, s)
     assert err.value.witness is not None
+
+
+def test_normalize_neat_equals_the_rescanning_loop_on_a_large_grid():
+    # A midpoint on every edge of the 40x40 grid is neat: no edge carries
+    # two points.  Add one corner vertex, and the corner's edges swap first
+    # and the swap spreads to every edge.
+    g = grid(40, 40)
+    midpoints = Cover.of([Point.on_edge(u, v, F(1, 2)) for u, v in g.edges], F(1))
+    assert normalize_neat(g, midpoints).points == midpoints.points
+    s = Cover.of(set(midpoints.points) | {Point.vertex(0)}, F(1))
+    out = normalize_neat(g, s)
+    assert out.points == normalize_neat_by_rescanning(g, s)
+    assert out.points == {Point.vertex(w) for w in range(g.n)}
