@@ -231,12 +231,24 @@ def small_delta_interval(delta: Fraction) -> tuple[str, int]:
 
 
 def _small_even_part(g: Graph, delta: Fraction, k: int) -> _Part:
-    points = set(_vertices(g))
-    for u, v in g.edges:
-        for j in range(1, k + 1):
-            points.add(Point.on_edge(u, v, HALF + (2 * j - k - 1) * delta))
+    """All vertices, and the same k offsets 1/2 + (2j - k - 1)delta on every edge.
+
+    For delta in (1/(2k+2), 1/(2k+1)), (k - 1)delta < 1/2, so every offset
+    lies strictly inside (0, 1) and each point is built already normalized
+    on the canonical edge (u, v), u < v.
+    """
+    inner = []
+    for t in (HALF + (2 * j - k - 1) * delta for j in range(1, k + 1)):
+        if ZERO < t < ONE:
+            inner.append(t)
+        elif g.edges:
+            # Only a k out of range for delta gets here: offset 0 or 1 is a
+            # vertex, already in the cover, and any other offset raises
+            # InvalidPointError on the first edge.
+            Point.on_edge(*g.edges[0], t)
+    points = _vertices(g).union(Point(u, v, t) for u, v in g.edges for t in inner)
     factor = 1 + Fraction(1, k * g.average_degree() + 1) if g.m else ONE
-    return _Part(frozenset(points), factor, "small_even", param=k)
+    return _Part(points, factor, "small_even", param=k)
 
 
 def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:

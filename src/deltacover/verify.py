@@ -17,7 +17,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .graphs import Cover, Edge, Graph, Point, ZERO
+from .graphs import Cover, Edge, Graph, InvalidPointError, Point, ZERO
 
 Interval = tuple[Fraction, Fraction]
 
@@ -53,78 +53,6 @@ def _merge(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-class _Nearest:
-    """Integer-scaled distances from every vertex to its nearest cover point.
-
-    Lengths are multiplied by ``scale`` = lcm of the denominators of delta
-    and of every offset, so an edge is ``scale`` long, the radius is
-    ``reach = delta * scale`` and every quantity below is an integer.
-    ``dist[w]`` is the scaled distance from vertex ``w`` to the nearest
-    point of the cover, or None when that exceeds ``reach`` (such a vertex
-    brings no coverage into its edges).  ``on_edge`` lists the scaled
-    offsets of the interior cover points of each edge.
-    """
-
-    __slots__ = ("scale", "reach", "dist", "on_edge")
-
-    def __init__(self, g: Graph, s: Cover, delta: Fraction):
-        if delta <= ZERO:
-            raise ValueError(f"delta must be positive, got {delta}")
-        for q in s.points:
-            g.check_point(q)
-        scale = lcm(delta.denominator, *(q.t.denominator for q in s.points))
-        reach = delta.numerator * (scale // delta.denominator)
-        on_edge: dict[Edge, list[int]] = {}
-        heap: list[tuple[int, int]] = []
-        for q in s.points:
-            if q.is_vertex:
-                heap.append((0, q.u))
-                continue
-            a = q.t.numerator * (scale // q.t.denominator)
-            on_edge.setdefault((q.u, q.v), []).append(a)
-            heap.append((a, q.u))
-            heap.append((scale - a, q.v))
-        heapify(heap)
-        dist: list[int | None] = [None] * g.n
-        while heap:
-            d, w = heappop(heap)
-            if d > reach:
-                break
-            if dist[w] is not None:
-                continue
-            dist[w] = d
-            nd = d + scale
-            if nd <= reach:
-                for x in g.adj[w]:
-                    if dist[x] is None:
-                        heappush(heap, (nd, x))
-        self.scale = scale
-        self.reach = reach
-        self.dist = dist
-        self.on_edge = on_edge
-
-    def edge_pieces(self, u: int, v: int) -> list[tuple[int, int]] | None:
-        """Covered part of edge (u, v), u < v, as merged scaled intervals.
-
-        Returns None when the whole edge is covered; when the reach through
-        the endpoints alone spans it, nothing is sorted.
-        """
-        scale, reach = self.scale, self.reach
-        du, dv = self.dist[u], self.dist[v]
-        ru = -1 if du is None else reach - du
-        rv = -1 if dv is None else reach - dv
-        if ru + rv >= scale:
-            return None
-        pieces = [(max(a - reach, 0), min(a + reach, scale))
-                  for a in self.on_edge.get((u, v), ())]
-        if ru >= 0:
-            pieces.append((0, min(ru, scale)))
-        if rv >= 0:
-            pieces.append((max(scale - rv, 0), scale))
-        merged = _merge(pieces)
-        return None if merged == [(0, scale)] else merged
-
-
 def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyReport:
     """Decide exactly whether ``s`` covers every point of the graph at ``s.delta``.
 
@@ -133,12 +61,12 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     stretches (lo, hi) of each edge in canonical edge order, then
     ((w, w), (0, 0)) for each uncovered isolated vertex w.  The witness,
     when coverage fails, is the midpoint of the first gap (deterministic
-    output).
+    output).  A point on no edge of g, or a vertex outside [0, n), raises
+    InvalidPointError as ``Graph.check_point`` does.
 
     Method: one multi-source Dijkstra from the cover points gives, for each
-    vertex w, the distance D(w) to the nearest cover point (see
-    ``_Nearest``).  Write x in [0, 1] for the point at offset x on edge
-    uv.  Then x is covered iff
+    vertex w, the distance D(w) to the nearest cover point.  Write x in
+    [0, 1] for the point at offset x on edge uv.  Then x is covered iff
 
         x <= delta - D(u),  or  1 - x <= delta - D(v),  or
         |x - a| <= delta for the offset a of a cover point inside uv.
@@ -161,29 +89,105 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     vertex w is reached only by a point at w, so it is covered iff
     D(w) <= delta.
 
-    Cost: O((n + m) log n + |S| log |S|) integer operations; no hop
-    distance between vertices is computed, and a Fraction is built only
-    for a reported gap and the witness.
+    All lengths are multiplied by ``scale``, the lcm of the denominators
+    of delta and of every offset, so an edge is ``scale`` long, the radius
+    is ``reach`` and every quantity is an integer.  An endpoint's reach is
+    ``reach - D``, or -1 when D exceeds the radius.  An edge with exactly
+    one interior point, at a, is covered when ``ru >= a - reach`` and
+    ``a + reach >= scale - rv``: its three pieces then touch or overlap
+    in turn.  That test is sufficient, not necessary; an edge it does not
+    settle has its pieces sorted and merged.
+
+    Cost: one pass over the points, then O((n + m) log n + |S| log |S|)
+    integer operations; no hop distance between vertices is computed, and
+    a Fraction is built only for a reported gap and the witness.
     """
-    near = _Nearest(g, s, s.delta if delta is None else delta)
-    scale = near.scale
+    if delta is None:
+        delta = s.delta
+    if delta <= ZERO:
+        raise ValueError(f"delta must be positive, got {delta}")
+    n, adj, edge_index = g.n, g.adj, g.edge_index
+    scale = delta.denominator
+    dist: list[int | None] = [None] * n
+    sources: list[int] = []
+    interior: list[tuple[Edge, int, int]] = []
+    for q in s.points:
+        u, v = q.u, q.v
+        if u == v:
+            if not 0 <= u < n:
+                raise InvalidPointError(f"vertex {u} outside [0, {n})")
+            dist[u] = 0
+            sources.append(u)
+        elif (u, v) not in edge_index:
+            raise InvalidPointError(f"edge ({u}, {v}) not in graph")
+        else:
+            t = q.t
+            den = t.denominator
+            interior.append(((u, v), t.numerator, den))
+            if scale % den:
+                scale = lcm(scale, den)
+    reach = delta.numerator * (scale // delta.denominator)
+    on_edge: dict[Edge, list[int]] = {}
+    heap: list[tuple[int, int]] = []
+    for e, num, den in interior:
+        a = num * (scale // den)
+        at = on_edge.get(e)
+        if at is None:
+            on_edge[e] = [a]
+        else:
+            at.append(a)
+        u, v = e
+        if a <= reach and dist[u] is None:
+            heap.append((a, u))
+        if scale - a <= reach and dist[v] is None:
+            heap.append((scale - a, v))
+    # Vertex points are settled at 0; their neighbours start one edge away.
+    if scale <= reach:
+        for w in sources:
+            for x in adj[w]:
+                if dist[x] is None:
+                    heap.append((scale, x))
+    heapify(heap)
+    while heap:
+        d, w = heappop(heap)
+        if dist[w] is not None:
+            continue
+        dist[w] = d
+        nd = d + scale
+        if nd <= reach:
+            for x in adj[w]:
+                if dist[x] is None:
+                    heappush(heap, (nd, x))
     witness: Point | None = None
     gaps: list[tuple[Edge, Interval]] = []
     for e in g.edges:
-        pieces = near.edge_pieces(*e)
-        if pieces is None:
+        u, v = e
+        du, dv = dist[u], dist[v]
+        ru = -1 if du is None else reach - du
+        rv = -1 if dv is None else reach - dv
+        if ru + rv >= scale:
             continue
+        at = on_edge.get(e, ())
+        if len(at) == 1:
+            a = at[0]
+            if ru >= a - reach and a + reach >= scale - rv:
+                continue
+        pieces = [(max(a - reach, 0), min(a + reach, scale)) for a in at]
+        if ru >= 0:
+            pieces.append((0, min(ru, scale)))
+        if rv >= 0:
+            pieces.append((max(scale - rv, 0), scale))
         ends = [0]
-        for piece in pieces:
+        for piece in _merge(pieces):
             ends.extend(piece)
         ends.append(scale)
         for lo, hi in zip(ends[::2], ends[1::2]):
             if lo < hi:
                 gaps.append((e, (Fraction(lo, scale), Fraction(hi, scale))))
                 if witness is None:
-                    witness = Point.on_edge(e[0], e[1], Fraction(lo + hi, 2 * scale))
-    for w in range(g.n):
-        if g.degree(w) == 0 and near.dist[w] is None:
+                    witness = Point.on_edge(u, v, Fraction(lo + hi, 2 * scale))
+    for w in range(n):
+        if not adj[w] and dist[w] is None:
             gaps.append(((w, w), (ZERO, ZERO)))
             if witness is None:
                 witness = Point.vertex(w)

@@ -8,9 +8,9 @@ per edge by the reach of every cover point separately, set-cover masks by
 one distance per candidate and universe point, leaf levels and forests
 by BFS, the vertex paths of a subdivision by walking it.  Others keep a
 library routine as it was before it moved to integer arithmetic (tree
-climb, point distance, subdivision pull-back) or before it grouped points
-by edge (neat normalization), and the root core of set cover by its subset
-definition.
+climb, point distance, subdivision pull-back, small-delta even points)
+or before it grouped points by edge (neat normalization), and the root
+core of set cover by its subset definition.
 """
 
 from __future__ import annotations
@@ -484,3 +484,17 @@ def core_by_subsets(masks: list[int], size: int) -> list[tuple[int, list[int]]]:
     cands = [frozenset(i for i, m in enumerate(masks) if m >> e & 1) for e in range(size)]
     return [(e, sorted(ce)) for e, ce in enumerate(cands)
             if not any(cf < ce or (cf == ce and f < e) for f, cf in enumerate(cands))]
+
+
+def small_even_points_by_fractions(g: Graph, delta: Fraction, k: int) -> frozenset[Point]:
+    """The points of the small-delta even route, one ``Point.on_edge`` each.
+
+    The library's loop before it built the k offsets once per call: every
+    vertex, and on every edge (u, v) the points at 1/2 + (2j - k - 1)delta
+    from u for j = 1..k, each offset computed and normalized per edge.
+    """
+    points = {Point.vertex(w) for w in range(g.n)}
+    for u, v in g.edges:
+        for j in range(1, k + 1):
+            points.add(Point.on_edge(u, v, Fraction(1, 2) + (2 * j - k - 1) * delta))
+    return frozenset(points)

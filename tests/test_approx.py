@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from deltacover import (
     Budget,
     Cover,
     InternalConsistencyError,
+    InvalidPointError,
     Point,
     approx_cover,
     build_graph,
@@ -28,7 +30,7 @@ from deltacover import (
 from deltacover.approx import small_delta_interval
 from deltacover.families import gen_triangles_center, gen_triangles_paths, gen_ugc_gadget
 from conftest import cycle, grid, k_n, path, star
-from oracles import leaf_levels_by_distance
+from oracles import leaf_levels_by_distance, small_even_points_by_fractions
 
 
 def test_vertex_set_interval_values():
@@ -427,3 +429,46 @@ def test_component_union():
     assert is_delta_cover(two, rep.cover, F(2, 3)).is_cover
     rep2 = approx_cover(two, F(2, 5))
     assert is_delta_cover(two, rep2.cover, F(2, 5)).is_cover
+
+
+def _seeded_connected_graph(rng: random.Random, n: int, extra: int):
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    # Non-tree pairs only, so the graph has ``extra`` independent cycles.
+    edges.update(rng.sample([e for e in combinations(range(n), 2) if e not in edges], extra))
+    return build_graph(sorted(edges), n=n)
+
+
+def test_small_even_points_equal_the_per_edge_construction():
+    # Radii just above 1/(2k+2) and just below 1/(2k+1), the two ends of the
+    # even interval of k, on seeded cyclic graphs: the route's points, and
+    # approx_cover's, equal those built by Point.on_edge per edge.
+    rng = random.Random(12)
+    graphs = [cycle(5), k_n(4), grid(3, 3)]
+    graphs += [_seeded_connected_graph(rng, rng.randrange(4, 10), 3) for _ in range(6)]
+    for k in range(1, 5):
+        for delta in (F(1, 2 * k + 2) + F(1, 1000), F(1, 2 * k + 1) - F(1, 1000)):
+            assert small_delta_interval(delta) == ("even", k)
+            for g in graphs:
+                want = small_even_points_by_fractions(g, delta, k)
+                assert cover_small_delta_even(g, k, delta).cover.points == want
+                rep = approx_cover(g, delta)
+                assert (rep.regime, rep.param) == ("small_even", k)
+                assert rep.cover.points == want
+
+
+def test_small_even_with_k_out_of_range_keeps_the_per_edge_points():
+    g = _seeded_connected_graph(random.Random(3), 7, 4)
+    # k = 2 at 1/2 puts its offsets at 0 and 1: the vertices, and nothing else.
+    assert (cover_small_delta_even(g, 2, F(1, 2)).cover.points
+            == small_even_points_by_fractions(g, F(1, 2), 2)
+            == frozenset(Point.vertex(w) for w in range(g.n)))
+    # k = 3 at 1/4: offsets 0, 1/2 and 1, so vertices plus midpoints.
+    got = cover_small_delta_even(g, 3, F(1, 4)).cover.points
+    assert got == small_even_points_by_fractions(g, F(1, 4), 3)
+    assert len(got) == g.n + g.m
+    # k = 3 at 1/3 puts an offset at -1/6: the same InvalidPointError.
+    with pytest.raises(InvalidPointError) as want:
+        small_even_points_by_fractions(g, F(1, 3), 3)
+    with pytest.raises(InvalidPointError) as err:
+        cover_small_delta_even(g, 3, F(1, 3))
+    assert str(err.value) == str(want.value)

@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deltacover import (
     Budget,
@@ -133,6 +133,52 @@ def verify_cases(draw):
 def test_verifier_report_equals_interval_oracle(case):
     g, cover, delta = case
     assert is_delta_cover(g, cover, delta) == interval_verify(g, cover, delta)
+
+
+@st.composite
+def one_point_edges(draw):
+    """A path s_u - u - v - s_v at radius reach/scale, in scaled integers.
+
+    Edge uv carries one interior point at a from u.  Each endpoint x is
+    either in reach, at distance D from a point at x (D = 0) or on the edge
+    x s_x, with D + (the point's distance to x) - 2 reach in {-1, 0, 1}, so
+    the two balls miss by one, touch or overlap by one; or out of reach,
+    with every point farther than reach from x and the edge's own ball
+    ending one or two short of x.  Vertex ids are shuffled, so u may be
+    the greater endpoint.
+    """
+    reach = draw(st.integers(1, 6))
+    sides = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            # At dist = reach, c = -1 would put the edge's own point nearer.
+            c = draw(st.sampled_from([-1, 0, 1]))
+            dist = draw(st.integers(0, reach - (c < 0)))
+            sides.append((dist, 2 * reach - dist + c))
+        else:
+            sides.append((None, reach + draw(st.sampled_from([1, 2]))))
+    (du, a), (dv, b) = sides
+    scale = a + b
+    assume(a > 0 and b > 0)
+    u, v, su, sv = draw(st.permutations(range(4)))
+    points = [Point.on_edge(u, v, F(a, scale))]
+    for x, s, dist in ((u, su, du), (v, sv, dv)):
+        if dist == 0:
+            points.append(Point.vertex(x))
+        elif dist is not None:
+            assume(dist < scale)
+            points.append(Point.on_edge(x, s, F(dist, scale)))
+        elif reach + 1 < scale:
+            points.append(Point.on_edge(x, s, F(draw(st.integers(reach + 1, scale - 1)), scale)))
+    g = build_graph([(su, u), (u, v), (v, sv)], n=4)
+    return g, Cover.of(points, F(reach, scale))
+
+
+@given(one_point_edges())
+@settings(max_examples=400, deadline=None)
+def test_one_point_edges_report_equals_interval_oracle(case):
+    g, cover = case
+    assert is_delta_cover(g, cover) == interval_verify(g, cover, cover.delta)
 
 
 @given(graphs_with_points(3), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]))

@@ -6,11 +6,13 @@ import pytest
 from deltacover import (
     Cover,
     InvalidCoverError,
+    InvalidPointError,
     Point,
     build_graph,
     discretized_universe,
     is_delta_cover,
     normalize_neat,
+    verify,
 )
 from deltacover.solver import GridPoints
 from deltacover.verify import require_cover
@@ -210,3 +212,28 @@ def test_normalize_neat_equals_the_rescanning_loop_on_a_large_grid():
     out = normalize_neat(g, s)
     assert out.points == normalize_neat_by_rescanning(g, s)
     assert out.points == {Point.vertex(w) for w in range(g.n)}
+
+
+def test_invalid_points_raise_the_check_point_messages():
+    g = path(2)
+    for bad in (Point.vertex(3), Point.vertex(-1), Point(0, 2, F(1, 2))):
+        with pytest.raises(InvalidPointError) as want:
+            g.check_point(bad)
+        with pytest.raises(InvalidPointError) as err:
+            is_delta_cover(g, Cover.of([Point.vertex(1), bad], F(1)))
+        assert str(err.value) == str(want.value)
+    assert str(want.value) == "edge (0, 2) not in graph"
+
+
+def test_one_point_edges_whose_pieces_touch_are_settled_without_merging(monkeypatch):
+    # Vertices plus midpoints at 1/4: on every edge the pieces [0, 1/4],
+    # [1/4, 3/4] and [3/4, 1] touch, and the one-point test settles it.
+    g = cycle(5)
+    points = [Point.vertex(w) for w in range(g.n)] + [Point.on_edge(u, v, F(1, 2))
+                                                      for u, v in g.edges]
+
+    def no_merge(pieces):
+        raise AssertionError(f"merged {pieces}")
+
+    monkeypatch.setattr(verify, "_merge", no_merge)
+    assert is_delta_cover(g, Cover.of(points, F(1, 4))).is_cover
