@@ -399,13 +399,12 @@ def vc_2approx(g: Graph) -> frozenset[int]:
 
 
 def _cover_tree_component(g: Graph, root: int, order: list[int], parent: list[int],
-                          p: int, q: int, offsets: dict[int, Fraction]) -> set[Point]:
+                          p: int, q: int) -> set[Point]:
     """Bottom-up greedy placement on one rooted tree component.
 
     Lengths are scaled by q, the denominator of delta = p/q: an edge is q
     long and the radius is p, so every position, need and reach is an
-    integer.  A placed point's offset pos/q is looked up in ``offsets``,
-    which builds each Fraction the first time it is needed.  State per
+    integer, and a Fraction is built only for a placed point.  State per
     processed vertex: ``need`` = distance to the farthest point below it
     still uncovered (None if everything is), ``reach`` = leftover covering
     radius extending upward from placed points (None if none reaches).
@@ -430,11 +429,10 @@ def _cover_tree_component(g: Graph, root: int, order: list[int], parent: list[in
                 if trigger == remaining:
                     return p, None  # defer: need hits delta exactly at the vertex
                 pos += trigger
-                i = pos if child < top else q - pos
-                t = offsets.get(i)
-                if t is None:
-                    t = offsets[i] = Fraction(i, q)
-                placed.add(Point(child, top, t) if child < top else Point(top, child, t))
+                if child < top:
+                    placed.add(Point(child, top, Fraction(pos, q)))
+                else:
+                    placed.add(Point(top, child, Fraction(q - pos, q)))
                 need, reach = None, p
                 continue
             if need is not None:
@@ -478,7 +476,6 @@ def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
     also gives the climb its order and parents.
     """
     p, q = delta.numerator, delta.denominator
-    offsets: dict[int, Fraction] = {}
     points: set[Point] = set()
     parent = [-1] * g.n
     seen = [False] * g.n
@@ -496,7 +493,7 @@ def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
         if len(order) == 1:
             points.add(Point.vertex(root))
             continue
-        points |= _cover_tree_component(g, root, order, parent, p, q, offsets)
+        points |= _cover_tree_component(g, root, order, parent, p, q)
     return points
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .graphs import Cover, Edge, Graph, InvalidPointError, Point, ZERO
+from .graphs import Cover, Edge, Graph, Point, ZERO
 
 Interval = tuple[Fraction, Fraction]
 
@@ -62,7 +62,7 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     ((w, w), (0, 0)) for each uncovered isolated vertex w.  The witness,
     when coverage fails, is the midpoint of the first gap (deterministic
     output).  A point on no edge of g, or a vertex outside [0, n), raises
-    InvalidPointError as ``Graph.check_point`` does.
+    InvalidPointError from ``Graph.check_point``.
 
     Method: one multi-source Dijkstra from the cover points gives, for each
     vertex w, the distance D(w) to the nearest cover point.  Write x in
@@ -98,56 +98,37 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     in turn.  That test is sufficient, not necessary; an edge it does not
     settle has its pieces sorted and merged.
 
-    Cost: one pass over the points, then O((n + m) log n + |S| log |S|)
-    integer operations; no hop distance between vertices is computed, and
-    a Fraction is built only for a reported gap and the witness.
+    Cost: two passes over the points (check each and find ``scale``, then
+    seed the search: a vertex point at 0, an interior point's endpoints
+    when within the radius), then O((n + m) log n + |S| log |S|) integer
+    operations; no hop distance between vertices is computed, and a
+    Fraction is built only for a reported gap and the witness.
     """
     if delta is None:
         delta = s.delta
     if delta <= ZERO:
         raise ValueError(f"delta must be positive, got {delta}")
-    n, adj, edge_index = g.n, g.adj, g.edge_index
+    n, adj = g.n, g.adj
     scale = delta.denominator
-    dist: list[int | None] = [None] * n
-    sources: list[int] = []
-    interior: list[tuple[Edge, int, int]] = []
     for q in s.points:
-        u, v = q.u, q.v
-        if u == v:
-            if not 0 <= u < n:
-                raise InvalidPointError(f"vertex {u} outside [0, {n})")
-            dist[u] = 0
-            sources.append(u)
-        elif (u, v) not in edge_index:
-            raise InvalidPointError(f"edge ({u}, {v}) not in graph")
-        else:
-            t = q.t
-            den = t.denominator
-            interior.append(((u, v), t.numerator, den))
-            if scale % den:
-                scale = lcm(scale, den)
+        g.check_point(q)
+        scale = lcm(scale, q.t.denominator)
     reach = delta.numerator * (scale // delta.denominator)
     on_edge: dict[Edge, list[int]] = {}
     heap: list[tuple[int, int]] = []
-    for e, num, den in interior:
-        a = num * (scale // den)
-        at = on_edge.get(e)
-        if at is None:
-            on_edge[e] = [a]
-        else:
-            at.append(a)
-        u, v = e
-        if a <= reach and dist[u] is None:
+    for q in s.points:
+        u, v = q.u, q.v
+        if u == v:
+            heap.append((0, u))
+            continue
+        a = q.t.numerator * (scale // q.t.denominator)
+        on_edge.setdefault((u, v), []).append(a)
+        if a <= reach:
             heap.append((a, u))
-        if scale - a <= reach and dist[v] is None:
+        if scale - a <= reach:
             heap.append((scale - a, v))
-    # Vertex points are settled at 0; their neighbours start one edge away.
-    if scale <= reach:
-        for w in sources:
-            for x in adj[w]:
-                if dist[x] is None:
-                    heap.append((scale, x))
     heapify(heap)
+    dist: list[int | None] = [None] * n
     while heap:
         d, w = heappop(heap)
         if dist[w] is not None:
