@@ -270,8 +270,8 @@ def _core_elements(masks: Sequence[int], elem_cands: Sequence[int]) -> list[tupl
     return core
 
 
-def _greedy_indices(masks: Sequence[int], full: int, start: int = 0) -> list[int]:
-    covered = start
+def _greedy_indices(masks: Sequence[int], full: int) -> list[int]:
+    covered = 0
     chosen: list[int] = []
     while covered != full:
         best, best_gain = -1, 0
@@ -293,10 +293,18 @@ class _BudgetExhausted(Exception):
 def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum-cardinality candidate subset covering the universe.
 
-    Branch and bound over the candidates of one uncovered element, greedy
-    incumbent, independent element groups solved apart, deterministic ties
-    by index.  Exceeding the budget returns the incumbent with
-    ``optimal=False``.
+    Branch and bound over the candidates of one uncovered element,
+    independent element groups solved apart, deterministic ties by index.
+    Exceeding the budget returns the incumbent with ``optimal=False``.
+
+    The starting incumbent is a rarest-first greedy over the root's
+    undominated candidates: the uncovered element with the fewest of them
+    is covered by the one that covers the most uncovered elements.  Its
+    redundant picks are dropped, and then a pair of picks gives way to one
+    candidate that covers everything only the pair covers, until no pair
+    does.  Plain greedy, which takes the candidate covering the most first,
+    starts further from the optimum, and the search then spends most of its
+    nodes finding the optimum rather than proving it.
 
     The root reduction keeps a core of elements, takes the forced
     candidates and drops dominated ones; what is left is the root's
@@ -438,8 +446,66 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
                 kept.remove(c)
         return kept
 
-    greedy = _greedy_indices(masks, full, start=covered0)
-    best_chosen = sorted(forced + drop_redundant(greedy))
+    def rarest_first() -> list[int]:
+        """Cover the uncovered element with the fewest root candidates by the
+        one of them covering the most uncovered elements, until all are;
+        ties go to the lower index on both counts."""
+        covered = covered0
+        chosen: list[int] = []
+        for e in sorted(range(nu), key=lambda e: cand_by_elem[e].bit_count()):
+            if covered >> e & 1:
+                continue
+            best, best_gain = -1, 0
+            cm = cand_by_elem[e]
+            while cm:
+                low = cm & -cm
+                c = low.bit_length() - 1
+                gain = (masks[c] & ~covered).bit_count()
+                if gain > best_gain:
+                    best, best_gain = c, gain
+                cm ^= low
+            chosen.append(best)
+            covered |= masks[best]
+        return chosen
+
+    def swap_pair(picks: list[int]) -> list[int] | None:
+        """``picks`` with its first swappable pair replaced, or None.
+
+        Pairs are scanned in list order.  ``need``, what only the pair
+        covers, is read off bit-sliced counts of the picks' masks, and is
+        never empty, since no pick is redundant.  The pair gives way to the
+        first candidate of need's lowest element, from the highest index
+        down, that covers all of need.
+        """
+        once, twice, more = 0, 0, 0
+        for c in picks:
+            m = masks[c] & ~covered0
+            more |= twice & m
+            twice |= once & m
+            once |= m
+        twice &= ~more
+        once &= ~(twice | more)
+        for i, a in enumerate(picks):
+            for j in range(i + 1, len(picks)):
+                b = picks[j]
+                need = ((masks[a] | masks[b]) & once) | (masks[a] & masks[b] & twice)
+                e = (need & -need).bit_length() - 1
+                # A candidate covering e covers nothing outside union_reach[e].
+                if need & ~union_reach[e]:
+                    continue
+                cm = cand_by_elem[e]
+                while cm:
+                    c = cm.bit_length() - 1
+                    if masks[c] & need == need:
+                        return drop_redundant(picks[:i] + [c] + picks[i + 1:j] + picks[j + 1:])
+                    cm ^= 1 << c
+        return None
+
+    # The incumbent: rarest-first greedy, then 2-for-1 swaps until none is left.
+    incumbent = drop_redundant(rarest_first())
+    while (swapped := swap_pair(incumbent)) is not None:
+        incumbent = swapped
+    best_chosen = sorted(forced + incumbent)
     best_size = len(best_chosen)
     nodes = 0
     deadline = t0 + budget.max_seconds

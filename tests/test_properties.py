@@ -21,8 +21,10 @@ from deltacover import (
     subdivide,
 )
 from deltacover.matching import _nu, _tree_points
+from deltacover.solver import SetCoverInstance
 from oracles import (
     brute_max_matching,
+    brute_set_cover_size,
     coverage_by_distance,
     gallai_edmonds_by_definition,
     interval_verify,
@@ -255,6 +257,38 @@ def test_normalize_neat_equals_the_rescanning_loop(g, delta, data):
         points |= {Point.vertex(w) for w in range(g.n)}
     cover = Cover.of(points, delta)
     assert normalize_neat(g, cover).points == normalize_neat_by_rescanning(g, cover)
+
+
+@st.composite
+def set_systems(draw, max_elems=10, max_cands=12):
+    """Masks over 1..max_elems elements, at most max_cands of them, covering all."""
+    n = draw(st.integers(1, max_elems))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(1, full), min_size=1, max_size=max_cands))
+    missed = full
+    for m in masks:
+        missed &= ~m
+    if missed:
+        i = draw(st.integers(0, len(masks) - 1))
+        masks[i] |= missed
+    return n, masks
+
+
+@given(set_systems())
+@settings(max_examples=300, deadline=None)
+def test_exact_set_cover_is_optimal_and_its_incumbent_covers(case):
+    n, masks = case
+    points = tuple(Point.vertex(i) for i in range(max(n, len(masks))))
+    inst = SetCoverInstance(F(1), points[:n], points[:len(masks)], tuple(masks))
+    full = (1 << n) - 1
+    for budget, optimal in ((Budget(max_nodes=0, max_seconds=1e9), False), (Budget(), True)):
+        res = solve_exact(inst, budget)
+        covered = 0
+        for p in res.cover.points:
+            covered |= masks[p.u]
+        assert covered == full
+        assert res.optimal == optimal
+    assert res.size == brute_set_cover_size(masks, full, len(masks) + 1)
 
 
 @given(connected_graphs(max_n=5), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]))

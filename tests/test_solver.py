@@ -145,17 +145,63 @@ def test_one_candidate_leaf_proves_atlas52_within_100_nodes(atlas_suite):
     assert res.optimal and res.size == 3
 
 
+def _vertex_instance(sets: list[set[int]], n_elems: int) -> SetCoverInstance:
+    """Set cover with vertex points standing in for elements and candidates."""
+    points = tuple(Point.vertex(i) for i in range(max(n_elems, len(sets))))
+    masks = tuple(sum(1 << e for e in s) for s in sets)
+    return SetCoverInstance(F(1), points[:n_elems], points[:len(sets)], masks)
+
+
+def _indices(result) -> set[int]:
+    return {p.u for p in result.cover.points}
+
+
+# With no node to spend, solve_exact returns its starting incumbent.
+INCUMBENT_ONLY = Budget(max_nodes=0, max_seconds=1e9)
+
+
 def test_one_candidate_leaf_keeps_the_highest_index():
-    # Elements 0..5.  Greedy takes three candidates; the optimum is two,
-    # {1, 3} or {3, 4}.  Under candidate 3 the node with ub == 2 must cover
-    # {1, 5}, which candidates 1 and 4 both do.  The branch loop keeps the
-    # last equal cover it finds, so the leaf returns the highest index.
-    sets = [{0, 2, 3, 5}, {1, 2, 3, 5}, {3, 4}, {0, 2, 3, 4}, {0, 1, 3, 5}, {1, 2, 3}]
-    points = tuple(Point.vertex(i) for i in range(6))
-    inst = SetCoverInstance(F(1), points, points, tuple(sum(1 << e for e in s) for s in sets))
+    # Elements 0..7.  The incumbent is three candidates, {2, 3, 4}; the
+    # optimum is two, {6, 7} or {6, 8}.  Under candidate 6 the node with
+    # ub == 2 must cover {2, 5, 6, 7}, which candidates 7 and 8 both do.
+    # The branch loop keeps the last equal cover it finds, so the leaf
+    # returns the highest index.
+    sets = [{1, 3, 7}, {4, 5}, {0, 1, 5, 6, 7}, {1, 2, 3, 5}, {3, 4, 5, 7}, {2, 5, 6},
+            {0, 1, 3, 4}, {0, 2, 5, 6, 7}, {1, 2, 4, 5, 6, 7}]
+    inst = _vertex_instance(sets, 8)
+    assert _indices(solve_exact(inst, INCUMBENT_ONLY)) == {2, 3, 4}
     res = solve_exact(inst)
     assert res.optimal
-    assert res.cover.points == {Point.vertex(3), Point.vertex(4)}
+    assert res.cover.points == {Point.vertex(6), Point.vertex(8)}
+
+
+def test_rarest_first_incumbent_beats_plain_greedy():
+    # Plain greedy takes 0 (four elements), then 1 and 2.  Element 5 is the
+    # rarest: {4, 5} is dominated by {0, 3, 4, 5}, so 3 is its one
+    # undominated candidate.  Element 1 comes next, and of its candidates
+    # 0 and 4, candidate 4 also covers element 2.
+    inst = _vertex_instance([{0, 1, 3, 4}, {0, 2, 3, 4}, {4, 5}, {0, 3, 4, 5}, {1, 2}], 6)
+    assert _indices(solve_greedy(inst)) == {0, 1, 2}
+    start = solve_exact(inst, INCUMBENT_ONLY)
+    assert not start.optimal
+    assert _indices(start) == {3, 4}
+
+
+def test_exchange_swaps_two_picks_for_one():
+    # Rarest-first takes 0 for element 1 (0 and 1 tie at three elements),
+    # 2 for element 3 and 1 for element 4, and none of them is redundant.
+    # Only the pair (0, 2) covers elements 2 and 3, and candidate 4 covers
+    # both, so the pair gives way to it.
+    inst = _vertex_instance([{0, 1, 2}, {0, 1, 4}, {0, 3}, {1, 4}, {2, 3}, {0, 2, 4}], 5)
+    assert _indices(solve_exact(inst, INCUMBENT_ONLY)) == {1, 4}
+
+
+def test_rarest_first_incumbent_proves_atlas173_at_two_fifths(atlas_suite):
+    # Plain greedy started this search at 14 points, and 1,000 nodes left
+    # it there unproven.
+    g = dict(atlas_suite)["atlas173"]
+    res = min_cover_exact(g, F(2, 5), Budget(max_nodes=1000, max_seconds=1e9))
+    assert res.optimal and res.size == 10
 
 
 def test_greedy_basics():
