@@ -6,7 +6,6 @@ from .graphs import (
     GraphValidationError,
     InvalidPointError,
     Point,
-    build_graph,
     connected_components,
     induced_subgraph,
     is_forest,
@@ -26,8 +25,6 @@ from .solver import (
     SetCoverInstance,
     SolveResult,
     build_set_cover,
-    candidate_points,
-    discretized_universe,
     harmonic_number,
     min_cover_exact,
     solve_exact,

@@ -7,8 +7,8 @@ it.  Each report carries the factor actually claimed for the instance.
 
 Each regime has one core: it takes a connected graph and returns the
 unverified ``_Part`` of its route.  ``_per_component`` runs a core on every
-component and unions the parts; ``approx_cover`` verifies the union once,
-at the public boundary.
+component and unions the parts; ``approx_cover`` and the public routes
+verify their answer once, at the public boundary, through ``_verified``.
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ def _report(g: Graph, delta: Fraction, part: _Part) -> RatioReport:
                        g.average_degree(), part.param, part.epsilon)
 
 
+def _verified(g: Graph, report: RatioReport, what: str) -> RatioReport:
+    """``report`` once its cover has passed ``require_output`` on g."""
+    require_output(g, report.cover, what)
+    return report
+
+
 def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
     """Run ``core(sub, delta)`` on each connected component and union the parts.
 
@@ -106,26 +112,20 @@ def _vertices(g: Graph) -> frozenset[Point]:
 
 @dataclass(frozen=True)
 class LevelPartition:
-    """Leaf-distance layers: L0 = leaves, Li = vertices at distance i from one."""
+    """Leaves L0, their neighbours L1, the rest W, and the edges E01 (leaf
+    first) and E11 (inside L1) that the leaf-level cover reads."""
 
     L0: frozenset[int]
     L1: frozenset[int]
-    L2: frozenset[int]
     E01: tuple[tuple[int, int], ...]
     E11: tuple[tuple[int, int], ...]
-    E12: tuple[tuple[int, int], ...]
     W: frozenset[int]
 
 
 def level_partition(g: Graph) -> LevelPartition:
-    """Read the layers off adjacency alone.
-
-    A leaf u has one neighbour p, so the vertices at distance 1 from u are
-    {p} and those at distance 2 are N(p) - {u}.
-    """
+    """Read the layers off adjacency alone: a leaf's one neighbour is in L1."""
     L0 = frozenset(v for v in range(g.n) if g.degree(v) == 1)
     L1 = frozenset(g.adj[u][0] for u in L0)
-    L2 = frozenset(w for u in L0 for w in g.adj[g.adj[u][0]] if w != u)
     E01 = tuple(
         (a, b)
         for u, v in g.edges
@@ -133,14 +133,8 @@ def level_partition(g: Graph) -> LevelPartition:
         if a in L0 and b in L1
     )
     E11 = tuple((u, v) for u, v in g.edges if u in L1 and v in L1)
-    E12 = tuple(
-        (a, b)
-        for u, v in g.edges
-        for a, b in ((u, v), (v, u))
-        if a in L1 and b in L2
-    )
     W = frozenset(range(g.n)) - L0 - L1
-    return LevelPartition(L0, L1, L2, E01, E11, E12, W)
+    return LevelPartition(L0, L1, E01, E11, W)
 
 
 def vertex_set_interval(delta: Fraction) -> int:
@@ -165,11 +159,12 @@ def _one_cover_part(g: Graph, delta: Fraction) -> _Part:
 def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
     """For radii just above 1, an optimal 1-cover is a bounded-factor answer.
 
-    Unverified: a 1-cover is a delta-cover for every delta >= 1.
+    A 1-cover is a delta-cover for every delta >= 1; the cover is verified
+    once, on g.
     """
     if not ONE < delta < THREE_HALVES:
         raise ValueError(f"delta {delta} outside (1, 3/2)")
-    return _report(g, delta, _one_cover_part(g, delta))
+    return _verified(g, _report(g, delta, _one_cover_part(g, delta)), "1-cover route")
 
 
 def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> _Part:
@@ -187,10 +182,11 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
 
     Components with fewer than x edges are solved exactly instead (brute
     force is constant work there), trees go to the exact tree solver.  The
-    cover is unverified, and so are those sub-solves.
+    union is verified once, on g; the sub-solves are not verified apart.
     """
     x = vertex_set_interval(delta)
-    return _per_component(g, delta, lambda sub, d: _vertex_set_part(sub, d, x, budget))
+    report = _per_component(g, delta, lambda sub, d: _vertex_set_part(sub, d, x, budget))
+    return _verified(g, report, "vertex-set route")
 
 
 def _leaf_level_part(g: Graph, delta: Fraction) -> _Part:
@@ -205,13 +201,13 @@ def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
     """Leaf-edge points at 2/3, a vertex cover among leaf-neighbors, the rest.
 
     The output is a 2/3-cover of any graph whose components are not trees,
-    hence a delta-cover throughout [2/3, 3/4).  It is returned unverified.
+    hence a delta-cover throughout [2/3, 3/4).  It is verified once, on g.
     """
     if not TWO_THIRDS <= delta < THREE_QUARTERS:
         raise ValueError(f"delta {delta} outside [2/3, 3/4)")
     if is_forest(g):
         raise ValueError("leaf-level algorithm expects non-tree input")
-    return _report(g, delta, _leaf_level_part(g, delta))
+    return _verified(g, _report(g, delta, _leaf_level_part(g, delta)), "leaf-level route")
 
 
 def small_delta_interval(delta: Fraction) -> tuple[str, int]:
@@ -256,11 +252,12 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
 
     Valid whenever delta > 1/(2k+2); the guarantee 1 + 1/(k*avg_degree + 1)
     holds per connected component against non-tree components, which is
-    all the dispatcher sends.  The cover is returned unverified.
+    all the dispatcher sends.  The cover is verified once, on g.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _per_component(g, delta, lambda sub, d: _small_even_part(sub, d, k))
+    report = _per_component(g, delta, lambda sub, d: _small_even_part(sub, d, k))
+    return _verified(g, report, "small-delta even route")
 
 
 def _small_odd_part(g: Graph, delta: Fraction, k: int) -> _Part:
@@ -286,11 +283,11 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
     for delta < 1/(2k) needs at least k|E| points, which yields the factor
     min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  Two Edmonds searches:
     one on the (2k+1)-subdivision, and one on g that gives both cov1 and
-    eps.  The cover is returned unverified.
+    eps.  The cover is verified once, on g.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _report(g, delta, _small_odd_part(g, delta, k))
+    return _verified(g, _report(g, delta, _small_odd_part(g, delta, k)), "small-delta odd route")
 
 
 def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
@@ -369,5 +366,4 @@ def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> 
     if delta <= ZERO:
         raise ValueError(f"delta must be positive, got {delta}")
     report = _per_component(g, delta, lambda sub, d: _component_part(sub, d, budget))
-    require_output(g, report.cover, "approx cover")
-    return report
+    return _verified(g, report, "approx cover")

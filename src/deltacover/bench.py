@@ -104,7 +104,10 @@ def run_row(instance: str, family: str, g: Graph, delta: Fraction,
     t0 = time.monotonic()
     report = approx_cover(g, delta, budget)
     oracle = min_cover_exact(g, delta, budget)
-    ratio = Fraction(len(report.cover), oracle.size) if oracle.optimal else None
+    ratio = None
+    if oracle.optimal:
+        # Only the empty graph has an empty optimum, and both covers are empty.
+        ratio = Fraction(len(report.cover), oracle.size) if oracle.size else Fraction(1)
     return BenchRow(
         instance=instance,
         family=family,

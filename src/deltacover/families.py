@@ -146,27 +146,21 @@ def gen_ds_reduction(g: Graph, ell: int = 2, variant: str = "path") -> Graph:
         return wreath_k2(g)
     if ell < 2:
         raise ValueError(f"ell must be >= 2, got {ell}")
+    if variant == "path":
+        return gen_ugc_gadget(g, ell - 1, "path")
+    if variant != "path_triangle":
+        raise ValueError(f"unknown variant {variant!r}")
     edges = list(g.edges)
     nxt = g.n
-    if variant == "path":
-        for v in range(g.n):
-            prev = v
-            for _ in range(ell - 1):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-    elif variant == "path_triangle":
-        for v in range(g.n):
-            prev = v
-            for _ in range(ell - 2):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-            t1, t2 = nxt, nxt + 1
-            nxt += 2
-            edges += [(prev, t1), (prev, t2), (t1, t2)]
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    for v in range(g.n):
+        prev = v
+        for _ in range(ell - 2):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        t1, t2 = nxt, nxt + 1
+        nxt += 2
+        edges += [(prev, t1), (prev, t2), (t1, t2)]
     return Graph(edges, n=nxt)
 
 

@@ -131,9 +131,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
-
     def average_degree(self) -> Fraction:
         return Fraction(2 * self.m, self.n) if self.n else ZERO
 
@@ -190,11 +187,6 @@ def _hop_row(g: Graph, source: int) -> list[int | None]:
     return row
 
 
-def build_graph(edges: Iterable[Edge], n: int | None = None) -> Graph:
-    """Validate an edge list and build the canonical graph."""
-    return Graph(edges, n)
-
-
 @dataclass(frozen=True)
 class Cover:
     """A finite set of points proposed as a delta-cover."""
@@ -205,9 +197,6 @@ class Cover:
     @staticmethod
     def of(points: Iterable[Point], delta: Fraction | int) -> "Cover":
         return Cover(frozenset(points), Fraction(delta))
-
-    def sorted_points(self) -> list[Point]:
-        return sorted(self.points)
 
     def __len__(self) -> int:
         return len(self.points)

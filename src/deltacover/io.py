@@ -90,7 +90,7 @@ def write_graph_file(path: str | Path, g: Graph, comments: tuple[str, ...] = ())
 
 def cover_to_text(cover: Cover) -> str:
     lines = [f"c delta {format_rational(cover.delta)}"]
-    for p in cover.sorted_points():
+    for p in sorted(cover.points):
         if p.is_vertex:
             lines.append(f"v {p.u + 1}")
         else:

@@ -85,15 +85,17 @@ def _flip(mate: list[int], parent: list[int], x: int) -> None:
         x = nxt
 
 
-def _forest_search(adj: Sequence[Sequence[int]], mate: list[int]) -> list[int] | None:
+def _forest_search(adj: Sequence[Sequence[int]],
+                   mate: list[int]) -> tuple[list[int], list[int]] | None:
     """One alternating-forest search rooted at every exposed vertex.
 
     Grows all trees at once, breadth first, shrinking each blossom into its
     base.  An edge between even vertices of two trees closes an augmenting
     path: ``mate`` is augmented along it in place and None is returned.
     When no such edge exists the matching is maximum and the final labels
-    are returned: even vertices form D, odd vertices A and unreached
-    vertices C of the Gallai-Edmonds split.
+    and blossom bases are returned: even vertices form D, odd vertices A
+    and unreached vertices C of the Gallai-Edmonds split, and the even
+    vertices sharing a base form one component of G[D].
 
     ``parent[y]`` of an odd vertex y is the even vertex that reached it;
     shrinking a blossom also points the even vertices on its two sides
@@ -166,20 +168,20 @@ def _forest_search(adj: Sequence[Sequence[int]], mate: list[int]) -> list[int] |
                         if label[x] == _ODD:
                             label[x] = _EVEN
                             queue.append(x)
-    return label
+    return label, base
 
 
-def _edmonds(g: Graph) -> tuple[list[int], list[int]]:
-    """Mates of a maximum matching and the final forest labels.
+def _edmonds(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Mates of a maximum matching and the final forest's labels and bases.
 
     A greedy matching is augmented one path per search; the search that
     finds no augmenting path labels the Gallai-Edmonds split.
     """
     mate = _greedy_mates(g.adj)
     while True:
-        label = _forest_search(g.adj, mate)
-        if label is not None:
-            return mate, label
+        found = _forest_search(g.adj, mate)
+        if found is not None:
+            return mate, *found
 
 
 def _matching_of(mate: list[int]) -> Matching:
@@ -188,8 +190,7 @@ def _matching_of(mate: list[int]) -> Matching:
 
 def max_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching by the Edmonds blossom search."""
-    mate, _ = _edmonds(g)
-    return _matching_of(mate)
+    return _matching_of(_edmonds(g)[0])
 
 
 def _nu(g: Graph) -> int:
@@ -198,30 +199,25 @@ def _nu(g: Graph) -> int:
 
 
 def gallai_edmonds(g: Graph) -> GEDecomposition:
-    """Compute (D, A, C) from the labels of the final Edmonds forest.
+    """Compute (D, A, C) and the components of G[D] from the final Edmonds forest.
 
     With a maximum matching, the alternating forest rooted at every exposed
     vertex labels exactly the vertices some maximum matching misses as even
-    (D) and their other neighbours as odd (A).  The split is checked against
-    Tutte-Berge: 2 nu = n - c(D) + |A|.
+    (D) and their other neighbours as odd (A).  The components of G[D] are
+    the forest's blossoms: every even vertex has been scanned, and an edge
+    between even vertices of different bases would have closed a blossom
+    (same tree) or an augmenting path (two trees), while a blossom is
+    connected through its cycle, whose vertices are all even.  The split is
+    checked against Tutte-Berge: 2 nu = n - c(D) + |A|.
     """
-    mate, label = _edmonds(g)
+    mate, label, base = _edmonds(g)
     D = [v for v in range(g.n) if label[v] == _EVEN]
     A = frozenset(v for v in range(g.n) if label[v] == _ODD)
     C = frozenset(v for v in range(g.n) if label[v] == _FREE)
-    in_d = [x == _EVEN for x in label]
-    comps = []
-    for s in D:
-        if not in_d[s]:
-            continue
-        in_d[s] = False
-        comp = [s]
-        for u in comp:
-            for w in g.adj[u]:
-                if in_d[w]:
-                    in_d[w] = False
-                    comp.append(w)
-        comps.append(frozenset(comp))
+    by_base: dict[int, list[int]] = {}
+    for v in D:
+        by_base.setdefault(base[v], []).append(v)
+    comps = [frozenset(c) for c in by_base.values()]
     matching = _matching_of(mate)
     if 2 * matching.size != g.n - len(comps) + len(A):
         raise InternalConsistencyError(

@@ -103,26 +103,6 @@ class GridPoints(Sequence[Point]):
         return Point(u, v, Fraction(i - self.starts[k] + 1, self.step))
 
 
-def discretized_universe(g: Graph, b: int) -> list[Point]:
-    """The finite verification grid: every edge sampled at steps of 1/(4b).
-
-    Any cover whose points sit on the half-grid (steps of 1/(2b)) covers the
-    whole graph if and only if it covers these points, so they form the
-    universe of the finite set-cover formulation.
-    """
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    return list(GridPoints(g, 4 * b))
-
-
-def candidate_points(g: Graph, delta: Fraction) -> list[Point]:
-    """All half-grid points: offsets x/(2b) per edge, plus every vertex.
-
-    Some optimal cover uses only these, so they are the full candidate set.
-    """
-    return list(GridPoints(g, 2 * delta.denominator))
-
-
 def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
     """Universe = 1/(4b) grid, candidates = 1/(2b) grid, exact coverage masks.
 
@@ -268,22 +248,6 @@ def _core_elements(masks: Sequence[int], elem_cands: Sequence[int]) -> list[tupl
         core.append((e, ce))
     core.sort()
     return core
-
-
-def _greedy_indices(masks: Sequence[int], full: int) -> list[int]:
-    covered = 0
-    chosen: list[int] = []
-    while covered != full:
-        best, best_gain = -1, 0
-        for i, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
-        if best < 0:
-            raise InfeasibleInstanceError("greedy stuck: uncoverable element")
-        chosen.append(best)
-        covered |= masks[best]
-    return chosen
 
 
 class _BudgetExhausted(Exception):
@@ -641,7 +605,18 @@ def solve_greedy(inst: SetCoverInstance) -> SolveResult:
     """Classic greedy: repeatedly take the candidate covering the most."""
     t0 = time.monotonic()
     full = (1 << len(inst.universe)) - 1
-    chosen = _greedy_indices(inst.masks, full)
+    covered = 0
+    chosen: list[int] = []
+    while covered != full:
+        best, best_gain = -1, 0
+        for i, m in enumerate(inst.masks):
+            gain = (m & ~covered).bit_count()
+            if gain > best_gain:
+                best, best_gain = i, gain
+        if best < 0:
+            raise InfeasibleInstanceError("greedy stuck: uncoverable element")
+        chosen.append(best)
+        covered |= inst.masks[best]
     points = frozenset(inst.candidates[i] for i in chosen)
     return SolveResult(
         Cover(points, inst.delta), len(points), False, 0, time.monotonic() - t0

@@ -6,30 +6,30 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from deltacover import Budget, Graph, build_graph, min_cover_exact
+from deltacover import Budget, Graph, min_cover_exact
 from deltacover.solver import SolveResult
 
 
 def k_n(n: int) -> Graph:
-    return build_graph([(i, j) for i in range(n) for j in range(i + 1, n)], n=n)
+    return Graph([(i, j) for i in range(n) for j in range(i + 1, n)], n=n)
 
 
 def cycle(n: int) -> Graph:
-    return build_graph([(i, (i + 1) % n) for i in range(n)], n=n)
+    return Graph([(i, (i + 1) % n) for i in range(n)], n=n)
 
 
 def path(edges: int) -> Graph:
-    return build_graph([(i, i + 1) for i in range(edges)], n=edges + 1)
+    return Graph([(i, i + 1) for i in range(edges)], n=edges + 1)
 
 
 def star(leaves: int) -> Graph:
-    return build_graph([(0, i) for i in range(1, leaves + 1)], n=leaves + 1)
+    return Graph([(0, i) for i in range(1, leaves + 1)], n=leaves + 1)
 
 
 def grid(rows: int, cols: int) -> Graph:
     right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return build_graph(right + down, n=rows * cols)
+    return Graph(right + down, n=rows * cols)
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +39,7 @@ def atlas_suite() -> list[tuple[str, Graph]]:
     for i, g in enumerate(graph_atlas_g()):
         if 2 <= g.number_of_nodes() <= 6 and nx.is_connected(g):
             edges = sorted(tuple(sorted(e)) for e in g.edges())
-            out.append((f"atlas{i}", build_graph(edges, n=g.number_of_nodes())))
+            out.append((f"atlas{i}", Graph(edges, n=g.number_of_nodes())))
     assert len(out) == 142
     return out
 
@@ -51,7 +51,7 @@ def small_trees() -> list[tuple[str, Graph]]:
     for n in range(2, 9):
         for i, t in enumerate(nx.nonisomorphic_trees(n)):
             edges = sorted(tuple(sorted(e)) for e in t.edges())
-            out.append((f"tree{n}_{i}", build_graph(edges, n=n)))
+            out.append((f"tree{n}_{i}", Graph(edges, n=n)))
     return out
 
 

@@ -8,11 +8,11 @@ import pytest
 from deltacover import (
     Budget,
     Cover,
+    Graph,
     InternalConsistencyError,
     InvalidPointError,
     Point,
     approx_cover,
-    build_graph,
     cover_leaf_level,
     cover_small_delta_even,
     cover_small_delta_odd,
@@ -97,7 +97,7 @@ def test_large_delta_route_on_a_large_universe():
     rows, cols = 6, 7
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    g = build_graph(edges, n=rows * cols)
+    g = Graph(edges, n=rows * cols)
     rep = approx_cover(g, F(5, 2))
     assert rep.regime == "large_delta"
     assert rep.claimed_factor == harmonic_number(201)
@@ -134,14 +134,14 @@ def test_connected_input_is_never_copied(monkeypatch):
             rep = approx_cover(g, delta)
             assert is_delta_cover(g, rep.cover, delta).is_cover
     assert copies == []
-    approx_cover(build_graph([(0, 1), (2, 3), (3, 4), (2, 4)]), F(1, 3))
+    approx_cover(Graph([(0, 1), (2, 3), (3, 4), (2, 4)]), F(1, 3))
     assert copies == [[0, 1], [2, 3, 4]]
 
 
 # Every regime of approx_cover is reached on these graphs at those radii:
 # a grid, a triangle, a path, a leafy gadget and a graph of two components.
 ROUTE_GRAPHS = [grid(3, 4), k_n(3), path(5), gen_ugc_gadget(k_n(3), x=1, variant="path"),
-                build_graph([(0, 1), (2, 3), (3, 4), (2, 4)])]
+                Graph([(0, 1), (2, 3), (3, 4), (2, 4)])]
 ALL_REGIMES = {"exact", "large_delta", "one_cover_3_2", "one_cover_5_3", "one_cover_2",
                "vertex_set_34_1", "leaf_level", "vertex_set_x", "small_even", "small_odd"}
 
@@ -155,6 +155,22 @@ def test_every_regime_verifies_once(verifier_calls):
             assert verifier_calls == [g], (g.edges, str(delta), len(verifier_calls))
             regimes.add(rep.regime)
     assert regimes == ALL_REGIMES
+
+
+def test_public_routes_verify_once(verifier_calls):
+    two_parts = ROUTE_GRAPHS[4]
+    calls = [
+        (cover_via_one_cover, grid(3, 4), F(5, 4)),
+        (cover_vertex_set, two_parts, F(3, 5)),
+        (cover_leaf_level, ROUTE_GRAPHS[3], F(2, 3)),
+        (cover_small_delta_even, two_parts, 1, F(2, 7)),
+        (cover_small_delta_odd, cycle(5), 1, F(2, 5)),
+    ]
+    for fn, g, *args in calls:
+        verifier_calls.clear()
+        fn(g, *args)
+        # Once on g itself: not per component, and not on a subdivision.
+        assert verifier_calls == [g], (fn.__name__, len(verifier_calls))
 
 
 def test_connected_components_runs_once_per_call_on_a_connected_graph(monkeypatch):
@@ -233,7 +249,7 @@ def test_leaf_level_output_is_a_two_thirds_cover(atlas_suite):
         n = rng.randrange(3, 16)
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, 4))}
-        g = build_graph(sorted(edges), n=n)
+        g = Graph(sorted(edges), n=n)
         if not is_forest(g):
             graphs.append(g)
     for g in graphs:
@@ -245,13 +261,13 @@ def test_leaf_level_output_is_a_two_thirds_cover(atlas_suite):
 
 def test_component_routes_equal_their_union_over_components():
     # A 4-cycle, a triangle, a 3-edge path, an edge and an isolated vertex.
-    pieces = [cycle(4), k_n(3), path(3), build_graph([(0, 1)]), build_graph([], n=1)]
+    pieces = [cycle(4), k_n(3), path(3), Graph([(0, 1)]), Graph([], n=1)]
     edges, offsets, n = [], [], 0
     for piece in pieces:
         offsets.append(n)
         edges += [(u + n, v + n) for u, v in piece.edges]
         n += piece.n
-    g = build_graph(edges, n=n)
+    g = Graph(edges, n=n)
 
     def shifted(points, offset):
         return {Point(p.u + offset, p.v + offset, p.t) for p in points}
@@ -295,7 +311,7 @@ def test_vertex_set_route():
     rep_tree = cover_vertex_set(path(6), F(3, 5))
     assert len(rep_tree.cover) == 5  # trees are solved exactly
 
-    rep_small = cover_vertex_set(build_graph([(0, 1)]), F(3, 5))
+    rep_small = cover_vertex_set(Graph([(0, 1)]), F(3, 5))
     assert len(rep_small.cover) == 1  # |E| < x: brute force route
 
 
@@ -323,10 +339,8 @@ def test_level_partition_shapes():
     lp = level_partition(g)
     assert lp.L0 == {3, 4, 5}
     assert lp.L1 == {0, 1, 2}
-    assert lp.L2 == {0, 1, 2}  # each hub vertex sits two steps from another leaf
     assert lp.W == set()
     assert len(lp.E01) == 3 and len(lp.E11) == 3
-    assert len(lp.E12) == 6
 
 
 def test_level_partition_equals_distance_definition(atlas_suite):
@@ -339,11 +353,11 @@ def test_level_partition_equals_distance_definition(atlas_suite):
         # A random tree plus a few chords, so that leaves survive.
         edges = {(rng.randrange(v), v) for v in range(1, n)}
         edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(4))}
-        graphs.append(build_graph(sorted(edges), n=n))
+        graphs.append(Graph(sorted(edges), n=n))
     with_leaves = 0
     for g in graphs:
         lp = level_partition(g)
-        assert (lp.L0, lp.L1, lp.L2) == leaf_levels_by_distance(g), g.edges
+        assert (lp.L0, lp.L1) == leaf_levels_by_distance(g)[:2], g.edges
         with_leaves += bool(lp.L0)
     assert with_leaves > 200
 
@@ -387,7 +401,7 @@ def test_small_odd_k3(oracle):
 
 
 def test_translate_cover_up_formula():
-    k2 = build_graph([(0, 1)])
+    k2 = Graph([(0, 1)])
     s_prime = Cover.of([Point.on_edge(0, 1, F(1, 4)), Point.on_edge(0, 1, F(3, 4))], F(1, 3))
     out = translate_cover_up(k2, s_prime)
     assert out.points == {Point.on_edge(0, 1, F(3, 4))}
@@ -424,7 +438,7 @@ def test_translate_optimal_gives_optimal(oracle):
 
 
 def test_component_union():
-    two = build_graph([(0, 1), (1, 2), (2, 0), (3, 4)], n=5)
+    two = Graph([(0, 1), (1, 2), (2, 0), (3, 4)], n=5)
     rep = approx_cover(two, F(2, 3))
     assert is_delta_cover(two, rep.cover, F(2, 3)).is_cover
     rep2 = approx_cover(two, F(2, 5))
@@ -435,7 +449,7 @@ def _seeded_connected_graph(rng: random.Random, n: int, extra: int):
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     # Non-tree pairs only, so the graph has ``extra`` independent cycles.
     edges.update(rng.sample([e for e in combinations(range(n), 2) if e not in edges], extra))
-    return build_graph(sorted(edges), n=n)
+    return Graph(sorted(edges), n=n)
 
 
 def test_small_even_points_equal_the_per_edge_construction():

@@ -6,7 +6,6 @@ from deltacover import (
     Budget,
     Cover,
     Point,
-    build_graph,
     is_delta_cover,
     min_cover_exact,
     one_cover_min,

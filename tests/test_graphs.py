@@ -5,10 +5,10 @@ import pytest
 
 from deltacover import (
     Cover,
+    Graph,
     GraphValidationError,
     InvalidPointError,
     Point,
-    build_graph,
     connected_components,
     induced_subgraph,
     is_forest,
@@ -31,7 +31,7 @@ def vertex_distance(g, u, v):
 
 
 def test_build_single_edge():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     assert g.n == 2 and g.m == 1
     assert vertex_distance(g, 0, 1) == 1
 
@@ -55,7 +55,7 @@ def test_built_graph_has_no_distance_table():
 
 
 def test_point_distance_across_components_is_none():
-    g = build_graph([(0, 1), (2, 3)], n=5)
+    g = Graph([(0, 1), (2, 3)], n=5)
     assert vertex_distance(g, 0, 3) is None
     assert point_distance(g, Point.on_edge(0, 1, F(1, 2)), Point.vertex(4)) is None
     assert vertex_distance(g, 3, 2) == 1
@@ -63,11 +63,11 @@ def test_point_distance_across_components_is_none():
 
 def test_build_rejections():
     with pytest.raises(GraphValidationError, match="loop"):
-        build_graph([(1, 1)])
+        Graph([(1, 1)])
     with pytest.raises(GraphValidationError, match="duplicate"):
-        build_graph([(0, 1), (1, 0)])
+        Graph([(0, 1), (1, 0)])
     with pytest.raises(GraphValidationError, match="outside"):
-        build_graph([(0, 5)], n=3)
+        Graph([(0, 5)], n=3)
 
 
 def test_adjacency_is_ascending_whatever_the_edge_order():
@@ -77,7 +77,7 @@ def test_adjacency_is_ascending_whatever_the_edge_order():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = [(v, u) if rng.random() < 0.5 else (u, v)
                  for u, v in rng.sample(pairs, rng.randrange(len(pairs) + 1))]
-        g = build_graph(edges, n=n)
+        g = Graph(edges, n=n)
         for u in range(n):
             assert all(a < b for a, b in zip(g.adj[u], g.adj[u][1:])), (edges, u)
             assert list(g.adj[u]) == sorted(w for e in g.edges if u in e for w in e if w != u)
@@ -98,7 +98,7 @@ def test_point_distance_triangle_midpoint():
 
 
 def test_point_distance_same_edge_direct():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     d = point_distance(g, Point.on_edge(0, 1, F(1, 4)), Point.on_edge(0, 1, F(3, 4)))
     assert d == F(1, 2)
 
@@ -125,7 +125,7 @@ def test_point_distance_matches_grid_bfs():
 def random_graph(rng, n):
     """A seeded random graph on n vertices; it may be disconnected."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return build_graph(rng.sample(pairs, rng.randint(1, len(pairs))), n=n)
+    return Graph(rng.sample(pairs, rng.randint(1, len(pairs))), n=n)
 
 
 def random_point(rng, g):
@@ -157,7 +157,7 @@ def test_project_point_equals_the_fraction_formula(monkeypatch):
 
     rng = random.Random(9)
     graphs = [random_graph(rng, n) for n in (2, 3, 5, 6, 7)]
-    graphs.append(build_graph([(0, 2), (2, 3), (1, 3)], n=5))  # vertex 4 is isolated
+    graphs.append(Graph([(0, 2), (2, 3), (1, 3)], n=5))  # vertex 4 is isolated
     flipped = 0
     for g in graphs:
         for x in range(1, 6):
@@ -189,7 +189,7 @@ def test_point_distance_rejects_foreign_edge():
 
 
 def test_subdivide_counts():
-    g2, _ = subdivide(build_graph([(0, 1)]), 3)
+    g2, _ = subdivide(Graph([(0, 1)]), 3)
     assert (g2.n, g2.m) == (4, 3)
     g3, _ = subdivide(k_n(3), 2)
     assert (g3.n, g3.m) == (6, 6)
@@ -216,7 +216,7 @@ def lift_cover(g, x, cover):
 
 
 def test_map_cover_from_subdivision_examples():
-    k2 = build_graph([(0, 1)])
+    k2 = Graph([(0, 1)])
     _, smap2 = subdivide(k2, 2)
     mid = Cover.of([Point.vertex(2)], F(1))  # middle vertex of the 2-subdivision
     assert smap2.project_cover(k2, mid).points == {Point.on_edge(0, 1, F(1, 2))}
@@ -232,7 +232,7 @@ def test_map_cover_from_subdivision_examples():
 
 
 def test_lift_cover_examples():
-    k2 = build_graph([(0, 1)])
+    k2 = Graph([(0, 1)])
     assert lift_cover(k2, 2, Cover.of([Point.on_edge(0, 1, F(1, 2))], F(1))
                       ).points == {Point.vertex(2)}
     assert lift_cover(k2, 5, Cover.of([Point.vertex(0)], F(1))
@@ -254,9 +254,9 @@ def test_lift_map_round_trip():
 
 
 def test_wreath_k2_examples():
-    k4 = wreath_k2(build_graph([(0, 1)]))
+    k4 = wreath_k2(Graph([(0, 1)]))
     assert (k4.n, k4.m) == (4, 6)  # complete graph on 4 vertices
-    k2 = wreath_k2(build_graph([], n=1))
+    k2 = wreath_k2(Graph([], n=1))
     assert (k2.n, k2.m) == (2, 1)
     doubled = wreath_k2(cycle(4))
     assert (doubled.n, doubled.m) == (8, 20)
@@ -274,14 +274,14 @@ def test_induced_subgraph_equals_the_edge_scan_definition():
             n += size
         ids = list(range(n))
         rng.shuffle(ids)
-        g = build_graph([(ids[u], ids[v]) for u, v in edges], n=n)
+        g = Graph([(ids[u], ids[v]) for u, v in edges], n=n)
         subsets = connected_components(g) + [rng.sample(range(n), rng.randrange(n + 1))]
         for vertices in subsets:
             sub, old = induced_subgraph(g, vertices)
             to_new = {u: i for i, u in enumerate(sorted(vertices))}
             scanned = [(to_new[u], to_new[v]) for u, v in g.edges if u in to_new and v in to_new]
             assert old == sorted(vertices)
-            assert sub == build_graph(scanned, n=len(vertices))
+            assert sub == Graph(scanned, n=len(vertices))
 
 
 def test_is_forest_equals_the_per_component_definition():
@@ -299,7 +299,7 @@ def test_is_forest_equals_the_per_component_definition():
                 tree.append(rng.choice([e for e in pairs if e not in tree]))
             edges += [(u + n, v + n) for u, v in tree]
             n += size
-        g = build_graph(edges, n=n)
+        g = Graph(edges, n=n)
         verdicts.add(is_forest(g))
         assert is_forest(g) == is_forest_by_components(g)
     assert verdicts == {True, False}

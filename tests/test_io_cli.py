@@ -1,9 +1,12 @@
+import csv
+import dataclasses
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from deltacover import Cover, Point, build_graph, harmonic_number
+from deltacover import Budget, Cover, Graph, Point, harmonic_number
+from deltacover.bench import run_bench, run_row
 from deltacover.cli import main
 from deltacover.io import (
     FileFormatError,
@@ -55,7 +58,7 @@ def test_cover_text_roundtrip():
 
 
 def test_cover_single_interior_line():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     cover = parse_cover_text("i 1 2 1/2\n", g, F(1))
     assert cover.points == {Point.on_edge(0, 1, F(1, 2))}
 
@@ -74,7 +77,7 @@ def test_cover_six_point_denominator_three_roundtrip(tmp_path):
 
 
 def test_cover_parse_errors():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     with pytest.raises(FileFormatError, match=":1:"):
         parse_cover_text("i 1 2 3/0\n", g, F(1))
     with pytest.raises(FileFormatError, match=":2:"):
@@ -119,14 +122,14 @@ def test_cli_budget_exit_code(tmp_path):
 def test_cli_usage_errors(tmp_path):
     assert main(["solve", "--input", "missing.graph"]) == 3
     gpath = tmp_path / "k2.graph"
-    write_graph_file(gpath, build_graph([(0, 1)]))
+    write_graph_file(gpath, Graph([(0, 1)]))
     assert main(["solve", "--input", str(gpath)]) == 3  # no delta
     assert main(["tree", "--delta", "1/1", "--input", str(gpath.with_name("no.graph"))]) == 3
 
 
 def test_cli_tree_and_approx(tmp_path, capsys):
     gpath = tmp_path / "p6.graph"
-    write_graph_file(gpath, build_graph([(i, i + 1) for i in range(6)]))
+    write_graph_file(gpath, Graph([(i, i + 1) for i in range(6)]))
     out = tmp_path / "t.cover"
     assert main(["tree", "--delta", "3/5", "--input", str(gpath),
                  "--output", str(out)]) == 0
@@ -209,6 +212,40 @@ def test_cli_bench_empty_suite(tmp_path):
     assert main(["bench", "--config", str(cfg), "--csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_bench_row_on_the_empty_graph_has_ratio_one():
+    row = run_row("empty", "file", parse_graph_text("p 0 0\n"), F(1, 2), Budget())
+    assert (row.cover_size, row.oracle_size, row.ratio) == (0, 0, F(1))
+
+
+def test_cli_bench_on_an_empty_graph_file(tmp_path):
+    (tmp_path / "empty.graph").write_text("p 0 0\n")
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"deltas": ["1/2", "5/4"],
+                               "instances": [{"id": "empty", "file": "empty.graph"}]}))
+    csv_path = tmp_path / "rows.csv"
+    assert main(["bench", "--config", str(cfg), "--csv", str(csv_path)]) == 0
+    with open(csv_path, newline="") as fh:
+        assert [row["ratio"] for row in csv.DictReader(fh)] == ["1/1", "1/1"]
+
+
+def test_parallel_bench_gives_the_serial_rows_and_summary():
+    config = {
+        "deltas": ["2/5", "2/3", "5/4"],
+        "budget": {"nodes": 2000},
+        "instances": [{"family": "triangles_center", "k": 3},
+                      {"family": "star_subdivision", "x": 2, "k": 3}],
+    }
+    serial_rows, serial_summary = run_bench(config, jobs=1)
+    parallel_rows, parallel_summary = run_bench(config, jobs=2)
+    assert len(serial_rows) == 6
+
+    def timeless(rows):
+        return [dataclasses.replace(r, runtime_ms=0) for r in rows]
+
+    assert timeless(parallel_rows) == timeless(serial_rows)
+    assert parallel_summary == serial_summary
 
 
 def test_cli_bench_has_no_seed_flag(tmp_path):

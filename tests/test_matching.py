@@ -9,10 +9,10 @@ import deltacover.solver
 from deltacover import (
     Budget,
     Cover,
+    Graph,
     InternalConsistencyError,
     NotAForestError,
     approx_cover,
-    build_graph,
     gallai_edmonds,
     is_delta_cover,
     max_matching,
@@ -38,7 +38,7 @@ PETERSEN = [
 def test_matching_sizes():
     assert max_matching(k_n(3)).size == 1
     assert max_matching(cycle(4)).size == 2
-    m = max_matching(build_graph(PETERSEN))
+    m = max_matching(Graph(PETERSEN))
     assert m.size == 5
     used = [v for e in m.edges for v in e]
     assert len(used) == len(set(used))
@@ -46,7 +46,7 @@ def test_matching_sizes():
 
 def test_matching_equals_brute_force_small():
     graphs = [k_n(3), k_n(4), cycle(5), cycle(7), path(6), star(5),
-              build_graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])]
+              Graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)])]
     for g in graphs:
         assert max_matching(g).size == brute_max_matching(g)
 
@@ -84,14 +84,14 @@ def test_one_cover_bounds_on_suite(atlas_suite):
 
 
 def test_unit_fraction_examples():
-    assert unit_fraction_cover(build_graph([(0, 1)]), 2).size == 1
+    assert unit_fraction_cover(Graph([(0, 1)]), 2).size == 1
     assert unit_fraction_cover(cycle(4), 2).size == 4
     assert unit_fraction_cover(cycle(4), 3).size == 6  # one extra point per edge
 
 
 def test_unit_fraction_matches_direct_oracle(oracle):
     graphs = [k_n(3), cycle(4), cycle(5), path(4), star(4),
-              build_graph([(0, 1), (1, 2), (2, 0), (0, 3)])]
+              Graph([(0, 1), (1, 2), (2, 0), (0, 3)])]
     for g in graphs:
         for b in (1, 2, 3, 4):
             via_subdivision = unit_fraction_cover(g, b)
@@ -116,7 +116,7 @@ def test_one_cover_on_long_path_and_cycle():
 
 
 def test_tree_cover_examples():
-    assert tree_cover(build_graph([(0, 1)]), F(1, 2)).size == 1
+    assert tree_cover(Graph([(0, 1)]), F(1, 2)).size == 1
     assert tree_cover(path(6), F(3, 5)).size == 5
     assert tree_cover(star(3), F(1)).size == 1
 
@@ -138,7 +138,7 @@ def test_tree_cover_verifies_and_is_minimal(oracle, small_trees):
 
 
 def test_vc_2approx():
-    assert vc_2approx(build_graph([(0, 1)])) == {0, 1}
+    assert vc_2approx(Graph([(0, 1)])) == {0, 1}
     assert len(vc_2approx(k_n(3))) == 2
     c4 = vc_2approx(cycle(4))
     assert len(c4) <= 4
@@ -147,7 +147,7 @@ def test_vc_2approx():
 
 
 def test_public_entry_points_verify_once(verifier_calls):
-    forest = build_graph([(0, 1), (1, 2), (3, 4)], n=6)
+    forest = Graph([(0, 1), (1, 2), (3, 4)], n=6)
     calls = [
         (tree_cover, forest, F(3, 5)),
         (tree_cover, path(7), F(5, 2)),

@@ -5,10 +5,9 @@ from hypothesis import assume, given, settings, strategies as st
 from deltacover import (
     Budget,
     Cover,
+    Graph,
     Point,
-    build_graph,
     build_set_cover,
-    discretized_universe,
     gallai_edmonds,
     harmonic_number,
     is_delta_cover,
@@ -21,7 +20,7 @@ from deltacover import (
     subdivide,
 )
 from deltacover.matching import _nu, _tree_points
-from deltacover.solver import SetCoverInstance
+from deltacover.solver import GridPoints, SetCoverInstance
 from oracles import (
     brute_max_matching,
     brute_set_cover_size,
@@ -43,7 +42,7 @@ def connected_graphs(draw, max_n=6):
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     extra = draw(st.lists(st.sampled_from(all_pairs), max_size=6))
     edges.update(extra)
-    return build_graph(sorted(edges), n=n)
+    return Graph(sorted(edges), n=n)
 
 
 @st.composite
@@ -116,7 +115,7 @@ def verify_cases(draw):
     n = draw(st.integers(1, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
-    g = build_graph(edges, n=n)
+    g = Graph(edges, n=n)
     delta = draw(st.sampled_from(VERIFY_RADII))
     b = delta.denominator
     points = []
@@ -172,7 +171,7 @@ def one_point_edges(draw):
             points.append(Point.on_edge(x, s, F(dist, scale)))
         elif reach + 1 < scale:
             points.append(Point.on_edge(x, s, F(draw(st.integers(reach + 1, scale - 1)), scale)))
-    g = build_graph([(su, u), (u, v), (v, sv)], n=4)
+    g = Graph([(su, u), (u, v), (v, sv)], n=4)
     return g, Cover.of(points, F(reach, scale))
 
 
@@ -221,7 +220,7 @@ def test_half_grid_covers_decided_by_the_quarter_grid(g, delta, data):
     cover = Cover.of(subset, delta)
     grid_ok = all(
         any(point_distance(g, p, q) <= delta for q in cover.points)
-        for p in discretized_universe(g, b)
+        for p in GridPoints(g, 4 * b)
     )
     assert grid_ok == is_delta_cover(g, cover, delta).is_cover
 
@@ -308,7 +307,7 @@ def any_graphs(draw, max_n=10):
     n = draw(st.integers(1, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=18)) if pairs else []
-    return build_graph(edges, n=n)
+    return Graph(edges, n=n)
 
 
 # Radii in (0, 1/2), (1/2, 3/2) and from 3/2 up, unit and non-unit fractions.
@@ -333,7 +332,7 @@ def test_gallai_edmonds_split_equals_definition(g):
     nu = brute_max_matching(g)
     assert _nu(g) == ge.matching.size == nu
     used = [v for e in ge.matching.edges for v in e]
-    assert len(used) == len(set(used)) and all(g.has_edge(*e) for e in ge.matching.edges)
+    assert len(used) == len(set(used)) and all(e in g.edge_index for e in ge.matching.edges)
 
 
 @given(any_graphs())
@@ -357,7 +356,7 @@ def forests(draw, max_n=14):
         if u >= 0:
             edges.append((u, v))
     ids = draw(st.permutations(range(n)))
-    return build_graph([(ids[u], ids[v]) for u, v in edges], n=n)
+    return Graph([(ids[u], ids[v]) for u, v in edges], n=n)
 
 
 # Unit fractions, non-unit radii below 1, and radii above 1.

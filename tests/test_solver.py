@@ -5,10 +5,9 @@ import networkx as nx
 
 from deltacover import (
     Budget,
+    Graph,
     Point,
-    build_graph,
     build_set_cover,
-    candidate_points,
     harmonic_number,
     is_delta_cover,
     min_cover_exact,
@@ -16,19 +15,19 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
-from deltacover.solver import SetCoverInstance, _core_elements, _element_candidates
+from deltacover.solver import GridPoints, SetCoverInstance, _core_elements, _element_candidates
 from conftest import cycle, k_n, path, star
 from oracles import brute_set_cover_size, core_by_subsets, coverage_by_distance
 
 
 def test_candidate_counts():
-    assert len(candidate_points(build_graph([(0, 1)]), F(1))) == 3
-    assert len(candidate_points(build_graph([(0, 1)]), F(2, 3))) == 7
-    assert len(candidate_points(k_n(3), F(3, 2))) == 12
+    assert len(GridPoints(Graph([(0, 1)]), 2)) == 3
+    assert len(GridPoints(Graph([(0, 1)]), 6)) == 7
+    assert len(GridPoints(k_n(3), 4)) == 12
 
 
 def test_build_set_cover_k2_single_candidate_covers():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     inst = build_set_cover(g, F(1, 2))  # b = 2, so the grid has 4b+1 = 9 points
     mid = inst.candidates.index(Point.on_edge(0, 1, F(1, 2)))
     assert inst.masks[mid].bit_count() == len(inst.universe) == 9
@@ -58,7 +57,7 @@ def test_set_cover_reach_stops_at_the_hop_bound():
     # delta = 7/2 reaches 3 hops, fewer than the path's diameter of 11, and
     # the triangle is a second component the search must not cross into.
     edges = [(v, v + 1) for v in range(11)] + [(12, 13), (13, 14), (12, 14)]
-    g = build_graph(edges, n=15)
+    g = Graph(edges, n=15)
     inst = build_set_cover(g, F(7, 2))
     got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
     assert got == coverage_by_distance(g, F(7, 2))
@@ -69,7 +68,7 @@ def test_root_core_equals_the_subset_definition():
     pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     dropped = 0
     for _ in range(12):
-        g = build_graph(rng.sample(pairs, rng.randint(2, 7)), n=5)
+        g = Graph(rng.sample(pairs, rng.randint(2, 7)), n=5)
         for d in (F(1, 2), F(2, 3), F(1), F(3, 2), F(5, 2)):
             inst = build_set_cover(g, d)
             size = len(inst.universe)
@@ -83,13 +82,13 @@ def test_exact_small_sizes():
     assert min_cover_exact(cycle(4), F(1)).size == 2
     assert min_cover_exact(k_n(3), F(1)).size == 2
     assert min_cover_exact(path(6), F(3, 5)).size == 5
-    assert min_cover_exact(build_graph([(0, 1)]), F(1, 4)).size == 2
+    assert min_cover_exact(Graph([(0, 1)]), F(1, 4)).size == 2
     assert min_cover_exact(k_n(3), F(2)).size == 1
     assert min_cover_exact(cycle(4), F(1, 2)).size == 4
 
 
 def test_exact_matches_brute_enumeration():
-    for g, d in [(build_graph([(0, 1)]), F(1)), (k_n(3), F(1)), (path(2), F(1, 2)),
+    for g, d in [(Graph([(0, 1)]), F(1)), (k_n(3), F(1)), (path(2), F(1, 2)),
                  (cycle(4), F(1)), (path(3), F(2, 3))]:
         inst = build_set_cover(g, d)
         if len(inst.candidates) > 20:
@@ -108,7 +107,7 @@ def test_exact_proves_dense_atlas_graphs_at_three_eighths():
     budget = Budget(max_nodes=5_000, max_seconds=1e9)
     for index, size in [(49, 9), (51, 10), (50, 9), (48, 9), (46, 8)]:
         h = nx.graph_atlas(index)
-        g = build_graph(sorted(tuple(sorted(e)) for e in h.edges()), n=h.number_of_nodes())
+        g = Graph(sorted(tuple(sorted(e)) for e in h.edges()), n=h.number_of_nodes())
         result = solve_exact(build_set_cover(g, F(3, 8)), budget)
         assert result.optimal, (index, result.nodes_explored)
         assert result.size == size, index
@@ -205,7 +204,7 @@ def test_rarest_first_incumbent_proves_atlas173_at_two_fifths(atlas_suite):
 
 
 def test_greedy_basics():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     assert solve_greedy(build_set_cover(g, F(1))).size == 1
     c4 = cycle(4)
     r = solve_greedy(build_set_cover(c4, F(1)))

@@ -5,11 +5,10 @@ import pytest
 
 from deltacover import (
     Cover,
+    Graph,
     InvalidCoverError,
     InvalidPointError,
     Point,
-    build_graph,
-    discretized_universe,
     is_delta_cover,
     normalize_neat,
     verify,
@@ -28,13 +27,13 @@ from oracles import (
 
 
 def test_intervals_midpoint_reaches_both_ends():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     s = Cover.of([Point.on_edge(0, 1, F(1, 2))], F(1, 2))
     assert is_delta_cover(g, s).per_edge_gaps == ()
 
 
 def test_intervals_single_vertex():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     s = Cover.of([Point.vertex(0)], F(1, 3))
     report = is_delta_cover(g, s)
     assert report.per_edge_gaps == (((0, 1), (F(1, 3), F(1))),)
@@ -75,7 +74,7 @@ def test_exactly_tight_packing_is_a_cover():
 
 
 def test_isolated_vertex_handling():
-    g = build_graph([(0, 1)], n=3)
+    g = Graph([(0, 1)], n=3)
     s = Cover.of([Point.on_edge(0, 1, F(1, 2))], F(1))
     report = is_delta_cover(g, s)
     assert not report.is_cover and report.witness == Point.vertex(2)
@@ -99,7 +98,7 @@ def test_verifier_never_reads_the_distance_table():
     ]
     verdicts = []
     for edges, n, cover in cases:
-        g = build_graph(edges, n=n)
+        g = Graph(edges, n=n)
         report = is_delta_cover(g, cover)
         verdicts.append(report.is_cover)
         if report.is_cover:
@@ -115,9 +114,9 @@ def test_verifier_never_reads_the_distance_table():
 
 
 def test_universe_sizes():
-    assert len(discretized_universe(build_graph([(0, 1)]), 1)) == 5
-    assert len(discretized_universe(k_n(3), 1)) == 12
-    assert len(discretized_universe(build_graph([(0, 1)]), 3)) == 13
+    assert len(GridPoints(Graph([(0, 1)]), 4)) == 5
+    assert len(GridPoints(k_n(3), 4)) == 12
+    assert len(GridPoints(Graph([(0, 1)]), 12)) == 13
 
 
 def test_grid_points_decoder_matches_the_list():
@@ -126,7 +125,7 @@ def test_grid_points_decoder_matches_the_list():
         # Nine vertices, of which the two highest and any a draw misses
         # are isolated.
         pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
-        g = build_graph(rng.sample(pairs, rng.randint(3, 10)), n=9)
+        g = Graph(rng.sample(pairs, rng.randint(3, 10)), n=9)
         for b in (1, 2, 3, 5):
             for step in (2 * b, 4 * b):
                 listed = list(oracle_grid(g, step))
@@ -168,7 +167,7 @@ def test_sampling_agreement():
 
 
 def test_normalize_neat_two_interior_points():
-    g = build_graph([(0, 1)])
+    g = Graph([(0, 1)])
     s = Cover.of([Point.on_edge(0, 1, F(1, 4)), Point.on_edge(0, 1, F(3, 4))], F(1, 2))
     out = normalize_neat(g, s)
     assert out.points == {Point.vertex(0), Point.vertex(1)}
