@@ -29,10 +29,9 @@ from .graphs import (
     relabel_points,
 )
 from .matching import (
-    _one_cover,
+    _split_and_one_cover,
     _tree_points,
     _unit_fraction_cover,
-    gallai_edmonds,
     vc_2approx,
 )
 from .solver import (
@@ -153,7 +152,7 @@ def _one_cover_part(g: Graph, delta: Fraction) -> _Part:
         factor, regime = Fraction(5, 3), "one_cover_5_3"
     else:
         factor, regime = Fraction(2), "one_cover_2"
-    return _Part(_one_cover(g).points, factor, regime)
+    return _Part(_split_and_one_cover(g)[1].points, factor, regime)
 
 
 def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
@@ -262,8 +261,8 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
 
 def _small_odd_part(g: Graph, delta: Fraction, k: int) -> _Part:
     cover = _unit_fraction_cover(g, 2 * k + 1)
-    ge = gallai_edmonds(g)
-    bound = k * g.m + len(_one_cover(g, ge))
+    ge, one_cover = _split_and_one_cover(g)
+    bound = k * g.m + len(one_cover)
     if len(cover) > bound:
         raise InternalConsistencyError(
             f"1/{2 * k + 1}-cover of size {len(cover)} exceeds k|E| + cov1 = {bound}"
@@ -281,9 +280,10 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
 
     Its size is exactly k|E| plus the minimum 1-cover, and any delta-cover
     for delta < 1/(2k) needs at least k|E| points, which yields the factor
-    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  Two Edmonds searches:
-    one on the (2k+1)-subdivision, and one on g that gives both cov1 and
-    eps.  The cover is verified once, on g.
+    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  The (2k+1)-subdivision's
+    cover, and the split of g that gives both cov1 and eps, come from the
+    matching memos, so each takes one Edmonds search the first time g is
+    seen and none after.  The cover is verified once per call, on g.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -87,10 +87,12 @@ class Point:
 class Graph:
     """Simple undirected graph with unit edges, stored as sorted adjacency.
 
-    The edges never change after construction, which costs O(n + m).  No
-    distance table is built: ``hop_layers`` runs a BFS bounded by a hop
-    count, and ``point_distance`` caches on the graph the hop row of each
-    source vertex it routes through.
+    The edges never change after construction, which costs O(n + m).
+    Equality and the hash read (n, edges) only; the matching memos, keyed
+    by a graph's value, rely on the edges never changing.  No distance
+    table is built: ``hop_layers`` runs a BFS bounded by a hop count, and
+    ``point_distance`` caches on the graph the hop row of each source
+    vertex it routes through.
     """
 
     __slots__ = ("n", "edges", "edge_index", "adj", "_hop_rows")

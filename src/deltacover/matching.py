@@ -9,6 +9,7 @@ no branch and bound and no recursion.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -268,13 +269,12 @@ def _deficient_set(adj: Sequence[Sequence[int]],
     return set(T), X
 
 
-def _one_cover(g: Graph, ge: GEDecomposition | None = None) -> Cover:
+def _one_cover(g: Graph, ge: GEDecomposition) -> Cover:
     """The minimum 1-cover of ``one_cover_min``, unverified.
 
-    ``ge`` is the Gallai-Edmonds split of g when the caller already has it.
+    ``ge`` is the Gallai-Edmonds split of g.  Callers reach it through the
+    memoized ``_split_and_one_cover`` or ``_unit_fraction_cover``.
     """
-    if ge is None:
-        ge = gallai_edmonds(g)
     singles = [v for comp in ge.d_components if len(comp) == 1
                for v in comp if g.adj[v]]
     T, X = _deficient_set(g.adj, singles)
@@ -303,13 +303,28 @@ def _one_cover(g: Graph, ge: GEDecomposition | None = None) -> Cover:
     return cover
 
 
+# The two memos below hold a graph's radius-independent results, keyed by
+# its value (n, edges), so that a sweep over radii on one graph runs each
+# Edmonds search once.  They are module-level lru_caches, which
+# ``cache_clear`` empties.  Eight slots suffice: one graph needs at most
+# three keys, (g, 1), (g, 2) and (g, 3), and the sweeps that reuse them go
+# graph by graph.  Covers are frozensets, safe to share.
+
+
+@functools.lru_cache(maxsize=8)
+def _split_and_one_cover(g: Graph) -> tuple[GEDecomposition, Cover]:
+    """The Gallai-Edmonds split of g and its minimum 1-cover, unverified."""
+    ge = gallai_edmonds(g)
+    return ge, _one_cover(g, ge)
+
+
 def one_cover_min(g: Graph) -> SolveResult:
     """Exact minimum 1-cover in polynomial time: cov1(G) = n - nu(G) - def(B).
 
     B is the bipartite graph between the Gallai-Edmonds set A and the
     D-singletons that have a neighbour; def(B) = #singletons - nu(B).  The
-    cover is verified once here; library code calls the unverified
-    ``_one_cover``.
+    cover is verified here once per call, memo hit or not; library code
+    calls the unverified, memoized ``_split_and_one_cover``.
 
     *Neat covers.*  In a 1-cover S keep the vertex points as X and replace
     the points inside each edge by its midpoint (edge set M).  An edge xy
@@ -352,17 +367,25 @@ def one_cover_min(g: Graph) -> SolveResult:
     against the branch and bound.
     """
     t0 = time.monotonic()
-    cover = _one_cover(g)
+    cover = _split_and_one_cover(g)[1]
     require_output(g, cover, "1-cover")
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
+@functools.lru_cache(maxsize=8)
 def _unit_fraction_cover(g: Graph, b: int) -> Cover:
-    """The minimum (1/b)-cover of ``unit_fraction_cover``, unverified."""
+    """The minimum (1/b)-cover of ``unit_fraction_cover``, unverified.
+
+    Memoized on (g, b).  b = 1 is the memoized 1-cover of g itself; a
+    subdivision is solved here directly, so it never takes a slot in the
+    per-graph memo.
+    """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
+    if b == 1:
+        return _split_and_one_cover(g)[1]
     sub, smap = subdivide(g, b)
-    inner = _one_cover(sub)
+    inner = _one_cover(sub, gallai_edmonds(sub))
     cover = smap.project_cover(g, inner)
     if len(cover) != len(inner):
         raise InternalConsistencyError("subdivision pull-back changed the cover size")
@@ -376,7 +399,8 @@ def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> So
     b-subdivision at radius 1, where ``one_cover_min`` solves the problem
     in polynomial time.  ``budget`` is not read; ``perfbench``
     still passes it positionally.  Only the pulled-back cover is verified,
-    once, on g; library code calls the unverified ``_unit_fraction_cover``.
+    once per call, on g, memo hit or not; library code calls the
+    unverified, memoized ``_unit_fraction_cover``.
     """
     t0 = time.monotonic()
     cover = _unit_fraction_cover(g, b)

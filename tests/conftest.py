@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -8,6 +9,21 @@ from networkx.generators.atlas import graph_atlas_g
 
 from deltacover import Budget, Graph, min_cover_exact
 from deltacover.solver import SolveResult
+
+
+@pytest.fixture(autouse=True)
+def _fresh_library_caches():
+    """Empty every functools cache in the library before each test.
+
+    The same rule as ``perfbench/run.py::clear_caches``: each test starts as
+    a fresh process would, so no test reads a result memoized by another
+    (or a broken one that a monkeypatched core left behind).
+    """
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "deltacover" or name.startswith("deltacover.")):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def k_n(n: int) -> Graph:

@@ -13,6 +13,8 @@ from deltacover import (
     InternalConsistencyError,
     NotAForestError,
     approx_cover,
+    cover_small_delta_odd,
+    cover_via_one_cover,
     gallai_edmonds,
     is_delta_cover,
     max_matching,
@@ -24,7 +26,8 @@ from deltacover import (
     vc_2approx,
 )
 from deltacover.families import gen_triangles_center
-from deltacover.matching import _one_cover
+from deltacover.io import graph_to_text, parse_graph_text
+from deltacover.matching import _one_cover, _split_and_one_cover, _unit_fraction_cover
 from conftest import cycle, grid, k_n, path, star
 from oracles import brute_max_matching
 
@@ -224,6 +227,82 @@ def test_one_cover_of_a_subdivision_covers_it(atlas_suite):
     for _, g in atlas_suite[::5]:
         for b in (1, 2, 3, 4):
             sub, smap = subdivide(g, b)
-            inner = _one_cover(sub)
+            inner = _one_cover(sub, gallai_edmonds(sub))
             assert is_delta_cover(sub, inner, F(1)).is_cover
             assert len(smap.project_cover(g, inner)) == len(inner) == unit_fraction_cover(g, b).size
+
+
+# Radii whose route reads a matching result: unit fractions (b = 1, 3, 4),
+# the 1-cover on (1, 3/2) and the small-delta odd case (k = 1, 2).
+MATCHING_ROUTE_DELTAS = (F(1), F(1, 3), F(1, 4), F(9, 8), F(7, 6), F(5, 4), F(7, 5),
+                         F(2, 5), F(2, 9))
+
+
+@pytest.fixture
+def edmonds_runs(monkeypatch) -> list[Graph]:
+    """The graph of every Edmonds search the library runs."""
+    real = deltacover.matching._edmonds
+    runs: list[Graph] = []
+
+    def counted(g):
+        runs.append(g)
+        return real(g)
+
+    monkeypatch.setattr(deltacover.matching, "_edmonds", counted)
+    return runs
+
+
+def _clear_matching_memos():
+    _split_and_one_cover.cache_clear()
+    _unit_fraction_cover.cache_clear()
+
+
+def test_a_radius_sweep_runs_one_edmonds_search_per_distinct_graph(edmonds_runs):
+    for g in (grid(3, 4), gen_triangles_center(3).graph):
+        edmonds_runs.clear()
+        for delta in (F(1, 3), F(1), F(9, 8), F(7, 6), F(5, 4), F(7, 5), F(2, 5)):
+            approx_cover(g, delta)
+        unit_fraction_cover(g, 2)
+        # g, its 2-subdivision and its 3-subdivision, once each.
+        assert sorted(h.n for h in edmonds_runs) == [g.n, g.n + g.m, g.n + 2 * g.m]
+
+
+def test_memoized_answers_equal_fresh_ones(atlas_suite):
+    two_triangles_and_a_path = Graph(
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (6, 7), (7, 8)], n=9)
+    for g in [g for _, g in atlas_suite[::5]] + [two_triangles_and_a_path]:
+        cold = {}
+        for delta in MATCHING_ROUTE_DELTAS:
+            _clear_matching_memos()
+            cold[delta] = approx_cover(g, delta)
+        for delta in MATCHING_ROUTE_DELTAS:
+            assert approx_cover(g, delta) == cold[delta], (g.edges, delta)
+
+
+def test_the_memo_is_keyed_by_the_graph_value(edmonds_runs):
+    g = grid(3, 4)
+    first = one_cover_min(g)
+    reparsed = parse_graph_text(graph_to_text(g))
+    assert reparsed is not g and reparsed == g
+    edmonds_runs.clear()
+    assert one_cover_min(reparsed).cover == first.cover
+    assert edmonds_runs == []
+    one_more_edge = Graph(g.edges + ((0, 11),), n=g.n)
+    one_cover_min(one_more_edge)
+    assert edmonds_runs == [one_more_edge]
+
+
+def test_a_memo_hit_still_verifies(verifier_calls):
+    g = grid(3, 4)
+    calls = [
+        (one_cover_min, g),
+        (unit_fraction_cover, g, 3),
+        (cover_via_one_cover, g, F(5, 4)),
+        (cover_small_delta_odd, g, 1, F(2, 5)),
+        (approx_cover, g, F(7, 6)),
+    ]
+    for fn, h, *args in calls:
+        for _ in range(2):
+            verifier_calls.clear()
+            fn(h, *args)
+            assert verifier_calls == [h], fn.__name__
