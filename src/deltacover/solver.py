@@ -297,6 +297,15 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     branching element is the one with the fewest candidates that cover a
     packed element, then the fewest candidates.
 
+    A child is skipped when its candidate ``c`` covers no element of the
+    node's ``U`` that an earlier explored sibling ``c'`` does not also
+    cover; ``c`` still leaves ``avail`` for the later siblings.  This is
+    the root's dominance, taken at a node: child ``c`` searches the covers
+    ``{c} | R`` with ``R`` avoiding every sibling up to ``c``, and
+    ``{c'} | R`` is a cover of the same size that ``c'``'s subtree has
+    already searched, so ``c``'s subtree cannot beat the bound it would be
+    called with.
+
     Everything here is a set-cover fact: the solver knows no theorem about
     particular radii (forests, unit fractions, the translation from delta
     to delta/(2 delta + 1)), so identities between its optima stay an
@@ -502,12 +511,12 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         candidates, else None; an empty ``elems`` gives [] for every ``ub``.
 
         That holds at ``ub = 0`` too, so once a child has found a cover, a
-        later child that covers its node's elements just as well replaces
-        it: among equal covers the last one in branch order wins.  At
-        ``ub == 2`` a cover is one candidate, and the branch order would
-        try those by index, so this node scans the candidates of its lowest
-        element from the highest index down and returns the first that
-        covers every element.
+        later explored child that covers its node's elements just as well
+        replaces it: among equal covers the last explored child's cover
+        wins.  At ``ub == 2`` a cover is one candidate, and the branch order
+        would try those by index, so this node scans the candidates of its
+        lowest element from the highest index down and returns the first
+        that covers every element.
         """
         nonlocal nodes, best_size, best_chosen
         nodes += 1
@@ -575,8 +584,15 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         branch.sort(key=lambda c: (-(masks[c] & elems).bit_count(), c))
         best: list[int] | None = None
         sub_avail = avail
+        explored: list[int] = []
         for c in branch:
             sub_avail &= ~(1 << c)
+            here = masks[c] & elems
+            # Children come by falling count, so a sibling that covers all
+            # of ``here`` was explored earlier, if it was explored at all.
+            if any(here | m == m for m in explored):
+                continue
+            explored.append(here)
             sub = solve_elems(elems & ~masks[c], sub_avail, ub - 1, pack, False)
             if sub is not None:
                 best = [c] + sub

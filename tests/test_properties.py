@@ -273,8 +273,27 @@ def set_systems(draw, max_elems=10, max_cands=12):
     return n, masks
 
 
-@given(set_systems())
-@settings(max_examples=300, deadline=None)
+@st.composite
+def nested_set_systems(draw):
+    """A set system plus copies and subsets of its masks, at random places.
+
+    Nested and equal masks are what the search's sibling skip acts on, and
+    below the root a subset of one mask can also be a subset of another's
+    uncovered part.
+    """
+    n, masks = draw(set_systems(max_cands=8))
+    full = (1 << n) - 1
+    for _ in range(draw(st.integers(1, 5))):
+        m = draw(st.sampled_from(masks))
+        if draw(st.booleans()):
+            m &= draw(st.integers(1, full))
+        if m:
+            masks.insert(draw(st.integers(0, len(masks))), m)
+    return n, masks
+
+
+@given(st.one_of(set_systems(), nested_set_systems()))
+@settings(max_examples=400, deadline=None)
 def test_exact_set_cover_is_optimal_and_its_incumbent_covers(case):
     n, masks = case
     points = tuple(Point.vertex(i) for i in range(max(n, len(masks))))

@@ -203,6 +203,32 @@ def test_rarest_first_incumbent_proves_atlas173_at_two_fifths(atlas_suite):
     assert res.optimal and res.size == 10
 
 
+def test_exact_proves_atlas207_and_atlas161_within_1000_nodes(atlas_suite):
+    # Both ran out of 1,000 nodes while the search explored every sibling
+    # branch, at 19 and 10 points.
+    graphs = dict(atlas_suite)
+    budget = Budget(max_nodes=1000, max_seconds=1e9)
+    for name, delta, size in (("atlas207", F(1, 3), 17), ("atlas161", F(2, 5), 10)):
+        res = min_cover_exact(graphs[name], delta, budget)
+        assert res.optimal and res.size == size, (name, res.nodes_explored)
+
+
+def test_sibling_nested_below_the_root_is_skipped():
+    # Edge cover of an 8-vertex graph: elements are vertices, candidates
+    # edges.  Under the root's first child, edge 02, edge 23 covers only
+    # vertex 3, which the earlier sibling 35 also covers; under 02 and 35,
+    # edges 06, 36 and 56 cover only vertex 6, which the earlier sibling 46
+    # also covers.  The search skips those four children, each of which was
+    # a node of its own when every sibling was explored: 11 nodes in all.
+    edges = [(0, 2), (0, 6), (0, 7), (1, 4), (1, 6), (1, 7), (2, 3), (3, 5), (3, 6), (4, 6),
+             (5, 6)]
+    masks = [(1 << u) | (1 << v) for u, v in edges]
+    res = solve_exact(_vertex_instance([{u, v} for u, v in edges], 8))
+    assert res.optimal
+    assert res.size == brute_set_cover_size(masks, (1 << 8) - 1, len(masks) + 1) == 4
+    assert res.nodes_explored == 7
+
+
 def test_greedy_basics():
     g = Graph([(0, 1)])
     assert solve_greedy(build_set_cover(g, F(1))).size == 1
