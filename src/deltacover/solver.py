@@ -303,7 +303,7 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     the root's dominance, taken at a node: child ``c`` searches the covers
     ``{c} | R`` with ``R`` avoiding every sibling up to ``c``, and
     ``{c'} | R`` is a cover of the same size that ``c'``'s subtree has
-    already searched, so ``c``'s subtree cannot beat the bound it would be
+    already searched, so ``c``'s subtree cannot beat the ``ub`` it would be
     called with.
 
     Everything here is a set-cover fact: the solver knows no theorem about
@@ -513,10 +513,9 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         That holds at ``ub = 0`` too, so once a child has found a cover, a
         later explored child that covers its node's elements just as well
         replaces it: among equal covers the last explored child's cover
-        wins.  At ``ub == 2`` a cover is one candidate, and the branch order
-        would try those by index, so this node scans the candidates of its
-        lowest element from the highest index down and returns the first
-        that covers every element.
+        wins.  At ``ub == 2`` a cover is one candidate, so this node scans
+        the candidates of its lowest element from the highest index down
+        and returns the first that covers every element.
         """
         nonlocal nodes, best_size, best_chosen
         nodes += 1
@@ -588,8 +587,8 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         for c in branch:
             sub_avail &= ~(1 << c)
             here = masks[c] & elems
-            # Children come by falling count, so a sibling that covers all
-            # of ``here`` was explored earlier, if it was explored at all.
+            # Children come by falling count, so a sibling covering all of
+            # ``here`` comes before c; a skipped one lies inside an explored one.
             if any(here | m == m for m in explored):
                 continue
             explored.append(here)

@@ -275,18 +275,22 @@ def set_systems(draw, max_elems=10, max_cands=12):
 
 @st.composite
 def nested_set_systems(draw):
-    """A set system plus copies and subsets of its masks, at random places.
+    """Masks of three or four of 10-13 elements, plus copies and subsets.
 
-    Nested and equal masks are what the search's sibling skip acts on, and
-    below the root a subset of one mask can also be a subset of another's
-    uncovered part.
+    Masks this small against this many elements leave a gap between the
+    root's bounds and the optimum, so the search branches, and the nested
+    and equal masks, at random places, are what its sibling skip acts on.
     """
-    n, masks = draw(set_systems(max_cands=8))
-    full = (1 << n) - 1
-    for _ in range(draw(st.integers(1, 5))):
+    n = draw(st.integers(10, 13))
+    small = st.sets(st.integers(0, n - 1), min_size=3, max_size=4)
+    masks = [sum(1 << e for e in es) for es in draw(st.lists(small, min_size=n, max_size=16))]
+    for e in range(n):
+        if not any(m >> e & 1 for m in masks):
+            masks[draw(st.integers(0, len(masks) - 1))] |= 1 << e
+    for _ in range(draw(st.integers(2, 6))):
         m = draw(st.sampled_from(masks))
         if draw(st.booleans()):
-            m &= draw(st.integers(1, full))
+            m &= draw(st.integers(1, (1 << n) - 1))
         if m:
             masks.insert(draw(st.integers(0, len(masks))), m)
     return n, masks

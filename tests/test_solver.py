@@ -163,8 +163,8 @@ def test_one_candidate_leaf_keeps_the_highest_index():
     # Elements 0..7.  The incumbent is three candidates, {2, 3, 4}; the
     # optimum is two, {6, 7} or {6, 8}.  Under candidate 6 the node with
     # ub == 2 must cover {2, 5, 6, 7}, which candidates 7 and 8 both do.
-    # The branch loop keeps the last equal cover it finds, so the leaf
-    # returns the highest index.
+    # The leaf scans its lowest element's candidates from the highest
+    # index down, so it returns 8.
     sets = [{1, 3, 7}, {4, 5}, {0, 1, 5, 6, 7}, {1, 2, 3, 5}, {3, 4, 5, 7}, {2, 5, 6},
             {0, 1, 3, 4}, {0, 2, 5, 6, 7}, {1, 2, 4, 5, 6, 7}]
     inst = _vertex_instance(sets, 8)
@@ -217,15 +217,16 @@ def test_sibling_nested_below_the_root_is_skipped():
     # Edge cover of an 8-vertex graph: elements are vertices, candidates
     # edges.  Under the root's first child, edge 02, edge 23 covers only
     # vertex 3, which the earlier sibling 35 also covers; under 02 and 35,
-    # edges 06, 36 and 56 cover only vertex 6, which the earlier sibling 46
-    # also covers.  The search skips those four children, each of which was
-    # a node of its own when every sibling was explored: 11 nodes in all.
+    # edges 06, 36 and 56 cover only vertex 6, which the earlier siblings 16
+    # and 46 also cover.  The search skips those four children, each of
+    # which was a node of its own when every sibling was explored: 11 nodes
+    # in all.
     edges = [(0, 2), (0, 6), (0, 7), (1, 4), (1, 6), (1, 7), (2, 3), (3, 5), (3, 6), (4, 6),
              (5, 6)]
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    res = solve_exact(_vertex_instance([{u, v} for u, v in edges], 8))
+    inst = _vertex_instance([{u, v} for u, v in edges], 8)
+    res = solve_exact(inst)
     assert res.optimal
-    assert res.size == brute_set_cover_size(masks, (1 << 8) - 1, len(masks) + 1) == 4
+    assert res.size == brute_set_cover_size(list(inst.masks), (1 << 8) - 1, len(edges)) == 4
     assert res.nodes_explored == 7
 
 
