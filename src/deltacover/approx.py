@@ -13,6 +13,7 @@ verify their answer once, at the public boundary, through ``_verified``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .graphs import (
     ONE,
     Point,
     ZERO,
-    connected_components,
+    _traversal,
     induced_subgraph,
     is_forest,
     relabel_points,
@@ -87,25 +88,29 @@ def _verified(g: Graph, report: RatioReport, what: str) -> RatioReport:
 def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
     """Run ``core(sub, delta)`` on each connected component and union the parts.
 
-    A connected g goes to the core whole, without a copy.  The union claims
-    the largest factor, and the regime and param of the last part that is
-    not exact (with the last epsilon any of those gave).  Unverified.
+    A connected g goes to the core whole, and its part's points are the
+    answer, without a copy.  The union claims the largest factor, and the
+    regime and param of the last part that is not exact (with the last
+    epsilon any of those gave).  Unverified.
     """
-    points: set[Point] = set()
+    pieces: list[frozenset[Point]] = []
     claimed, regime, param, epsilon = ONE, "exact", None, None
-    comps = connected_components(g)
+    comps = _traversal(g).components
     for comp in comps:
         sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
         part = core(sub, delta)
-        points |= relabel_points(part.points, old)
+        pieces.append(relabel_points(part.points, old))
         claimed = max(claimed, part.claimed_factor)
         if part.regime != "exact":
             regime, param = part.regime, part.param
             epsilon = part.epsilon if part.epsilon is not None else epsilon
-    return _report(g, delta, _Part(frozenset(points), claimed, regime, param, epsilon))
+    points = pieces[0] if len(pieces) == 1 else frozenset().union(*pieces)
+    return _report(g, delta, _Part(points, claimed, regime, param, epsilon))
 
 
+@functools.lru_cache(maxsize=8)
 def _vertices(g: Graph) -> frozenset[Point]:
+    """Every vertex of g as a point, memoized on g's value like ``_traversal``."""
     return frozenset(Point.vertex(v) for v in range(g.n))
 
 
@@ -339,7 +344,7 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
         # Greedy picks at most H(d) times the optimum, d the largest
         # candidate's element count (Chvatal 1979).
         inst = build_set_cover(g, delta)
-        d = max(m.bit_count() for m in inst.masks)
+        d = max(map(int.bit_count, inst.masks))
         return _Part(solve_greedy(inst).cover.points, harmonic_number(d), "large_delta")
     if delta > ONE:
         return _one_cover_part(g, delta)

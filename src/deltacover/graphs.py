@@ -8,7 +8,7 @@ semantics never touch floating point.
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -214,17 +214,27 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
     the same edge, the direct along-edge distance.  Hop counts come from
     ``_hop_row``, one BFS per anchor of ``p`` the first time it is asked.
     Every route is an integer over the common denominator of the two
-    offsets, and one Fraction is built for the result.
+    offsets, and one Fraction is built for the result.  Both points are
+    checked as ``Graph.check_point`` does, with its errors, inline.
     """
-    g.check_point(p)
-    g.check_point(q)
+    pu, pv, qu, qv = p.u, p.v, q.u, q.v
+    if pu == pv:
+        if not 0 <= pu < g.n:
+            raise InvalidPointError(f"vertex {pu} outside [0, {g.n})")
+    elif (pu, pv) not in g.edge_index:
+        raise InvalidPointError(f"edge ({pu}, {pv}) not in graph")
+    if qu == qv:
+        if not 0 <= qu < g.n:
+            raise InvalidPointError(f"vertex {qu} outside [0, {g.n})")
+    elif (qu, qv) not in g.edge_index:
+        raise InvalidPointError(f"edge ({qu}, {qv}) not in graph")
     pn, pd = p.t.numerator, p.t.denominator
     qn, qd = q.t.numerator, q.t.denominator
     den = pd * qd
-    p_anchors = ((p.u, 0),) if p.u == p.v else ((p.u, pn * qd), (p.v, (pd - pn) * qd))
-    q_anchors = ((q.u, 0),) if q.u == q.v else ((q.u, qn * pd), (q.v, (qd - qn) * pd))
+    p_anchors = ((pu, 0),) if pu == pv else ((pu, pn * qd), (pv, (pd - pn) * qd))
+    q_anchors = ((qu, 0),) if qu == qv else ((qu, qn * pd), (qv, (qd - qn) * pd))
     best: int | None = None
-    if p.u != p.v and (p.u, p.v) == (q.u, q.v):
+    if pu != pv and (pu, pv) == (qu, qv):
         best = abs(pn * qd - qn * pd)
     for a, da in p_anchors:
         row = _hop_row(g, a)
@@ -238,25 +248,49 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
     return None if best is None else Fraction(best, den)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, ordered by smallest member."""
+@dataclass(frozen=True)
+class _Traversal:
+    """One BFS per connected component, each from its least vertex.
+
+    ``orders[i]`` lists component i's vertices in BFS order, its root
+    first; ``components[i]`` lists them ascending.  ``parent[w]`` is the
+    vertex w was reached from, -1 for a root.
+    """
+
+    orders: tuple[tuple[int, ...], ...]
+    components: tuple[tuple[int, ...], ...]
+    parent: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=8)
+def _traversal(g: Graph) -> _Traversal:
+    """The BFS forest of g, memoized on its value.
+
+    The components, ``is_forest`` and the tree climb all read it, so a
+    sweep over radii on one graph searches it once.  Like the matching
+    memos, it is a module-level lru_cache that ``cache_clear`` empties.
+    """
+    parent = [-1] * g.n
     seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
+    orders = []
+    for root in range(g.n):
+        if seen[root]:
             continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        order = [root]
+        seen[root] = True
+        for u in order:
             for w in g.adj[u]:
                 if not seen[w]:
                     seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+                    parent[w] = u
+                    order.append(w)
+        orders.append(tuple(order))
+    return _Traversal(tuple(orders), tuple(tuple(sorted(o)) for o in orders), tuple(parent))
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex sets of the connected components, ordered by smallest member."""
+    return [list(c) for c in _traversal(g).components]
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
@@ -291,7 +325,7 @@ def relabel_points(points: Iterable[Point], old_ids: Sequence[int] | None) -> fr
 
 def is_forest(g: Graph) -> bool:
     """Acyclic iff m = n - c: each of the c components is a tree on its vertices."""
-    return g.m == g.n - len(connected_components(g))
+    return g.m == g.n - len(_traversal(g).components)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .graphs import (
     ONE,
     Point,
     ZERO,
+    _traversal,
     is_forest,
     subdivide,
 )
@@ -418,7 +419,7 @@ def vc_2approx(g: Graph) -> frozenset[int]:
     return frozenset(used)
 
 
-def _cover_tree_component(g: Graph, root: int, order: list[int], parent: list[int],
+def _cover_tree_component(g: Graph, root: int, order: Sequence[int], parent: Sequence[int],
                           p: int, q: int) -> set[Point]:
     """Bottom-up greedy placement on one rooted tree component.
 
@@ -492,28 +493,17 @@ def _cover_tree_component(g: Graph, root: int, order: list[int], parent: list[in
 def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
     """The minimum delta-cover of the forest g, unverified.
 
-    Each component is found by its own BFS from its least vertex, which
-    also gives the climb its order and parents.
+    Each component is climbed in the order of the memoized BFS from its
+    least vertex, which also gives the parents.
     """
     p, q = delta.numerator, delta.denominator
+    walk = _traversal(g)
     points: set[Point] = set()
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        order = [root]
-        seen[root] = True
-        for u in order:
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    order.append(w)
+    for order in walk.orders:
         if len(order) == 1:
-            points.add(Point.vertex(root))
-            continue
-        points |= _cover_tree_component(g, root, order, parent, p, q)
+            points.add(Point.vertex(order[0]))
+        else:
+            points |= _cover_tree_component(g, order[0], order, walk.parent, p, q)
     return points
 
 

@@ -8,6 +8,7 @@ exact integer arithmetic: offsets scale by 4b, the radius becomes 4a.
 
 from __future__ import annotations
 
+import functools
 import time
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -109,17 +110,29 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
     Lengths scale by 4b, so an edge is ``scale`` = 4b long and the radius
     is 4a.  A candidate at scaled distance d(w) from vertex w covers, for
     r = radius - d(w) >= 0, the universe point at w and on every edge at w
-    the interior points within r of w: one run of min(r, 4b - 1)
+    the interior points within r of w: one run of c = min(r, 4b - 1)
     consecutive universe indices per edge, since each edge's interior
     points are listed in offset order.  Points beyond the far endpoint x
     are reached through x itself, as d(x) <= d(w) + scale.  A candidate
     inside edge uv at offset t sees d(w) = min(t + scale * hops(u, w),
     scale - t + scale * hops(v, w)); these runs grow with r, so its mask is
-    the union of the masks of its two anchors, plus the run of uv's
-    interior points within the radius of t itself.  Every mask here is
-    built once per (vertex, reach) and per (anchor, offset).  The hop
-    counts come from one ``hop_layers`` BFS per vertex, stopped at
-    radius // scale hops, the farthest a vertex can reach another.
+    the union of the masks of its two anchors, (u, t) and (v, scale - t),
+    plus the run of uv's interior points within the radius of t itself.
+
+    Runs are ORed a set of vertices at a time.  For a vertex w, ``low[w]``
+    has the bit of the first interior index of each edge (w, x), x > w, and
+    ``high[w]`` the bit just past the last one of each edge (x, w), x < w.
+    With ``lo`` and ``hi`` the ORs of these over a vertex set W, the runs
+    of length c at the vertices of W are ``lo * R | (hi >> c) * R``,
+    R = 2^c - 1: an edge has one lesser endpoint, so the bits are
+    distinct, each product is a sum of shifted runs with no carries, and
+    each run stays inside its edge's block of indices.  An anchor (x, dx)
+    reaches the vertices h hops from x with r = radius - dx - scale * h.
+    The leading layers with r >= 4b - 1 add their whole stars, read off
+    prefix unions built once per vertex x; the next layer, when
+    0 <= r < 4b - 1 there, adds its runs of length r.  The hop layers come
+    from one ``hop_layers`` BFS per vertex, stopped at radius // scale hops,
+    the farthest a vertex can reach another.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -128,63 +141,68 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
     inner = scale - 1
     radius = 4 * a
     universe = GridPoints(g, scale)
-    vertex_at = [0] * g.n
+    vertex_bit = [0] * g.n
+    low = [0] * g.n
+    high = [0] * g.n
     run_at: dict[tuple[int, int], int] = {}
     for start, (u, v) in zip(universe.starts, universe.blocks):
         if u == v:
-            vertex_at[u] = start
+            vertex_bit[u] = 1 << start
         else:
             run_at[(u, v)] = start
-    # Runs at w of reach r start at the near end of each edge: (start, shift)
-    # puts a run of length c at ``start + shift * (inner - c)``.
-    ends = [
-        [(run_at[(w, x)], 0) if x > w else (run_at[(x, w)], 1) for x in g.adj[w]]
-        for w in range(g.n)
-    ]
+            low[u] |= 1 << start
+            high[v] |= 1 << (start + inner)
+    star_run = (1 << inner) - 1
     max_hops = radius // scale
-    layers = [hop_layers(g, x, max_hops) for x in range(g.n)]
-
-    reach_masks: dict[tuple[int, int], int] = {}
-
-    def reach_mask(w: int, c: int) -> int:
-        m = reach_masks.get((w, c))
-        if m is None:
-            m = 1 << vertex_at[w]
-            run = (1 << c) - 1
-            for start, shift in ends[w]:
-                m |= run << (start + shift * (inner - c))
-            reach_masks[(w, c)] = m
-        return m
-
-    anchor_masks: dict[tuple[int, int], int] = {}
-
-    def anchor_mask(x: int, dx: int) -> int:
-        m = anchor_masks.get((x, dx))
-        if m is None:
-            m = 0
-            for h, ws in enumerate(layers[x]):
-                r = radius - dx - scale * h
-                if r < 0:
-                    break
-                c = r if r < inner else inner
-                for w in ws:
-                    m |= reach_mask(w, c)
-            anchor_masks[(x, dx)] = m
-        return m
+    # A candidate dx from an anchor x, dx even and below scale, reaches the
+    # first ``whole`` hop layers of x in full, then layer ``whole`` by
+    # ``r`` when r >= 0: layer h is whole while radius - dx - scale*h >= inner.
+    plan = []
+    for dx in range(0, scale, 2):
+        whole = max(0, (radius - dx + 1) // scale)
+        plan.append((whole, radius - dx - scale * whole))
+    # anchors[x][dx // 2]: what that candidate covers through x.
+    anchors: list[list[int]] = []
+    for x in range(g.n):
+        layers = []
+        stars = [0]
+        for ws in hop_layers(g, x, max_hops):
+            vs = lo = hi = 0
+            for w in ws:
+                vs |= vertex_bit[w]
+                lo |= low[w]
+                hi |= high[w]
+            layers.append((vs, lo, hi))
+            stars.append(stars[-1] | vs | lo * star_run | (hi >> inner) * star_run)
+        row = []
+        for whole, r in plan:
+            if whole >= len(layers):
+                row.append(stars[-1])
+            elif r < 0:
+                row.append(stars[whole])
+            else:
+                vs, lo, hi = layers[whole]
+                run = (1 << r) - 1
+                row.append(stars[whole] | vs | lo * run | (hi >> r) * run)
+        anchors.append(row)
+    # The interior points of its own edge that a candidate at scaled
+    # offset 2k covers directly, as a run from the edge's first one.
+    own = []
+    for tc in range(0, scale, 2):
+        lo = max(1, tc - radius)
+        hi = min(inner, tc + radius)
+        own.append(((1 << (hi - lo + 1)) - 1) << (lo - 1))
 
     # Candidates in GridPoints order with step 2b: scaled offsets 2, 4, ...
+    half = 2 * b
     masks: list[int] = []
     for u in range(g.n):
-        masks.append(anchor_mask(u, 0))
+        at_u = anchors[u]
+        masks.append(at_u[0])
         for v in g.adj[u]:
-            if v < u:
-                continue
-            base = run_at[(u, v)]
-            for tc in range(2, scale, 2):
-                lo = max(1, tc - radius)
-                hi = min(inner, tc + radius)
-                own = ((1 << (hi - lo + 1)) - 1) << (base + lo - 1)
-                masks.append(anchor_mask(u, tc) | anchor_mask(v, scale - tc) | own)
+            if v > u:
+                at_v, base = anchors[v], run_at[(u, v)]
+                masks += [at_u[k] | at_v[half - k] | own[k] << base for k in range(1, half)]
     covered = 0
     for m in masks:
         covered |= m
@@ -617,21 +635,24 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
 
 
 def solve_greedy(inst: SetCoverInstance) -> SolveResult:
-    """Classic greedy: repeatedly take the candidate covering the most."""
+    """Classic greedy: repeatedly take the candidate covering the most.
+
+    Ties go to the lowest index.  Each pick reads every candidate's gain
+    in one pass of C-level ``map`` calls, so a pick costs |C| big-integer
+    ANDs and popcounts and no Python loop.
+    """
     t0 = time.monotonic()
-    full = (1 << len(inst.universe)) - 1
-    covered = 0
+    masks = inst.masks
+    uncovered = (1 << len(inst.universe)) - 1
     chosen: list[int] = []
-    while covered != full:
-        best, best_gain = -1, 0
-        for i, m in enumerate(inst.masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
-        if best < 0:
+    while uncovered:
+        gains = list(map(int.bit_count, map(uncovered.__and__, masks)))
+        best_gain = max(gains, default=0)
+        if best_gain == 0:
             raise InfeasibleInstanceError("greedy stuck: uncoverable element")
+        best = gains.index(best_gain)
         chosen.append(best)
-        covered |= inst.masks[best]
+        uncovered &= ~masks[best]
     points = frozenset(inst.candidates[i] for i in chosen)
     return SolveResult(
         Cover(points, inst.delta), len(points), False, 0, time.monotonic() - t0
@@ -648,11 +669,13 @@ def min_cover_exact(
     return result
 
 
+@functools.lru_cache(maxsize=64)
 def harmonic_number(n: int) -> Fraction:
     """H(n) as an exact rational; the greedy set-cover guarantee.
 
     Summed over the common denominator lcm(1..n), without recursion, so any
-    n works.
+    n works.  Memoized: a sweep of graphs of one kind asks for the same n
+    again and again.
     """
     if n <= 0:
         return Fraction(0)

@@ -1,7 +1,7 @@
 """Exact decision procedure for "is S a delta-cover?".
 
 Coverage is decided per edge from nearest-point distances: one
-multi-source Dijkstra gives each vertex its distance to the nearest cover
+multi-source search gives each vertex its distance to the nearest cover
 point, and an edge is covered exactly when the reach through its two
 endpoints and the intervals of the cover points inside it together make up
 its [0, 1] coordinate.  All lengths are scaled to integers.  Closed-ball
@@ -14,10 +14,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import lcm
 
-from .graphs import Cover, Edge, Graph, Point, ZERO
+from .graphs import Cover, Edge, Graph, InvalidPointError, Point, ZERO
 
 Interval = tuple[Fraction, Fraction]
 
@@ -62,9 +61,9 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     ((w, w), (0, 0)) for each uncovered isolated vertex w.  The witness,
     when coverage fails, is the midpoint of the first gap (deterministic
     output).  A point on no edge of g, or a vertex outside [0, n), raises
-    InvalidPointError from ``Graph.check_point``.
+    InvalidPointError with the message ``Graph.check_point`` gives.
 
-    Method: one multi-source Dijkstra from the cover points gives, for each
+    Method: one multi-source search from the cover points gives, for each
     vertex w, the distance D(w) to the nearest cover point.  Write x in
     [0, 1] for the point at offset x on edge uv.  Then x is covered iff
 
@@ -98,9 +97,20 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     in turn.  That test is sufficient, not necessary; an edge it does not
     settle has its pieces sorted and merged.
 
-    Cost: two passes over the points (check each and find ``scale``, then
-    seed the search: a vertex point at 0, an interior point's endpoints
-    when within the radius), then O((n + m) log n + |S| log |S|) integer
+    The search is Dijkstra's with a first-in, first-out queue in place of
+    a heap.  Every seed lies below ``scale``: a vertex point seeds 0, an
+    interior point its offsets from the two ends.  Every edge is ``scale``
+    long, so a vertex settled at d offers its neighbours d + scale, at
+    least ``scale``.  The queue starts as the sorted seeds, and offers join
+    at its end.  By induction the queue stays sorted: the offers come after
+    every seed, and in the order of the distances they were made from.  So
+    entries leave the queue in non-decreasing distance, and the first
+    entry for a vertex carries its distance D, as in Dijkstra's algorithm.
+
+    Cost: one pass over the points (check each, as ``Graph.check_point``
+    does, with its errors, and find ``scale``), one over the interior
+    points to seed the search (a vertex point at 0, an interior point's
+    endpoints when within the radius), then O(n + m + |S| log |S|) integer
     operations; no hop distance between vertices is computed, and a
     Fraction is built only for a reported gap and the witness.
     """
@@ -108,29 +118,36 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
         delta = s.delta
     if delta <= ZERO:
         raise ValueError(f"delta must be positive, got {delta}")
-    n, adj = g.n, g.adj
+    n, adj, edge_index = g.n, g.adj, g.edge_index
     scale = delta.denominator
+    seeds: list[tuple[int, int]] = []
+    inside: list[Point] = []
     for q in s.points:
-        g.check_point(q)
-        scale = lcm(scale, q.t.denominator)
+        u = q.u
+        if u == q.v:
+            if not 0 <= u < n:
+                raise InvalidPointError(f"vertex {u} outside [0, {n})")
+            seeds.append((0, u))
+        elif (u, q.v) in edge_index:
+            inside.append(q)
+            den = q.t.denominator
+            if scale % den:
+                scale = lcm(scale, den)
+        else:
+            raise InvalidPointError(f"edge ({u}, {q.v}) not in graph")
     reach = delta.numerator * (scale // delta.denominator)
     on_edge: dict[Edge, list[int]] = {}
-    heap: list[tuple[int, int]] = []
-    for q in s.points:
+    for q in inside:
         u, v = q.u, q.v
-        if u == v:
-            heap.append((0, u))
-            continue
         a = q.t.numerator * (scale // q.t.denominator)
         on_edge.setdefault((u, v), []).append(a)
         if a <= reach:
-            heap.append((a, u))
+            seeds.append((a, u))
         if scale - a <= reach:
-            heap.append((scale - a, v))
-    heapify(heap)
+            seeds.append((scale - a, v))
+    queue = sorted(seeds)
     dist: list[int | None] = [None] * n
-    while heap:
-        d, w = heappop(heap)
+    for d, w in queue:
         if dist[w] is not None:
             continue
         dist[w] = d
@@ -138,7 +155,7 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
         if nd <= reach:
             for x in adj[w]:
                 if dist[x] is None:
-                    heappush(heap, (nd, x))
+                    queue.append((nd, x))
     witness: Point | None = None
     gaps: list[tuple[Edge, Interval]] = []
     for e in g.edges:

@@ -11,19 +11,24 @@ from deltacover import Budget, Graph, min_cover_exact
 from deltacover.solver import SolveResult
 
 
-@pytest.fixture(autouse=True)
-def _fresh_library_caches():
-    """Empty every functools cache in the library before each test.
+def clear_library_caches() -> None:
+    """Empty every functools cache in the library, as in a fresh process.
 
-    The same rule as ``perfbench/run.py::clear_caches``: each test starts as
-    a fresh process would, so no test reads a result memoized by another
-    (or a broken one that a monkeypatched core left behind).
+    The same rule as ``perfbench/run.py::clear_caches``.
     """
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "deltacover" or name.startswith("deltacover.")):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_library_caches():
+    """Each test starts with the library's caches empty, as a fresh process
+    would, so no test reads a result memoized by another (or a broken one
+    that a monkeypatched core left behind)."""
+    clear_library_caches()
 
 
 def k_n(n: int) -> Graph:

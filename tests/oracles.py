@@ -156,6 +156,29 @@ def brute_set_cover_size(masks: list[int], full: int, upper: int) -> int:
     return upper
 
 
+def greedy_picks_by_scan(masks: list[int], size: int) -> list[int]:
+    """The greedy's picks, one candidate at a time in a Python loop.
+
+    Each pick rescans every candidate for its gain against the covered
+    elements and keeps the first with the largest; this is how
+    ``solve_greedy`` made its picks before it scanned with ``map``.
+    """
+    full = (1 << size) - 1
+    covered = 0
+    chosen: list[int] = []
+    while covered != full:
+        best, best_gain = -1, 0
+        for i, m in enumerate(masks):
+            gain = (m & ~covered).bit_count()
+            if gain > best_gain:
+                best, best_gain = i, gain
+        if best < 0:
+            raise ValueError("no candidate covers an uncovered element")
+        chosen.append(best)
+        covered |= masks[best]
+    return chosen
+
+
 def grid(g: Graph, step: int) -> tuple[Point, ...]:
     """Every vertex and every edge point at offsets k/step, in sorted point order."""
     points = [Point.vertex(w) for w in range(g.n)]

@@ -29,7 +29,7 @@ from deltacover import (
 )
 from deltacover.approx import small_delta_interval
 from deltacover.families import gen_triangles_center, gen_triangles_paths, gen_ugc_gadget
-from conftest import cycle, grid, k_n, path, star
+from conftest import clear_library_caches, cycle, grid, k_n, path, star
 from oracles import leaf_levels_by_distance, small_even_points_by_fractions
 
 
@@ -135,7 +135,8 @@ def test_connected_input_is_never_copied(monkeypatch):
             assert is_delta_cover(g, rep.cover, delta).is_cover
     assert copies == []
     approx_cover(Graph([(0, 1), (2, 3), (3, 4), (2, 4)]), F(1, 3))
-    assert copies == [[0, 1], [2, 3, 4]]
+    # The components come from the memoized traversal as tuples.
+    assert [list(c) for c in copies] == [[0, 1], [2, 3, 4]]
 
 
 # Every regime of approx_cover is reached on these graphs at those radii:
@@ -173,28 +174,43 @@ def test_public_routes_verify_once(verifier_calls):
         assert verifier_calls == [g], (fn.__name__, len(verifier_calls))
 
 
-def test_connected_components_runs_once_per_call_on_a_connected_graph(monkeypatch):
-    import deltacover.approx
-    import deltacover.graphs
-    import deltacover.matching
+def test_connected_components_runs_once_per_call_on_a_connected_graph():
+    # One traversal per graph per sweep: approx_cover splits g through the
+    # memoized BFS forest, and the routes, is_forest and the tree climb read
+    # the same entry at every radius.
+    from deltacover.graphs import _traversal
 
-    calls = []
-    real = deltacover.graphs.connected_components
-
-    def counted(g):
-        calls.append(g)
-        return real(g)
-
-    for module in (deltacover.graphs, deltacover.approx, deltacover.matching):
-        monkeypatch.setattr(module, "connected_components", counted, raising=False)
     for g in ROUTE_GRAPHS[:4]:
-        assert len(real(g)) == 1
+        _traversal.cache_clear()
         for delta in CONNECTED_ROUTE_DELTAS:
-            calls.clear()
-            rep = approx_cover(g, delta)
-            # Only approx_cover splits: the routes take its component whole,
-            # and the tree climb finds components by its own BFS.
-            assert len(calls) == 1, (g.edges, str(delta), rep.regime)
+            approx_cover(g, delta)
+        info = _traversal.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), (g.edges, info)
+        assert info.hits >= len(CONNECTED_ROUTE_DELTAS) - 1
+
+
+def test_a_warm_sweep_equals_a_cold_one():
+    # Every memo a route reads (traversal, vertex points, H(d), the matching
+    # results) is emptied before each cold call and kept across the warm ones.
+    for g in ROUTE_GRAPHS:
+        cold = {}
+        for delta in CONNECTED_ROUTE_DELTAS:
+            clear_library_caches()
+            cold[delta] = approx_cover(g, delta)
+        for delta in CONNECTED_ROUTE_DELTAS:
+            assert approx_cover(g, delta) == cold[delta], (g.edges, str(delta))
+
+
+def test_the_vertex_points_memo_is_immutable_and_empties():
+    from deltacover.approx import _vertices
+
+    g = grid(2, 3)
+    cold = _vertices(g)
+    assert isinstance(cold, frozenset) and cold == {Point.vertex(v) for v in range(6)}
+    assert _vertices(Graph(g.edges, n=g.n)) is cold
+    _vertices.cache_clear()
+    assert _vertices.cache_info().currsize == 0
+    assert _vertices(g) == cold and _vertices(g) is not cold
 
 
 def test_a_route_that_drops_a_point_is_caught_at_the_boundary(monkeypatch):

@@ -303,3 +303,30 @@ def test_is_forest_equals_the_per_component_definition():
         verdicts.add(is_forest(g))
         assert is_forest(g) == is_forest_by_components(g)
     assert verdicts == {True, False}
+
+
+def test_the_traversal_memo_equals_a_cold_search_and_is_immutable():
+    from dataclasses import FrozenInstanceError
+
+    from deltacover.graphs import _traversal
+
+    # Two components, an isolated vertex, ids out of BFS order.
+    g = Graph([(0, 4), (4, 2), (2, 0), (1, 5), (5, 6)], n=8)
+    warm = _traversal(g)
+    assert _traversal(Graph(g.edges, n=g.n)) is warm  # keyed by value
+    _traversal.cache_clear()
+    assert _traversal.cache_info().currsize == 0
+    cold = _traversal(g)
+    assert cold == warm and cold is not warm
+    assert cold.orders == ((0, 2, 4), (1, 5, 6), (3,), (7,))
+    assert cold.components == ((0, 2, 4), (1, 5, 6), (3,), (7,))
+    assert cold.parent == (-1, -1, 0, -1, 0, 1, 5, -1)
+    assert connected_components(g) == [[0, 2, 4], [1, 5, 6], [3], [7]]
+    for fields in (cold.orders, cold.components):
+        assert isinstance(fields, tuple) and all(isinstance(c, tuple) for c in fields)
+    assert isinstance(cold.parent, tuple)
+    with pytest.raises(FrozenInstanceError):
+        cold.parent = ()
+    # A caller may change the lists it is given; the memo keeps its tuples.
+    connected_components(g)[0].append(99)
+    assert connected_components(g)[0] == [0, 2, 4]

@@ -26,6 +26,7 @@ from oracles import (
     brute_set_cover_size,
     coverage_by_distance,
     gallai_edmonds_by_definition,
+    greedy_picks_by_scan,
     interval_verify,
     normalize_neat_by_rescanning,
     tree_cover_by_fractions,
@@ -111,7 +112,12 @@ VERIFY_RADII = [F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1), F(7, 6), F(3, 2), F(5,
 def verify_cases(draw):
     """A graph (maybe disconnected, maybe with isolated vertices), a radius
     and a cover (maybe empty) whose offsets sit on the radius's half-grid,
-    where touching balls are common, or on denominators coprime to it."""
+    where touching balls are common, or on denominators coprime to it.
+
+    Some interior points sit at offset delta mod 1 from an endpoint, so a
+    seed lies exactly at the radius or the search reaches a vertex exactly
+    at it; some repeat an earlier point's distance from its lesser endpoint
+    on another edge there, so two seeds of one vertex tie."""
     n = draw(st.integers(1, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
@@ -124,8 +130,18 @@ def verify_cases(draw):
             points.append(Point.vertex(draw(st.integers(0, n - 1))))
             continue
         u, v = draw(st.sampled_from(g.edges))
-        den = draw(st.sampled_from([2 * b, 4 * b, 7, 11, 13]))
-        points.append(Point.on_edge(u, v, F(draw(st.integers(1, den - 1)), den)))
+        kind = draw(st.sampled_from(["grid", "grid", "at_reach", "tie"]))
+        inside = [p for p in points if not p.is_vertex]
+        if kind == "tie" and inside:
+            p = draw(st.sampled_from(inside))
+            w = draw(st.sampled_from(g.adj[p.u]))
+            points.append(Point.on_edge(p.u, w, p.t))
+        elif kind == "at_reach":
+            t = delta - delta.numerator // delta.denominator
+            points.append(Point.on_edge(u, v, draw(st.sampled_from([t, 1 - t]))))
+        else:
+            den = draw(st.sampled_from([2 * b, 4 * b, 7, 11, 13]))
+            points.append(Point.on_edge(u, v, F(draw(st.integers(1, den - 1)), den)))
     return g, Cover.of(points, delta), delta
 
 
@@ -325,6 +341,38 @@ def test_greedy_dominates_exact_within_harmonic(g, delta):
 
 
 @st.composite
+def long_paths_and_cycles(draw):
+    """Paths and cycles on 6 or 7 vertices, in shuffled ids: at delta >= 2 an
+    anchor reaches radius // scale >= 2 hop layers, with whole stars in
+    the first and a partial run in the last."""
+    n = draw(st.integers(6, 7))
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if draw(st.booleans()):
+        edges.append((n - 1, 0))
+    ids = draw(st.permutations(range(n)))
+    return Graph([(ids[u], ids[v]) for u, v in edges], n=n)
+
+
+@given(st.one_of(set_systems(), nested_set_systems()))
+@settings(max_examples=200, deadline=None)
+def test_greedy_picks_equal_the_per_candidate_scan_on_set_systems(case):
+    n, masks = case
+    points = tuple(Point.vertex(i) for i in range(max(n, len(masks))))
+    inst = SetCoverInstance(F(1), points[:n], points[:len(masks)], tuple(masks))
+    picks = greedy_picks_by_scan(masks, n)
+    assert solve_greedy(inst).cover.points == {points[i] for i in picks}
+
+
+@given(st.one_of(connected_graphs(max_n=7), long_paths_and_cycles()),
+       st.sampled_from([F(3, 2), F(2), F(5, 2), F(3)]))
+@settings(max_examples=80, deadline=None)
+def test_greedy_picks_equal_the_per_candidate_scan_on_instances(g, delta):
+    inst = build_set_cover(g, delta)
+    picks = greedy_picks_by_scan(list(inst.masks), len(inst.universe))
+    assert solve_greedy(inst).cover.points == {inst.candidates[i] for i in picks}
+
+
+@st.composite
 def any_graphs(draw, max_n=10):
     """Graphs on 1..max_n vertices, maybe disconnected, maybe with isolated vertices."""
     n = draw(st.integers(1, max_n))
@@ -338,8 +386,8 @@ COVERAGE_DELTAS = [F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(1), F
                    F(4, 3), F(3, 2), F(5, 3), F(2), F(5, 2), F(3)]
 
 
-@given(any_graphs(max_n=5), st.sampled_from(COVERAGE_DELTAS))
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(any_graphs(max_n=5), long_paths_and_cycles()), st.sampled_from(COVERAGE_DELTAS))
+@settings(max_examples=100, deadline=None)
 def test_set_cover_masks_equal_pairwise_distances(g, delta):
     inst = build_set_cover(g, delta)
     got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)

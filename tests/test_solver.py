@@ -266,6 +266,16 @@ def test_harmonic_number():
     assert harmonic_number(3) == F(11, 6)
 
 
+def test_harmonic_number_memo_equals_a_cold_sum():
+    warm = harmonic_number(40)
+    assert harmonic_number(40) is warm
+    harmonic_number.cache_clear()
+    assert harmonic_number.cache_info().currsize == 0
+    cold = harmonic_number(40)
+    assert cold == warm == sum(F(1, k) for k in range(1, 41)) and cold is not warm
+    assert isinstance(cold, F)
+
+
 def test_harmonic_number_has_no_depth_limit():
     total = F(0)
     for k in range(1, 5001):
