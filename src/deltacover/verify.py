@@ -108,11 +108,11 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     entry for a vertex carries its distance D, as in Dijkstra's algorithm.
 
     Cost: one pass over the points (check each, as ``Graph.check_point``
-    does, with its errors, and find ``scale``), one over the interior
-    points to seed the search (a vertex point at 0, an interior point's
-    endpoints when within the radius), then O(n + m + |S| log |S|) integer
-    operations; no hop distance between vertices is computed, and a
-    Fraction is built only for a reported gap and the witness.
+    does, with its errors, seed each vertex point at 0 and find
+    ``scale``), one over the interior points to seed their endpoints that
+    lie within the radius, then O(n + m + |S| log |S|) integer operations.
+    No hop distance between vertices is computed, and a Fraction is built
+    only for a reported gap and the witness.
     """
     if delta is None:
         delta = s.delta
