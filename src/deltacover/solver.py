@@ -154,9 +154,9 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
             high[v] |= 1 << (start + inner)
     star_run = (1 << inner) - 1
     max_hops = radius // scale
-    # A candidate dx from an anchor x, dx even and below scale, reaches the
-    # first ``whole`` hop layers of x in full, then layer ``whole`` by
-    # ``r`` when r >= 0: layer h is whole while radius - dx - scale*h >= inner.
+    # A candidate at scaled distance dx (even, below scale) from an anchor
+    # reaches its first ``whole`` hop layers in full (layer h is whole while
+    # radius - dx - scale*h >= inner), and the next layer by r when r >= 0.
     plan = []
     for dx in range(0, scale, 2):
         whole = max(0, (radius - dx + 1) // scale)
