@@ -3,8 +3,8 @@
 
 Each commit is unpacked with ``git archive`` into its own fresh directory,
 and ``perfbench/run.py`` runs there, once per side for every (workload,
-seed) pair.  The side that runs first alternates: the parent on odd seeds,
-the change on even ones.  The summary has the schema of the committed
+seed) pair, for the run length that script sets itself.  The side that
+runs first alternates: the parent on odd seeds, the change on even ones.  The summary has the schema of the committed
 ``BENCH_<n>.json`` files: per end-to-end metric the medians and quartiles of
 each side, the change's wins, ties and ratio of medians; the medians of the
 traced layer metrics; whether the outputs matched; and the claim, if one is
@@ -54,9 +54,9 @@ def unpack(commit: str, into: Path) -> str:
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_one(checkout: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
+def run_one(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed:\n{proc.stderr}")
@@ -115,7 +115,6 @@ def main() -> int:
                     help="traced pairs, whose layer metrics are summarized by median")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC:RATIO",
                     help="the claimed gain, e.g. ladder_approx:calls_per_s:1.15")
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--note", default="", help="appended to the method text (the machine)")
     ap.add_argument("--workdir", type=Path, help="where the checkouts go (default: a temp dir)")
     ap.add_argument("--out", type=Path, required=True)
@@ -137,7 +136,7 @@ def main() -> int:
         for side in (SIDES if seed % 2 else SIDES[::-1]):
             key = f"{workload}/seed{seed}/trace{trace}"
             print(f"{key} {side}", flush=True)
-            runs[side][key] = run_one(workdir / side, workload, seed, trace, args.seconds)
+            runs[side][key] = run_one(workdir / side, workload, seed, trace)
             order.append([workload, str(seed), str(trace), side])
 
     untraced: dict[str, list[tuple[dict, dict]]] = {}
@@ -162,6 +161,9 @@ def main() -> int:
         better = {m["name"]: m["better"] for m in config["end_to_end"]}[name]
         claim = judge(summary, workload, name, float(ratio), better == "higher")
 
+    seconds = " or ".join(f"{s:g} s" for s in sorted(
+        {run["seconds"] for side in SIDES for run in runs[side].values()}))
+
     def described(specs: list[str]) -> str:
         return "; ".join(spec.replace(":", " seeds ") for spec in specs) or "none"
 
@@ -177,8 +179,8 @@ def main() -> int:
         "claim": claim,
         "parent_commit": commits["parent"],
         "change_commit": commits["change"],
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace <0|1>",
+        "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --trace <0|1>"
+                   f" (run length {seconds}, run.py's default)",
         "method": method,
         "order": order,
         "outputs_identical": outputs_identical,

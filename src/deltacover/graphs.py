@@ -214,27 +214,17 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
     the same edge, the direct along-edge distance.  Hop counts come from
     ``_hop_row``, one BFS per anchor of ``p`` the first time it is asked.
     Every route is an integer over the common denominator of the two
-    offsets, and one Fraction is built for the result.  Both points are
-    checked as ``Graph.check_point`` does, with its errors, inline.
+    offsets, and one Fraction is built for the result.
     """
-    pu, pv, qu, qv = p.u, p.v, q.u, q.v
-    if pu == pv:
-        if not 0 <= pu < g.n:
-            raise InvalidPointError(f"vertex {pu} outside [0, {g.n})")
-    elif (pu, pv) not in g.edge_index:
-        raise InvalidPointError(f"edge ({pu}, {pv}) not in graph")
-    if qu == qv:
-        if not 0 <= qu < g.n:
-            raise InvalidPointError(f"vertex {qu} outside [0, {g.n})")
-    elif (qu, qv) not in g.edge_index:
-        raise InvalidPointError(f"edge ({qu}, {qv}) not in graph")
+    g.check_point(p)
+    g.check_point(q)
     pn, pd = p.t.numerator, p.t.denominator
     qn, qd = q.t.numerator, q.t.denominator
     den = pd * qd
-    p_anchors = ((pu, 0),) if pu == pv else ((pu, pn * qd), (pv, (pd - pn) * qd))
-    q_anchors = ((qu, 0),) if qu == qv else ((qu, qn * pd), (qv, (qd - qn) * pd))
+    p_anchors = ((p.u, 0),) if p.u == p.v else ((p.u, pn * qd), (p.v, (pd - pn) * qd))
+    q_anchors = ((q.u, 0),) if q.u == q.v else ((q.u, qn * pd), (q.v, (qd - qn) * pd))
     best: int | None = None
-    if pu != pv and (pu, pv) == (qu, qv):
+    if p.u != p.v and (p.u, p.v) == (q.u, q.v):
         best = abs(pn * qd - qn * pd)
     for a, da in p_anchors:
         row = _hop_row(g, a)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .graphs import Cover, Edge, Graph, InvalidPointError, Point, ZERO
+from .graphs import Cover, Edge, Graph, Point, ZERO
 
 Interval = tuple[Fraction, Fraction]
 
@@ -61,7 +61,7 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     ((w, w), (0, 0)) for each uncovered isolated vertex w.  The witness,
     when coverage fails, is the midpoint of the first gap (deterministic
     output).  A point on no edge of g, or a vertex outside [0, n), raises
-    InvalidPointError with the message ``Graph.check_point`` gives.
+    InvalidPointError from ``Graph.check_point``.
 
     Method: one multi-source search from the cover points gives, for each
     vertex w, the distance D(w) to the nearest cover point.  Write x in
@@ -107,38 +107,29 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     entries leave the queue in non-decreasing distance, and the first
     entry for a vertex carries its distance D, as in Dijkstra's algorithm.
 
-    Cost: one pass over the points (check each, as ``Graph.check_point``
-    does, with its errors, seed each vertex point at 0 and find
-    ``scale``), one over the interior points to seed their endpoints that
-    lie within the radius, then O(n + m + |S| log |S|) integer operations.
-    No hop distance between vertices is computed, and a Fraction is built
-    only for a reported gap and the witness.
+    Cost: two passes over the points (check each and find ``scale``, then
+    seed the search: a vertex point at 0, an interior point's endpoints
+    when within the radius), then O(n + m + |S| log |S|) integer
+    operations; no hop distance between vertices is computed, and a
+    Fraction is built only for a reported gap and the witness.
     """
     if delta is None:
         delta = s.delta
     if delta <= ZERO:
         raise ValueError(f"delta must be positive, got {delta}")
-    n, adj, edge_index = g.n, g.adj, g.edge_index
+    n, adj = g.n, g.adj
     scale = delta.denominator
-    seeds: list[tuple[int, int]] = []
-    inside: list[Point] = []
     for q in s.points:
-        u = q.u
-        if u == q.v:
-            if not 0 <= u < n:
-                raise InvalidPointError(f"vertex {u} outside [0, {n})")
-            seeds.append((0, u))
-        elif (u, q.v) in edge_index:
-            inside.append(q)
-            den = q.t.denominator
-            if scale % den:
-                scale = lcm(scale, den)
-        else:
-            raise InvalidPointError(f"edge ({u}, {q.v}) not in graph")
+        g.check_point(q)
+        scale = lcm(scale, q.t.denominator)
     reach = delta.numerator * (scale // delta.denominator)
     on_edge: dict[Edge, list[int]] = {}
-    for q in inside:
+    seeds: list[tuple[int, int]] = []
+    for q in s.points:
         u, v = q.u, q.v
+        if u == v:
+            seeds.append((0, u))
+            continue
         a = q.t.numerator * (scale // q.t.denominator)
         on_edge.setdefault((u, v), []).append(a)
         if a <= reach:

@@ -109,15 +109,16 @@ VERIFY_RADII = [F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1), F(7, 6), F(3, 2), F(5,
 
 
 @st.composite
-def verify_cases(draw):
+def verify_cases(draw, kinds=("grid",)):
     """A graph (maybe disconnected, maybe with isolated vertices), a radius
     and a cover (maybe empty) whose offsets sit on the radius's half-grid,
     where touching balls are common, or on denominators coprime to it.
 
-    Some interior points sit at offset delta mod 1 from an endpoint, so a
-    seed lies exactly at the radius or the search reaches a vertex exactly
-    at it; some repeat an earlier point's distance from its lesser endpoint
-    on another edge there, so two seeds of one vertex tie."""
+    ``kinds`` names the ways an interior point is drawn.  "grid" is the
+    draw above.  "at_reach" puts it at offset delta mod 1 from an endpoint,
+    so a seed lies exactly at the radius or the search reaches a vertex
+    exactly at it.  "tie" repeats an earlier point's distance from its
+    lesser endpoint on another edge there, so two seeds of one vertex tie."""
     n = draw(st.integers(1, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
@@ -130,7 +131,7 @@ def verify_cases(draw):
             points.append(Point.vertex(draw(st.integers(0, n - 1))))
             continue
         u, v = draw(st.sampled_from(g.edges))
-        kind = draw(st.sampled_from(["grid", "grid", "at_reach", "tie"]))
+        kind = draw(st.sampled_from(kinds))
         inside = [p for p in points if not p.is_vertex]
         if kind == "tie" and inside:
             p = draw(st.sampled_from(inside))
@@ -148,6 +149,13 @@ def verify_cases(draw):
 @given(verify_cases())
 @settings(max_examples=400, deadline=None)
 def test_verifier_report_equals_interval_oracle(case):
+    g, cover, delta = case
+    assert is_delta_cover(g, cover, delta) == interval_verify(g, cover, delta)
+
+
+@given(verify_cases(kinds=("grid", "at_reach", "tie")))
+@settings(max_examples=200, deadline=None)
+def test_verifier_report_equals_interval_oracle_at_ties_and_reach(case):
     g, cover, delta = case
     assert is_delta_cover(g, cover, delta) == interval_verify(g, cover, delta)
 
@@ -387,7 +395,7 @@ COVERAGE_DELTAS = [F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(1), F
 
 
 @given(st.one_of(any_graphs(max_n=5), long_paths_and_cycles()), st.sampled_from(COVERAGE_DELTAS))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_set_cover_masks_equal_pairwise_distances(g, delta):
     inst = build_set_cover(g, delta)
     got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
