@@ -13,7 +13,6 @@ verify their answer once, at the public boundary, through ``_verified``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +24,7 @@ from .graphs import (
     Point,
     ZERO,
     _traversal,
+    graph_memo,
     induced_subgraph,
     is_forest,
     relabel_points,
@@ -108,7 +108,7 @@ def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
     return _report(g, delta, _Part(points, claimed, regime, param, epsilon))
 
 
-@functools.lru_cache(maxsize=8)
+@graph_memo
 def _vertices(g: Graph) -> frozenset[Point]:
     """Every vertex of g as a point, memoized on g's value like ``_traversal``."""
     return frozenset(Point.vertex(v) for v in range(g.n))

@@ -9,9 +9,10 @@ semantics never touch floating point.
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -88,14 +89,14 @@ class Graph:
     """Simple undirected graph with unit edges, stored as sorted adjacency.
 
     The edges never change after construction, which costs O(n + m).
-    Equality and the hash read (n, edges) only; the matching memos, keyed
-    by a graph's value, rely on the edges never changing.  No distance
-    table is built: ``hop_layers`` runs a BFS bounded by a hop count, and
-    ``point_distance`` caches on the graph the hop row of each source
-    vertex it routes through.
+    Equality and the hash read (n, edges) only; the memos, keyed by a
+    graph's value, rely on the edges never changing, and the hash is
+    computed once.  No distance table is built: ``hop_layers`` runs a BFS
+    bounded by a hop count, and ``point_distance`` caches on the graph the
+    hop row of each source vertex it routes through.
     """
 
-    __slots__ = ("n", "edges", "edge_index", "adj", "_hop_rows")
+    __slots__ = ("n", "edges", "edge_index", "adj", "_hop_rows", "_hash")
 
     def __init__(self, edges: Iterable[Edge], n: int | None = None):
         raw = list(edges)
@@ -125,6 +126,7 @@ class Graph:
             adj[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._hop_rows: dict[int, list[int | None]] = {}
+        self._hash: int | None = None
 
     @property
     def m(self) -> int:
@@ -147,10 +149,24 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        if self._hash is None:
+            self._hash = hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
+
+
+class Adjacency(NamedTuple):
+    """A graph as bare ascending adjacency lists, like ``Graph.adj``.
+
+    What the matching searches read of a graph, and all they need of a
+    subdivision: ``SubdivisionMap.adjacency`` builds one without the edge
+    list, the edge dict or the validation of a ``Graph``.
+    """
+
+    n: int
+    adj: Sequence[Sequence[int]]
 
 
 def hop_layers(g: Graph, source: int, max_hops: int) -> list[list[int]]:
@@ -238,6 +254,70 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
     return None if best is None else Fraction(best, den)
 
 
+# The bound of each per-graph memo: the graphs its entries are keyed by
+# total at most this many vertices plus edges.
+MEMO_CELLS = 1 << 16
+_MISSING = object()
+
+
+class CacheInfo(NamedTuple):
+    """``functools.lru_cache``'s statistics; ``maxsize`` counts cells."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+def graph_memo(fn):
+    """Memoize ``fn(g, *args)`` on the value of the graph g, least recent out.
+
+    The bound is on size, not on a count of entries: the graphs of the
+    entries total at most ``MEMO_CELLS`` vertices plus edges, and only the
+    newest entry may exceed it alone.  Each entry holds its graph and a
+    result of O(n + m) objects (O(n + b*m) for a 1/b cover), so a memo at
+    its bound holds O(MEMO_CELLS) objects whatever the graphs look like:
+    8 to 14 MB per memo, measured with ``tracemalloc`` on eight 3,200-vertex
+    cubic graphs, most of it the graphs themselves.
+    The components of a graph together are no larger than the graph, so a
+    sweep over radii on any graph of up to ``MEMO_CELLS / 2`` cells keeps
+    the graph and every component that ``approx_cover`` splits off warm
+    after the first radius, however many components there are.
+    ``cache_clear`` and ``cache_info`` work as on ``functools.lru_cache``,
+    so the caches a fresh process would not have can be emptied alike.
+    """
+    entries: OrderedDict = OrderedDict()
+    get, move_to_end = entries.get, entries.move_to_end
+    cells = hits = misses = 0
+
+    @functools.wraps(fn)
+    def memo(g: Graph, *args):
+        nonlocal cells, hits, misses
+        key = (g, *args)
+        value = get(key, _MISSING)
+        if value is not _MISSING:
+            hits += 1
+            move_to_end(key)
+            return value
+        misses += 1
+        value = fn(g, *args)
+        entries[key] = value
+        cells += g.n + g.m
+        while cells > MEMO_CELLS and len(entries) > 1:
+            (old, *_), _ = entries.popitem(last=False)
+            cells -= old.n + old.m
+        return value
+
+    def cache_clear() -> None:
+        nonlocal cells, hits, misses
+        entries.clear()
+        cells = hits = misses = 0
+
+    memo.cache_clear = cache_clear
+    memo.cache_info = lambda: CacheInfo(hits, misses, MEMO_CELLS, len(entries))
+    return memo
+
+
 @dataclass(frozen=True)
 class _Traversal:
     """One BFS per connected component, each from its least vertex.
@@ -252,13 +332,13 @@ class _Traversal:
     parent: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=8)
+@graph_memo
 def _traversal(g: Graph) -> _Traversal:
     """The BFS forest of g, memoized on its value.
 
     The components, ``is_forest`` and the tree climb all read it, so a
     sweep over radii on one graph searches it once.  Like the matching
-    memos, it is a module-level lru_cache that ``cache_clear`` empties.
+    memos, it is a module-level ``graph_memo`` that ``cache_clear`` empties.
     """
     parent = [-1] * g.n
     seen = [False] * g.n
@@ -320,27 +400,79 @@ def is_forest(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class SubdivisionMap:
-    """Bookkeeping for an x-subdivision: where every new vertex/edge came from.
+    """The numbering of an x-subdivision of a graph with ``base_n`` vertices.
 
-    Positions on an original edge map bijectively onto positions along the
-    replacing path, scaled by the factor.  New vertex ``j`` of edge ``i``
-    (1 <= j < x), counted from the lesser original endpoint, has id
-    ``n + i*(x-1) + j - 1``, so its edge and position are one ``divmod``
-    away.
+    Edge i = (u, v), u < v, of the base graph becomes the path u, then new
+    vertices j = 1 .. x-1 counted from u, then v.  Base vertices keep their
+    ids and new vertex j of edge i has id ``n + i*(x-1) + j - 1``
+    (``new_vertex``), so its edge and position are one ``divmod`` away
+    (``locate``).  ``subdivide`` and ``adjacency`` build the subdivision in
+    this numbering; ``locate`` and ``segment`` pull it back in integers,
+    for ``project_point`` and for the unit-fraction route, which places its
+    cover straight onto the base graph without building the subdivision.
     """
 
     factor: int
     base_n: int
+
+    def new_vertex(self, i: int, j: int) -> int:
+        """Id of new vertex j (1 <= j < x) on edge i."""
+        return self.base_n + i * (self.factor - 1) + j - 1
+
+    def locate(self, g: Graph, s: int) -> tuple[int, int, int]:
+        """The edge (u, v) of g that new vertex s lies on, and its position.
+
+        The position is s's distance from u in steps of 1/x, in 1 .. x-1.
+        """
+        i, j = divmod(s - self.base_n, self.factor - 1)
+        u, v = g.edges[i]
+        return u, v, j + 1
+
+    def segment(self, g: Graph, a: int, c: int) -> tuple[int, int, int, int]:
+        """Edge (u, v) of g holding subdivision edge a < c, c new, and the
+        positions of a and c on it in steps of 1/x from u.
+
+        Every new id exceeds every base id, so c is the new end; a is u
+        (first segment), v (last segment, read from v) or new vertex c - 1.
+        """
+        u, v, pc = self.locate(g, c)
+        pa = 0 if a == u else self.factor if a == v else pc - 1
+        return u, v, pa, pc
+
+    def adjacency(self, g: Graph) -> Adjacency:
+        """The x-subdivision of g as ascending adjacency lists, in O(n + x*m).
+
+        A base vertex meets new vertex 1 of each edge it starts and new
+        vertex x-1 of each edge it ends, in edge order, which is ascending
+        since the new ids of edge i precede those of edge i+1.  A new
+        vertex meets its path neighbours, the base endpoint first.
+        """
+        x = self.factor
+        if x == 1:
+            return Adjacency(g.n, g.adj)
+        adj: list[Sequence[int]] = [[] for _ in range(g.n)]
+        for i, (u, v) in enumerate(g.edges):
+            first = self.new_vertex(i, 1)
+            last = first + x - 2
+            adj[u].append(first)
+            adj[v].append(last)
+            if x == 2:
+                adj.append((u, v))
+            else:
+                adj.append((u, first + 1))
+                adj.extend((s - 1, s + 1) for s in range(first + 1, last))
+                adj.append((v, last - 1))
+        return Adjacency(len(adj), adj)
 
     def lift_point(self, g: Graph, p: Point) -> Point:
         """Position bijection from the base graph into the subdivision."""
         if p.is_vertex:
             return p
         x = self.factor
-        first = self.base_n + g.edge_index[p.edge()] * (x - 1) - 1
+        i = g.edge_index[p.edge()]
 
         def path_vertex(j: int) -> int:
-            return p.u if j == 0 else p.v if j == x else first + j
+            return p.u if j == 0 else p.v if j == x else self.new_vertex(i, j)
 
         s = p.t * x
         seg = int(s)
@@ -352,33 +484,23 @@ class SubdivisionMap:
     def project_point(self, g: Graph, p: Point) -> Point:
         """Inverse bijection: a subdivision point back onto the base graph.
 
-        Integer arithmetic only.  Every new id exceeds every base id, so a
-        segment ``(a, b)`` with ``a < b`` is canonically oriented from the
-        lesser base endpoint ``u`` unless ``a`` is the greater one, ``v``:
-        then it is the last segment, read from ``v``.  The offset is
-        strictly inside edge ``(u, v)``, and ``u < v`` holds in ``g.edges``,
-        so the point is built already normalized.
+        Integer arithmetic only.  A point at offset t from a on segment
+        a < c sits at pa + t*(pc - pa) steps of 1/x from u, with pa and pc
+        from ``segment``.  The offset is strictly inside edge (u, v), and
+        u < v holds in ``g.edges``, so the point is built already
+        normalized.
         """
         x, n = self.factor, self.base_n
         if p.is_vertex:
             if p.u < n:
                 return p
-            eid, j = divmod(p.u - n, x - 1)
-            u, v = g.edges[eid]
-            return Point(u, v, Fraction(j + 1, x))
-        a, b = p.u, p.v
-        if b < n:  # x == 1: the subdivision is g itself
+            u, v, pos = self.locate(g, p.u)
+            return Point(u, v, Fraction(pos, x))
+        if p.v < n:  # x == 1: the subdivision is g itself
             return p
         tn, td = p.t.numerator, p.t.denominator
-        eid, j = divmod(b - n, x - 1)
-        u, v = g.edges[eid]
-        if a < n:
-            # First segment (from u) or last segment (from v, reversed).
-            num = tn if a == u else x * td - tn
-        else:
-            # Segment j: from new vertex a = b - 1 at position j.
-            num = j * td + tn
-        return Point(u, v, Fraction(num, x * td))
+        u, v, pa, pc = self.segment(g, p.u, p.v)
+        return Point(u, v, Fraction(pa * td + (pc - pa) * tn, x * td))
 
     def project_cover(self, g: Graph, s_x: Cover) -> Cover:
         """Pull a cover of the subdivision back onto ``g`` (radius divides by the factor)."""
@@ -387,18 +509,18 @@ class SubdivisionMap:
 
 
 def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
-    """Replace every edge by a path of ``x`` unit edges."""
+    """Replace every edge by a path of ``x`` unit edges, numbered as in ``SubdivisionMap``.
+
+    The library's unit-fraction route reads ``SubdivisionMap.adjacency``
+    instead and builds no subdivided ``Graph``; this is for callers that
+    want one, such as the tests and the acceptance suite.
+    """
     if x < 1:
         raise ValueError(f"subdivision factor must be >= 1, got {x}")
-    next_id = g.n
-    new_edges: list[Edge] = []
-    for u, v in g.edges:
-        path = (u, *range(next_id, next_id + x - 1), v)
-        next_id += x - 1
-        for a, b in zip(path, path[1:]):
-            new_edges.append((a, b) if a < b else (b, a))
-    sub = Graph(new_edges, n=next_id)
-    return sub, SubdivisionMap(x, g.n)
+    smap = SubdivisionMap(x, g.n)
+    sub = smap.adjacency(g)
+    edges = [(a, c) for a, row in enumerate(sub.adj) for c in row if a < c]
+    return Graph(edges, n=sub.n), smap
 
 
 def wreath_k2(g: Graph) -> Graph:

@@ -16,20 +16,19 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import (
+    Adjacency,
     Cover,
     Edge,
     Graph,
-    ONE,
     Point,
+    SubdivisionMap,
     ZERO,
     _traversal,
+    graph_memo,
     is_forest,
-    subdivide,
 )
 from .solver import Budget, DEFAULT_BUDGET, SolveResult
 from .verify import InternalConsistencyError, require_output
-
-HALF = Fraction(1, 2)
 
 # Labels of the alternating forest: unreached, even (outer), odd (inner).
 _FREE, _EVEN, _ODD = 0, 1, 2
@@ -69,7 +68,8 @@ class GEDecomposition:
 def _greedy_mates(adj: Sequence[Sequence[int]]) -> list[int]:
     """A maximal matching, lowest-degree vertices first (mate[v], -1 if exposed)."""
     mate = [-1] * len(adj)
-    for v in sorted(range(len(adj)), key=lambda v: len(adj[v])):
+    degree = list(map(len, adj))
+    for v in sorted(range(len(adj)), key=degree.__getitem__):
         if mate[v] < 0:
             for w in adj[v]:
                 if mate[w] < 0:
@@ -173,11 +173,12 @@ def _forest_search(adj: Sequence[Sequence[int]],
     return label, base
 
 
-def _edmonds(g: Graph) -> tuple[list[int], list[int], list[int]]:
+def _edmonds(g: Graph | Adjacency) -> tuple[list[int], list[int], list[int]]:
     """Mates of a maximum matching and the final forest's labels and bases.
 
-    A greedy matching is augmented one path per search; the search that
-    finds no augmenting path labels the Gallai-Edmonds split.
+    Only ``g.adj`` is read.  A greedy matching is augmented one path per
+    search; the search that finds no augmenting path labels the
+    Gallai-Edmonds split.
     """
     mate = _greedy_mates(g.adj)
     while True:
@@ -200,8 +201,11 @@ def _nu(g: Graph) -> int:
     return max_matching(g).size
 
 
-def gallai_edmonds(g: Graph) -> GEDecomposition:
+def gallai_edmonds(g: Graph | Adjacency) -> GEDecomposition:
     """Compute (D, A, C) and the components of G[D] from the final Edmonds forest.
+
+    Only ``g.n`` and ``g.adj`` are read, so a subdivision can come as bare
+    ``Adjacency``.
 
     With a maximum matching, the alternating forest rooted at every exposed
     vertex labels exactly the vertices some maximum matching misses as even
@@ -238,15 +242,23 @@ def _deficient_set(adj: Sequence[Sequence[int]],
     their neighbours is grown one augmenting path at a time; T is then the
     set of singletons reachable by alternating paths from those it leaves
     exposed (Konig), so |T| - |N(T)| = def(B).
+
+    A search that finds no augmenting path leaves a Hungarian tree: each of
+    its singletons has all its neighbours in the tree, matched to
+    singletons of the tree.  No later augmenting path can enter such a
+    tree, so its neighbour vertices are skipped from then on, and each
+    failed search costs only the vertices no earlier one reached.  B's
+    maximum matching size, and so T and N(T), do not change.
     """
     mate: dict[int, int] = {}  # both ways; singletons and their neighbours are disjoint
+    dead: set[int] = set()  # the neighbour vertices of every Hungarian tree so far
     for s in singles:
         came: dict[int, int] = {}
         frontier = [s]
         end = None
         for x in frontier:
             for a in adj[x]:
-                if a in came:
+                if a in came or a in dead:
                     continue
                 came[a] = x
                 if a not in mate:
@@ -255,6 +267,8 @@ def _deficient_set(adj: Sequence[Sequence[int]],
                 frontier.append(mate[a])
             if end is not None:
                 break
+        if end is None:
+            dead.update(came)
         while end is not None:
             x = came[end]
             nxt = mate.get(x)
@@ -270,49 +284,78 @@ def _deficient_set(adj: Sequence[Sequence[int]],
     return set(T), X
 
 
-def _one_cover(g: Graph, ge: GEDecomposition) -> Cover:
-    """The minimum 1-cover of ``one_cover_min``, unverified.
+@functools.lru_cache(maxsize=64)
+def _half_steps(b: int) -> tuple[Fraction, ...]:
+    """The 2b + 1 offsets k/(2b), k = 0 .. 2b, at which a 1/b cover's points sit."""
+    return tuple(Fraction(k, 2 * b) for k in range(2 * b + 1))
 
-    ``ge`` is the Gallai-Edmonds split of g.  Callers reach it through the
-    memoized ``_split_and_one_cover`` or ``_unit_fraction_cover``.
+
+def _one_cover(h: Graph | Adjacency, ge: GEDecomposition,
+               g: Graph | None = None, b: int = 1) -> Cover:
+    """The minimum 1-cover of ``one_cover_min`` on h, unverified.
+
+    ``ge`` is the Gallai-Edmonds split of h.  With g, h is the
+    b-subdivision of g in ``SubdivisionMap`` numbering, and each point goes
+    straight onto g's edge (u, v) at an offset k/(2b) from the table
+    ``_half_steps(b)``: a new vertex at k = 2*pos, the midpoint of a
+    subdivision edge at k = pa + pc, the positions in steps of 1/b from
+    ``SubdivisionMap.locate`` and ``segment``.  That is the minimum
+    (1/b)-cover of g, and no point of h is built.  Callers reach it through
+    the memoized ``_split_and_one_cover`` or ``_unit_fraction_cover``.
     """
     singles = [v for comp in ge.d_components if len(comp) == 1
-               for v in comp if g.adj[v]]
-    T, X = _deficient_set(g.adj, singles)
-    points = {Point.vertex(v) for v in X}
-    points |= {Point.vertex(v) for v in range(g.n) if not g.adj[v]}
+               for v in comp if h.adj[v]]
+    T, X = _deficient_set(h.adj, singles)
+    n = h.n if g is None else g.n
+    smap = SubdivisionMap(b, n)
+    at = _half_steps(b)
+
+    def vertex(s: int) -> Point:
+        if s < n:
+            return Point.vertex(s)
+        u, v, pos = smap.locate(g, s)
+        return Point(u, v, at[2 * pos])
+
+    def midpoint(a: int, c: int) -> Point:
+        if c < n:
+            return Point(a, c, at[1])
+        u, v, pa, pc = smap.segment(g, a, c)
+        return Point(u, v, at[pa + pc])
+
+    points = {vertex(s) for s in X}
+    points |= {Point.vertex(s) for s in range(n) if not h.adj[s]}  # new vertices have degree 2
     touched = set(X)
-    for u, v in ge.matching.edges:
-        if u not in X and v not in X:
-            points.add(Point(min(u, v), max(u, v), HALF))
-            touched.update((u, v))
-    for v in range(g.n):
-        if v not in touched:
-            w = next((w for w in g.adj[v] if w not in X), None)
+    for a, c in ge.matching.edges:
+        if a not in X and c not in X:
+            points.add(midpoint(a, c))
+            touched.update((a, c))
+    for s in range(h.n):
+        if s not in touched:
+            w = next((w for w in h.adj[s] if w not in X), None)
             if w is not None:
-                points.add(Point(min(v, w), max(v, w), HALF))
-    cover = Cover(frozenset(points), ONE)
-    expected = g.n - ge.matching.size - (len(T) - len(X))
+                points.add(midpoint(min(s, w), max(s, w)))
+    cover = Cover(frozenset(points), at[2])  # 2/(2b) = 1/b
+    expected = h.n - ge.matching.size - (len(T) - len(X))
     if len(cover) != expected:
         raise InternalConsistencyError(
             f"1-cover has {len(cover)} points, the formula gives {expected}"
         )
-    if all(g.adj) and 3 * len(cover) > 2 * g.n:
+    if all(h.adj) and 3 * len(cover) > 2 * h.n:
         raise InternalConsistencyError(
-            f"1-cover of size {len(cover)} exceeds 2/3 of {g.n} vertices"
+            f"1-cover of size {len(cover)} exceeds 2/3 of {h.n} vertices"
         )
     return cover
 
 
 # The two memos below hold a graph's radius-independent results, keyed by
 # its value (n, edges), so that a sweep over radii on one graph runs each
-# Edmonds search once.  They are module-level lru_caches, which
-# ``cache_clear`` empties.  Eight slots suffice: one graph needs at most
-# three keys, (g, 1), (g, 2) and (g, 3), and the sweeps that reuse them go
-# graph by graph.  Covers are frozensets, safe to share.
+# Edmonds search once.  They are module-level ``graph_memo``s, bounded by
+# the size of the graphs they hold, which ``cache_clear`` empties.  A
+# subdivision is solved inside ``_unit_fraction_cover`` and never becomes
+# a key.  Covers are frozensets, safe to share.
 
 
-@functools.lru_cache(maxsize=8)
+@graph_memo
 def _split_and_one_cover(g: Graph) -> tuple[GEDecomposition, Cover]:
     """The Gallai-Edmonds split of g and its minimum 1-cover, unverified."""
     ge = gallai_edmonds(g)
@@ -373,24 +416,22 @@ def one_cover_min(g: Graph) -> SolveResult:
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
-@functools.lru_cache(maxsize=8)
+@graph_memo
 def _unit_fraction_cover(g: Graph, b: int) -> Cover:
     """The minimum (1/b)-cover of ``unit_fraction_cover``, unverified.
 
-    Memoized on (g, b).  b = 1 is the memoized 1-cover of g itself; a
-    subdivision is solved here directly, so it never takes a slot in the
-    per-graph memo.
+    Memoized on (g, b).  b = 1 is the memoized 1-cover of g itself.  For
+    b >= 2 the b-subdivision is never built as a ``Graph``: the Edmonds
+    search and the 1-cover read its bare adjacency from
+    ``SubdivisionMap.adjacency``, and ``_one_cover`` places the points
+    straight onto g, so nothing is pulled back afterwards.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
     if b == 1:
         return _split_and_one_cover(g)[1]
-    sub, smap = subdivide(g, b)
-    inner = _one_cover(sub, gallai_edmonds(sub))
-    cover = smap.project_cover(g, inner)
-    if len(cover) != len(inner):
-        raise InternalConsistencyError("subdivision pull-back changed the cover size")
-    return cover
+    h = SubdivisionMap(b, g.n).adjacency(g)
+    return _one_cover(h, gallai_edmonds(h), g, b)
 
 
 def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
@@ -398,10 +439,11 @@ def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> So
 
     Covers of g at radius 1/b correspond bijectively to covers of the
     b-subdivision at radius 1, where ``one_cover_min`` solves the problem
-    in polynomial time.  ``budget`` is not read; ``perfbench``
-    still passes it positionally.  Only the pulled-back cover is verified,
-    once per call, on g, memo hit or not; library code calls the
-    unverified, memoized ``_unit_fraction_cover``.
+    in polynomial time; the route solves the subdivision as bare adjacency
+    and places its cover on g directly (``_unit_fraction_cover``).
+    ``budget`` is not read; ``perfbench`` still passes it positionally.
+    The cover is verified once per call, on g, memo hit or not; library
+    code calls the unverified, memoized ``_unit_fraction_cover``.
     """
     t0 = time.monotonic()
     cover = _unit_fraction_cover(g, b)

@@ -9,8 +9,10 @@ one distance per candidate and universe point, leaf levels and forests
 by BFS, the vertex paths of a subdivision by walking it.  Others keep a
 library routine as it was before it moved to integer arithmetic (tree
 climb, point distance, subdivision pull-back, small-delta even points)
-or before it grouped points by edge (neat normalization), and the root
-core of set cover by its subset definition.
+or before it grouped points by edge (neat normalization), the
+unit-fraction route as it was before it solved the subdivision as bare
+adjacency (a subdivided ``Graph``, then a pull-back of its 1-cover), and
+the root core of set cover by its subset definition.
 """
 
 from __future__ import annotations
@@ -521,3 +523,15 @@ def small_even_points_by_fractions(g: Graph, delta: Fraction, k: int) -> frozens
         for j in range(1, k + 1):
             points.add(Point.on_edge(u, v, Fraction(1, 2) + (2 * j - k - 1) * delta))
     return frozenset(points)
+
+
+def unit_fraction_cover_via_subdivided_graph(g: Graph, b: int) -> Cover:
+    """The minimum (1/b)-cover of g by the route of ``_unit_fraction_cover``
+    before it skipped the subdivided graph: build the b-subdivision as a
+    ``Graph``, take its minimum 1-cover, and pull every point back onto g
+    with ``SubdivisionMap.project_cover``."""
+    from deltacover.matching import _one_cover, gallai_edmonds
+    from deltacover.graphs import subdivide
+
+    sub, smap = subdivide(g, b)
+    return smap.project_cover(g, _one_cover(sub, gallai_edmonds(sub)))

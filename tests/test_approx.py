@@ -189,6 +189,46 @@ def test_connected_components_runs_once_per_call_on_a_connected_graph():
         assert info.hits >= len(CONNECTED_ROUTE_DELTAS) - 1
 
 
+def _disjoint_union(parts: list[Graph]) -> Graph:
+    edges, n = [], 0
+    for h in parts:
+        edges += [(u + n, v + n) for u, v in h.edges]
+        n += h.n
+    return Graph(edges, n=n)
+
+
+def test_every_component_hits_the_memos_after_its_first_radius():
+    # Twelve components, more than the eight entries the memos once held:
+    # each memo misses once per distinct graph and hits at every later radius.
+    from deltacover.approx import _vertices
+    from deltacover.graphs import _traversal
+    from deltacover.matching import _split_and_one_cover, _unit_fraction_cover
+
+    sweep = [F(2, 7) + i * (F(2, 5) - F(2, 7)) / 10 for i in range(11)]
+    paths = _disjoint_union([path(k) for k in range(2, 14)])
+    for delta in sweep:
+        approx_cover(paths, delta)
+    # The whole graph and each tree component, once per radius.
+    info = _traversal.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (13, 11 * 13 - 13, 13)
+
+    clear_library_caches()
+    cycles = _disjoint_union([cycle(k) for k in range(3, 15)])
+    for delta in sweep:
+        approx_cover(cycles, delta)
+    info = _traversal.cache_info()
+    assert (info.misses, info.hits) == (1, 10)  # the whole graph; cycles are no trees
+    # Below 1/3 the even small-delta route reads the vertex points; above,
+    # the odd one reads the 3-subdivision's cover and the split of g.
+    below = sum(d < F(1, 3) for d in sweep)
+    above = len(sweep) - below
+    assert (below, above) == (5, 6)
+    for memo, radii in ((_vertices, below), (_unit_fraction_cover, above),
+                        (_split_and_one_cover, above)):
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (12, 12 * (radii - 1), 12), memo
+
+
 def test_a_warm_sweep_equals_a_cold_one():
     # Every memo a route reads (traversal, vertex points, H(d), the matching
     # results) is emptied before each cold call and kept across the warm ones.

@@ -330,3 +330,28 @@ def test_the_traversal_memo_equals_a_cold_search_and_is_immutable():
     # A caller may change the lists it is given; the memo keeps its tuples.
     connected_components(g)[0].append(99)
     assert connected_components(g)[0] == [0, 2, 4]
+
+
+def test_a_graph_memo_is_bounded_by_the_cells_of_its_graphs(monkeypatch):
+    import deltacover.graphs
+    from deltacover.graphs import _traversal
+
+    monkeypatch.setattr(deltacover.graphs, "MEMO_CELLS", 20)
+    p3, p4, p5 = path(3), path(4), path(5)  # 7, 9 and 11 vertices plus edges
+    _traversal(p3)
+    _traversal(p4)
+    _traversal(p3)  # a hit makes p3 the most recent entry
+    _traversal(p5)  # 27 cells: the least recent entry, p4, goes
+    info = _traversal.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 3, 20, 2)
+    _traversal(p3)
+    _traversal(p5)
+    assert _traversal.cache_info()[:2] == (3, 3)
+    _traversal(p4)  # back in, and p3 out
+    _traversal(p3)
+    assert _traversal.cache_info()[:2] == (3, 5)
+    big = path(30)  # 61 cells, over the bound alone: it stays, as the newest
+    _traversal(big)
+    _traversal(big)
+    info = _traversal.cache_info()
+    assert (info.hits, info.currsize) == (4, 1)

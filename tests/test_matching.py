@@ -185,8 +185,9 @@ def test_a_core_that_drops_a_point_raises_internal_consistency_error(monkeypatch
     real_exact = deltacover.solver.solve_exact
     real_part = deltacover.approx._component_part
 
-    def one_cover(h, ge=None):
-        return Cover(_without_a_needed_point(h, real_one(h, ge).points, F(1)), F(1))
+    def one_cover(h, ge, onto=None, b=1):
+        points = real_one(h, ge, onto, b).points
+        return Cover(_without_a_needed_point(onto or h, points, F(1, b)), F(1, b))
 
     def unit_fraction(h, b):
         return Cover(_without_a_needed_point(h, real_unit(h, b).points, F(1, b)), F(1, b))
@@ -230,6 +231,32 @@ def test_one_cover_of_a_subdivision_covers_it(atlas_suite):
             inner = _one_cover(sub, gallai_edmonds(sub))
             assert is_delta_cover(sub, inner, F(1)).is_cover
             assert len(smap.project_cover(g, inner)) == len(inner) == unit_fraction_cover(g, b).size
+
+
+def test_the_unit_fraction_route_builds_no_graph_and_pulls_nothing_back(monkeypatch):
+    # The route solves the subdivision as bare adjacency and places its
+    # cover straight onto g.
+    from deltacover.graphs import SubdivisionMap
+
+    g = gen_triangles_center(3).graph
+    built, projected = [], []
+    real_init, real_project = Graph.__init__, SubdivisionMap.project_point
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def project_point(self, *args):
+        projected.append(args)
+        return real_project(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", init)
+    monkeypatch.setattr(SubdivisionMap, "project_point", project_point)
+    cover = _unit_fraction_cover(g, 3)
+    assert built == [] and projected == []
+    monkeypatch.undo()
+    assert is_delta_cover(g, cover, F(1, 3)).is_cover
+    assert len(cover) == min_cover_exact(g, F(1, 3)).size
 
 
 # Radii whose route reads a matching result: unit fractions (b = 1, 3, 4),

@@ -19,7 +19,7 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
-from deltacover.matching import _nu, _tree_points
+from deltacover.matching import _nu, _tree_points, _unit_fraction_cover
 from deltacover.solver import GridPoints, SetCoverInstance
 from oracles import (
     brute_max_matching,
@@ -30,6 +30,7 @@ from oracles import (
     interval_verify,
     normalize_neat_by_rescanning,
     tree_cover_by_fractions,
+    unit_fraction_cover_via_subdivided_graph,
 )
 
 
@@ -447,3 +448,21 @@ TREE_RADII = [F(1, 3), F(1, 2), F(1), F(2, 5), F(3, 5), F(2, 3), F(4, 7), F(3, 4
 @settings(max_examples=400, deadline=None)
 def test_integer_tree_climb_equals_fraction_climb(g, delta):
     assert _tree_points(g, delta) == tree_cover_by_fractions(g, delta)
+
+
+@given(st.one_of(any_graphs(), forests()), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_subdivision_adjacency_equals_the_subdivided_graph(g, x):
+    sub, smap = subdivide(g, x)
+    h = smap.adjacency(g)
+    assert h.n == sub.n
+    assert tuple(map(tuple, h.adj)) == sub.adj
+
+
+@given(st.one_of(any_graphs(), forests()), st.integers(2, 6))
+@settings(max_examples=200, deadline=None)
+def test_unit_fraction_route_equals_the_subdivided_graph_route(g, b):
+    _unit_fraction_cover.cache_clear()
+    got = _unit_fraction_cover(g, b)
+    want = unit_fraction_cover_via_subdivided_graph(g, b)
+    assert got.points == want.points and got.delta == want.delta == F(1, b)
