@@ -9,7 +9,6 @@ semantics never touch floating point.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -257,65 +256,46 @@ def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
 # The bound of each per-graph memo: the graphs its entries are keyed by
 # total at most this many vertices plus edges.
 MEMO_CELLS = 1 << 16
-_MISSING = object()
-
-
-class CacheInfo(NamedTuple):
-    """``functools.lru_cache``'s statistics; ``maxsize`` counts cells."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
 
 
 def graph_memo(fn):
-    """Memoize ``fn(g, *args)`` on the value of the graph g, least recent out.
+    """Memoize ``fn(g, *args)`` on the value of the graph g, bounded by size.
 
-    The bound is on size, not on a count of entries: the graphs of the
-    entries total at most ``MEMO_CELLS`` vertices plus edges, and only the
-    newest entry may exceed it alone.  Each entry holds its graph and a
-    result of O(n + m) objects (O(n + b*m) for a 1/b cover), so a memo at
-    its bound holds O(MEMO_CELLS) objects whatever the graphs look like:
-    8 to 14 MB per memo, measured with ``tracemalloc`` on eight 3,200-vertex
-    cubic graphs, most of it the graphs themselves.
+    A ``functools.lru_cache`` without a count limit, so a hit costs what an
+    ``lru_cache`` hit costs, that is emptied whenever a new entry would take
+    the graphs of its entries past ``MEMO_CELLS`` vertices plus edges; a
+    graph larger than that alone is the only entry.  Each entry holds its
+    graph and a result of O(n + m) objects (O(n + b*m) for a 1/b cover),
+    so a memo holds O(MEMO_CELLS) objects whatever the graphs look like:
+    8 to 14 MB per memo at the bound, measured with ``tracemalloc`` on
+    eight 3,200-vertex cubic graphs, most of it the graphs themselves.
     The components of a graph together are no larger than the graph, so a
     sweep over radii on any graph of up to ``MEMO_CELLS / 2`` cells keeps
     the graph and every component that ``approx_cover`` splits off warm
     after the first radius, however many components there are.
-    ``cache_clear`` and ``cache_info`` work as on ``functools.lru_cache``,
-    so the caches a fresh process would not have can be emptied alike.
+    ``cache_clear`` empties the memo, and ``cache_info`` counts hits and
+    misses since it was last emptied.
     """
-    entries: OrderedDict = OrderedDict()
-    get, move_to_end = entries.get, entries.move_to_end
-    cells = hits = misses = 0
+    cells = 0
 
-    @functools.wraps(fn)
-    def memo(g: Graph, *args):
-        nonlocal cells, hits, misses
-        key = (g, *args)
-        value = get(key, _MISSING)
-        if value is not _MISSING:
-            hits += 1
-            move_to_end(key)
-            return value
-        misses += 1
+    def fill(g: Graph, *args):
+        nonlocal cells
         value = fn(g, *args)
-        entries[key] = value
+        if cells + g.n + g.m > MEMO_CELLS:
+            cache_clear()
         cells += g.n + g.m
-        while cells > MEMO_CELLS and len(entries) > 1:
-            (old, *_), _ = entries.popitem(last=False)
-            cells -= old.n + old.m
         return value
 
+    memo = functools.lru_cache(maxsize=None)(fill)
+    empty = memo.cache_clear
+
     def cache_clear() -> None:
-        nonlocal cells, hits, misses
-        entries.clear()
-        cells = hits = misses = 0
+        nonlocal cells
+        empty()
+        cells = 0
 
     memo.cache_clear = cache_clear
-    memo.cache_info = lambda: CacheInfo(hits, misses, MEMO_CELLS, len(entries))
-    return memo
+    return functools.update_wrapper(memo, fn)
 
 
 @dataclass(frozen=True)
@@ -511,9 +491,9 @@ class SubdivisionMap:
 def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
     """Replace every edge by a path of ``x`` unit edges, numbered as in ``SubdivisionMap``.
 
-    The library's unit-fraction route reads ``SubdivisionMap.adjacency``
-    instead and builds no subdivided ``Graph``; this is for callers that
-    want one, such as the tests and the acceptance suite.
+    The graph is built from ``SubdivisionMap.adjacency``.  The library's
+    unit-fraction route reads that adjacency directly and builds no
+    subdivided ``Graph``.
     """
     if x < 1:
         raise ValueError(f"subdivision factor must be >= 1, got {x}")

@@ -340,18 +340,17 @@ def test_a_graph_memo_is_bounded_by_the_cells_of_its_graphs(monkeypatch):
     p3, p4, p5 = path(3), path(4), path(5)  # 7, 9 and 11 vertices plus edges
     _traversal(p3)
     _traversal(p4)
-    _traversal(p3)  # a hit makes p3 the most recent entry
-    _traversal(p5)  # 27 cells: the least recent entry, p4, goes
-    info = _traversal.cache_info()
-    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 3, 20, 2)
     _traversal(p3)
-    _traversal(p5)
-    assert _traversal.cache_info()[:2] == (3, 3)
-    _traversal(p4)  # back in, and p3 out
-    _traversal(p3)
-    assert _traversal.cache_info()[:2] == (3, 5)
-    big = path(30)  # 61 cells, over the bound alone: it stays, as the newest
-    _traversal(big)
-    _traversal(big)
     info = _traversal.cache_info()
-    assert (info.hits, info.currsize) == (4, 1)
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    _traversal(p5)  # 27 cells: the memo is emptied first and then holds p5
+    assert _traversal.cache_info().currsize == 1
+    assert _traversal(p5) is _traversal(p5)
+    _traversal(p3)  # 18 cells
+    assert _traversal.cache_info().currsize == 2
+    big = path(30)  # 61 cells, over the bound alone: it is the only entry
+    _traversal(big)
+    assert _traversal(big) is _traversal(big)
+    assert _traversal.cache_info().currsize == 1
+    _traversal.cache_clear()
+    assert _traversal.cache_info().currsize == 0
