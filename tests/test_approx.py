@@ -198,7 +198,7 @@ def _disjoint_union(parts: list[Graph]) -> Graph:
 
 
 def test_every_component_hits_the_memos_after_its_first_radius():
-    # Twelve components, more than the eight entries the memos once held:
+    # Twelve components, more than a memo bounded by eight entries keeps:
     # each memo misses once per distinct graph and hits at every later radius.
     from deltacover.approx import _vertices
     from deltacover.graphs import _traversal
