@@ -259,7 +259,7 @@ MEMO_CELLS = 1 << 16
 
 
 def graph_memo(fn):
-    """Memoize ``fn(g, *args)`` on the value of the graph g, bounded by size.
+    """Memoize ``fn(g, ...)`` on the value of the graph g, bounded by size.
 
     A ``functools.lru_cache`` without a count limit, so a hit costs what an
     ``lru_cache`` hit costs, that is emptied whenever a new entry would take
@@ -278,9 +278,9 @@ def graph_memo(fn):
     """
     cells = 0
 
-    def fill(g: Graph, *args):
+    def fill(g: Graph, *args, **kwargs):
         nonlocal cells
-        value = fn(g, *args)
+        value = fn(g, *args, **kwargs)
         if cells + g.n + g.m > MEMO_CELLS:
             cache_clear()
         cells += g.n + g.m
