@@ -37,6 +37,7 @@ from .matching import (
     gallai_edmonds,
     max_matching,
     one_cover_min,
+    translate_cover_down,
     tree_cover,
     unit_fraction_cover,
     vc_2approx,

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .graphs import (
     Cover,
     Graph,
+    HALF,
     ONE,
     Point,
     ZERO,
@@ -43,12 +44,15 @@ from .solver import (
     solve_exact,
     solve_greedy,
 )
-from .verify import InternalConsistencyError, require_cover, require_output
+from .verify import require_cover, require_output
 
-HALF = Fraction(1, 2)
 TWO_THIRDS = Fraction(2, 3)
 THREE_QUARTERS = Fraction(3, 4)
+SEVEN_SIXTHS = Fraction(7, 6)
+FIVE_QUARTERS = Fraction(5, 4)
 THREE_HALVES = Fraction(3, 2)
+FIVE_THIRDS = Fraction(5, 3)
+TWO = Fraction(2)
 
 
 @dataclass(frozen=True)
@@ -151,12 +155,12 @@ def vertex_set_interval(delta: Fraction) -> int:
 
 
 def _one_cover_part(g: Graph, delta: Fraction) -> _Part:
-    if delta < Fraction(7, 6):
+    if delta < SEVEN_SIXTHS:
         factor, regime = THREE_HALVES, "one_cover_3_2"
-    elif delta < Fraction(5, 4):
-        factor, regime = Fraction(5, 3), "one_cover_5_3"
+    elif delta < FIVE_QUARTERS:
+        factor, regime = FIVE_THIRDS, "one_cover_5_3"
     else:
-        factor, regime = Fraction(2), "one_cover_2"
+        factor, regime = TWO, "one_cover_2"
     return _Part(_split_and_one_cover(g)[1].points, factor, regime)
 
 
@@ -265,14 +269,14 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
 
 
 def _small_odd_part(g: Graph, delta: Fraction, k: int) -> _Part:
+    """The minimum 1/(2k+1)-cover: g's 1-cover with k more points per edge.
+
+    ``_unit_fraction_cover`` builds it from the memoized 1-cover, and
+    checks that its size is exactly cov1 + k|E|; the split of g gives eps.
+    """
     cover = _unit_fraction_cover(g, 2 * k + 1)
-    ge, one_cover = _split_and_one_cover(g)
-    bound = k * g.m + len(one_cover)
-    if len(cover) > bound:
-        raise InternalConsistencyError(
-            f"1/{2 * k + 1}-cover of size {len(cover)} exceeds k|E| + cov1 = {bound}"
-        )
-    eps = Fraction(g.n + ge.c_ge3, g.n + ge.c_ge3 - 1) - 1 if g.n + ge.c_ge3 > 1 else Fraction(1)
+    ge = _split_and_one_cover(g)[0]
+    eps = Fraction(g.n + ge.c_ge3, g.n + ge.c_ge3 - 1) - 1 if g.n + ge.c_ge3 > 1 else ONE
     avg = g.average_degree()
     factor = 1 + Fraction(1, 2 * k) + eps
     if avg > 0:
@@ -285,10 +289,11 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
 
     Its size is exactly k|E| plus the minimum 1-cover, and any delta-cover
     for delta < 1/(2k) needs at least k|E| points, which yields the factor
-    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  The (2k+1)-subdivision's
-    cover, and the split of g that gives both cov1 and eps, come from the
-    matching memos, so each takes one Edmonds search the first time g is
-    seen and none after.  The cover is verified once per call, on g.
+    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  The cover is g's minimum
+    1-cover translated down by k (``translate_cover_down``), and eps comes
+    from the split of g; both read the matching memos, so g takes one
+    Edmonds search the first time it is seen and none after.  The cover is
+    verified once per call, on g.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -336,8 +341,6 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
     # Connected, so a tree iff m = n - 1.
     if g.m == g.n - 1:
         return _Part(frozenset(_tree_points(g, delta)), ONE, "exact")
-    if delta == HALF:
-        return _Part(_vertices(g), ONE, "exact")
     if delta.numerator == 1:
         return _Part(_unit_fraction_cover(g, delta.denominator).points, ONE, "exact")
     if delta >= THREE_HALVES:
@@ -349,7 +352,7 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
     if delta > ONE:
         return _one_cover_part(g, delta)
     if delta >= THREE_QUARTERS:
-        return _Part(_vertices(g), Fraction(2), "vertex_set_34_1")
+        return _Part(_vertices(g), TWO, "vertex_set_34_1")
     # g is connected and, past the tree check above, no tree: the cores
     # below take it whole, without splitting it into components again.
     if delta >= TWO_THIRDS:

@@ -64,7 +64,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", help="covering radius a/b")
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--unit-fraction", type=int, metavar="B",
-                   help="solve at delta = 1/B via the subdivision route")
+                   help="solve at delta = 1/B exactly, from the 1-cover or 1/2-cover")
     _add_budget_flags(p)
 
     p = sub.add_parser("tree", help="exact cover of a forest")

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 Edge = tuple[int, int]
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
@@ -159,9 +160,8 @@ class Graph:
 class Adjacency(NamedTuple):
     """A graph as bare ascending adjacency lists, like ``Graph.adj``.
 
-    What the matching searches read of a graph, and all they need of a
-    subdivision: ``SubdivisionMap.adjacency`` builds one without the edge
-    list, the edge dict or the validation of a ``Graph``.
+    ``SubdivisionMap.adjacency`` builds a subdivision this way, without the
+    edge list, the edge dict or the validation of a ``Graph``.
     """
 
     n: int
@@ -387,9 +387,9 @@ class SubdivisionMap:
     ids and new vertex j of edge i has id ``n + i*(x-1) + j - 1``
     (``new_vertex``), so its edge and position are one ``divmod`` away
     (``locate``).  ``subdivide`` and ``adjacency`` build the subdivision in
-    this numbering; ``locate`` and ``segment`` pull it back in integers,
-    for ``project_point`` and for the unit-fraction route, which places its
-    cover straight onto the base graph without building the subdivision.
+    this numbering; ``locate`` and ``segment`` pull it back in integers for
+    ``project_point``.  The library's unit-fraction route solves no
+    subdivision; the tests use this map as its independent oracle.
     """
 
     factor: int
@@ -491,9 +491,7 @@ class SubdivisionMap:
 def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
     """Replace every edge by a path of ``x`` unit edges, numbered as in ``SubdivisionMap``.
 
-    The graph is built from ``SubdivisionMap.adjacency``.  The library's
-    unit-fraction route reads that adjacency directly and builds no
-    subdivided ``Graph``.
+    The graph is built from ``SubdivisionMap.adjacency``.
     """
     if x < 1:
         raise ValueError(f"subdivision factor must be >= 1, got {x}")

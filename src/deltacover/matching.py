@@ -1,34 +1,34 @@
 """Matching machinery and the polynomial exact covering routes.
 
 Maximum matching and the Gallai-Edmonds vertex partition from one Edmonds
-blossom search, minimum 1-covers and unit-fraction covers built from
-them, the exact bottom-up tree solver, and the matching-based
+blossom search, minimum 1-covers built from them, the translation of a
+cover down to a smaller radius that takes a 1-cover or 1/2-cover to every
+unit fraction, the exact bottom-up tree solver, and the matching-based
 2-approximate vertex cover.  Everything here is polynomial and iterative:
 no branch and bound and no recursion.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .graphs import (
-    Adjacency,
     Cover,
     Edge,
     Graph,
+    HALF,
+    ONE,
     Point,
-    SubdivisionMap,
     ZERO,
     _traversal,
     graph_memo,
     is_forest,
 )
 from .solver import Budget, DEFAULT_BUDGET, SolveResult
-from .verify import InternalConsistencyError, require_output
+from .verify import InternalConsistencyError, nearest_distances, require_cover, require_output
 
 # Labels of the alternating forest: unreached, even (outer), odd (inner).
 _FREE, _EVEN, _ODD = 0, 1, 2
@@ -173,12 +173,11 @@ def _forest_search(adj: Sequence[Sequence[int]],
     return label, base
 
 
-def _edmonds(g: Graph | Adjacency) -> tuple[list[int], list[int], list[int]]:
+def _edmonds(g: Graph) -> tuple[list[int], list[int], list[int]]:
     """Mates of a maximum matching and the final forest's labels and bases.
 
-    Only ``g.adj`` is read.  A greedy matching is augmented one path per
-    search; the search that finds no augmenting path labels the
-    Gallai-Edmonds split.
+    A greedy matching is augmented one path per search; the search that
+    finds no augmenting path labels the Gallai-Edmonds split.
     """
     mate = _greedy_mates(g.adj)
     while True:
@@ -201,11 +200,8 @@ def _nu(g: Graph) -> int:
     return max_matching(g).size
 
 
-def gallai_edmonds(g: Graph | Adjacency) -> GEDecomposition:
+def gallai_edmonds(g: Graph) -> GEDecomposition:
     """Compute (D, A, C) and the components of G[D] from the final Edmonds forest.
-
-    Only ``g.n`` and ``g.adj`` are read, so a subdivision can come as bare
-    ``Adjacency``.
 
     With a maximum matching, the alternating forest rooted at every exposed
     vertex labels exactly the vertices some maximum matching misses as even
@@ -284,65 +280,36 @@ def _deficient_set(adj: Sequence[Sequence[int]],
     return set(T), X
 
 
-@functools.lru_cache(maxsize=64)
-def _half_steps(b: int) -> tuple[Fraction, ...]:
-    """The 2b + 1 offsets k/(2b), k = 0 .. 2b, at which a 1/b cover's points sit."""
-    return tuple(Fraction(k, 2 * b) for k in range(2 * b + 1))
+def _one_cover(g: Graph, ge: GEDecomposition) -> Cover:
+    """The minimum 1-cover of ``one_cover_min``, unverified.
 
-
-def _one_cover(h: Graph | Adjacency, ge: GEDecomposition,
-               g: Graph | None = None, b: int = 1) -> Cover:
-    """The minimum 1-cover of ``one_cover_min`` on h, unverified.
-
-    ``ge`` is the Gallai-Edmonds split of h.  With g, h is the
-    b-subdivision of g in ``SubdivisionMap`` numbering, and each point goes
-    straight onto g's edge (u, v) at an offset k/(2b) from the table
-    ``_half_steps(b)``: a new vertex at k = 2*pos, the midpoint of a
-    subdivision edge at k = pa + pc, the positions in steps of 1/b from
-    ``SubdivisionMap.locate`` and ``segment``.  That is the minimum
-    (1/b)-cover of g, and no point of h is built.  Callers reach it through
-    the memoized ``_split_and_one_cover`` or ``_unit_fraction_cover``.
+    ``ge`` is the Gallai-Edmonds split of g.  Callers reach it through the
+    memoized ``_split_and_one_cover``.
     """
     singles = [v for comp in ge.d_components if len(comp) == 1
-               for v in comp if h.adj[v]]
-    T, X = _deficient_set(h.adj, singles)
-    n = h.n if g is None else g.n
-    smap = SubdivisionMap(b, n)
-    at = _half_steps(b)
-
-    def vertex(s: int) -> Point:
-        if s < n:
-            return Point.vertex(s)
-        u, v, pos = smap.locate(g, s)
-        return Point(u, v, at[2 * pos])
-
-    def midpoint(a: int, c: int) -> Point:
-        if c < n:
-            return Point(a, c, at[1])
-        u, v, pa, pc = smap.segment(g, a, c)
-        return Point(u, v, at[pa + pc])
-
-    points = {vertex(s) for s in X}
-    points |= {Point.vertex(s) for s in range(n) if not h.adj[s]}  # new vertices have degree 2
+               for v in comp if g.adj[v]]
+    T, X = _deficient_set(g.adj, singles)
+    points = {Point.vertex(s) for s in X}
+    points |= {Point.vertex(s) for s in range(g.n) if not g.adj[s]}
     touched = set(X)
     for a, c in ge.matching.edges:
         if a not in X and c not in X:
-            points.add(midpoint(a, c))
+            points.add(Point(a, c, HALF))
             touched.update((a, c))
-    for s in range(h.n):
+    for s in range(g.n):
         if s not in touched:
-            w = next((w for w in h.adj[s] if w not in X), None)
+            w = next((w for w in g.adj[s] if w not in X), None)
             if w is not None:
-                points.add(midpoint(min(s, w), max(s, w)))
-    cover = Cover(frozenset(points), at[2])  # 2/(2b) = 1/b
-    expected = h.n - ge.matching.size - (len(T) - len(X))
+                points.add(Point(min(s, w), max(s, w), HALF))
+    cover = Cover(frozenset(points), ONE)
+    expected = g.n - ge.matching.size - (len(T) - len(X))
     if len(cover) != expected:
         raise InternalConsistencyError(
             f"1-cover has {len(cover)} points, the formula gives {expected}"
         )
-    if all(h.adj) and 3 * len(cover) > 2 * h.n:
+    if all(g.adj) and 3 * len(cover) > 2 * g.n:
         raise InternalConsistencyError(
-            f"1-cover of size {len(cover)} exceeds 2/3 of {h.n} vertices"
+            f"1-cover of size {len(cover)} exceeds 2/3 of {g.n} vertices"
         )
     return cover
 
@@ -350,9 +317,8 @@ def _one_cover(h: Graph | Adjacency, ge: GEDecomposition,
 # The two memos below hold a graph's radius-independent results, keyed by
 # its value (n, edges), so that a sweep over radii on one graph runs each
 # Edmonds search once.  They are module-level ``graph_memo``s, bounded by
-# the size of the graphs they hold, which ``cache_clear`` empties.  A
-# subdivision is solved inside ``_unit_fraction_cover`` and never becomes
-# a key.  Covers are frozensets, safe to share.
+# the size of the graphs they hold, which ``cache_clear`` empties.  Covers
+# are frozensets, safe to share.
 
 
 @graph_memo
@@ -416,34 +382,153 @@ def one_cover_min(g: Graph) -> SolveResult:
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
+def _half_cover(g: Graph) -> Cover:
+    """A minimum 1/2-cover of g, unverified, each component taken whole.
+
+    An isolated vertex gets its vertex point, a tree on n >= 2 vertices the
+    midpoints of its n - 1 edges, and any other component its n vertices.
+    A midpoint covers its edge at radius 1/2 and a vertex point the half
+    of each edge at it, so this is a 1/2-cover.
+
+    It is minimum.  At radius 1/2, an edge uv with no point of a cover S
+    inside needs both ends in S: the points of uv just past its midpoint
+    seen from u are farther than 1/2 from u, so v must reach them, which
+    forces D(v) = 0, and likewise D(u) = 0.  On a component with n
+    vertices let F be its edges with a point of S inside and W its vertices
+    that meet only edges of F; the other n - |W| vertices are in S.  Each
+    component of the subgraph formed by the edges at W has at least as
+    many edges as it has vertices in W, unless all its vertices are in W:
+    then it is the whole component, with at least n edges, or n - 1 on a
+    tree.  So |S| >= |F| + n - |W| >= n, or n - 1 on a tree.
+    """
+    points: set[Point] = set()
+    adj = g.adj
+    for comp in _traversal(g).components:
+        degrees = sum(len(adj[u]) for u in comp)
+        if degrees >= 2 * len(comp) or degrees == 0:
+            points.update(map(Point.vertex, comp))
+        else:
+            points.update(Point(u, w, HALF) for u in comp for w in adj[u] if w > u)
+    return Cover(frozenset(points), HALF)
+
+
+def _translated(g: Graph, s: Cover, k: int) -> Cover:
+    """The cover of ``translate_cover_down``, unverified.
+
+    ``s`` must be a delta-cover of g with delta <= 1; an edge it leaves
+    uncovered through both ends raises InternalConsistencyError.
+    """
+    scale, reach, on_edge, dist = nearest_distances(g, s, s.delta)
+    if reach > scale:
+        raise ValueError(f"translation down needs delta <= 1, got {s.delta}")
+    step = 2 * reach
+    length = scale + k * step
+    points = [p for p in s.points if p.is_vertex]
+    at: dict[int, Fraction] = {}  # few distinct offsets recur on every edge
+    for e in g.edges:
+        u, v = e
+        offsets = on_edge.get(e)
+        if offsets:
+            c = max(offsets)
+            offsets = offsets + list(range(c + step, c + k * step + 1, step))
+        else:
+            du, dv = dist[u], dist[v]
+            if du is None or dv is None or 2 * reach - du - dv < scale:
+                raise InternalConsistencyError(f"edge {e} is not covered at {s.delta}")
+            p = reach - du
+            offsets = range(p + reach, p + k * step, step)
+        for a in offsets:
+            t = at.get(a)
+            if t is None:
+                t = at[a] = Fraction(a, length)
+            points.append(Point(u, v, t))
+    cover = Cover(frozenset(points), Fraction(reach, length))
+    if len(cover) != len(s) + k * g.m:
+        raise InternalConsistencyError(
+            f"translated cover has {len(cover)} points, not {len(s)} + {k}*{g.m}"
+        )
+    return cover
+
+
+def translate_cover_down(g: Graph, s: Cover, k: int) -> Cover:
+    """Translate a delta-cover with delta <= 1 down to radius delta/(1 + 2k delta).
+
+    The answer has |S| + k|E| points.  By cov_{d/(2d+1)}(G) = cov_d(G) + |E|
+    (Hartmann, Lendl and Woeginger, Math. Program. 2022), applied k times,
+    it is minimum when S is.  The input is checked with ``require_cover``
+    and the output with ``require_output``; library code calls the
+    unverified ``_translated``.
+
+    *Construction.*  Scale lengths so that the radius is 1: an edge is
+    L = 1/delta >= 1 long, and at the new radius it is L + 2k long.  One
+    search from S, as in ``is_delta_cover``, gives each vertex w the
+    distance D(w) to its nearest point of S.  Each edge uv, u < v, is cut at
+    one point, where a stretch 2k long is inserted:
+
+    (a) If S has points inside uv, cut at the last of them, c.  Every point
+        of S on uv stays where it is, and copies of c go at c + 2, c + 4,
+        ..., c + 2k.
+    (b) Otherwise uv is covered through its ends alone, so both reaches
+        r = 1 - D are >= 0 and r_u + r_v >= L.  Cut at p = r_u (<= 1 <= L)
+        and add points at p + 1, p + 3, ..., p + 2k - 1.
+
+    Either way uv gains k points strictly inside it; vertex points stay.
+
+    *Proof.*  First, D does not grow at a vertex w with D(w) <= 1.  Since
+    L >= 1, a path of length at most 1 from a point of S to w crosses no
+    whole edge, except when delta = 1, the source is a vertex point u and
+    D(w) = 1 along the edge uw.  Otherwise the path runs inside one edge at
+    w from a point of S there; in case (a) a point at offset a from u keeps
+    its offset, and from v the copy at c + 2k is L - c <= L - a away.  In
+    the exception, uw has no point inside, which would be nearer than 1 to
+    w, so case (b) applies with r_u = 1 and its last new point is 1 from w.
+    Second, every point of each new edge is covered.  In case (a), [0, c]
+    is the old [0, c]: a point x there was covered from a point of S at an
+    offset of at most c, which is still there, or through u, whose reach
+    did not shrink, or from c or beyond, when c itself is at least as near.
+    The copies cover [c, c + 2k].  [c + 2k, L + 2k] is the old [c, L]
+    moved by 2k: each of its points was covered through v, whose reach did
+    not shrink, or through c, whose copy at c + 2k is as near.  In case
+    (b), [0, p] is covered through u, the new points cover [p, p + 2k], and
+    [p + 2k, L + 2k] is covered through v, as r_v >= L - p.
+
+    In integers: with ``scale`` and ``reach`` of ``nearest_distances``, an
+    edge is ``scale`` long and the radius ``reach``, so the new edge is
+    scale + 2k*reach long and every offset above is an integer.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    require_cover(g, s, "translation input")
+    cover = _translated(g, s, k)
+    require_output(g, cover, "translated cover")
+    return cover
+
+
 @graph_memo
 def _unit_fraction_cover(g: Graph, b: int) -> Cover:
     """The minimum (1/b)-cover of ``unit_fraction_cover``, unverified.
 
-    Memoized on (g, b).  b = 1 is the memoized 1-cover of g itself.  For
-    b >= 2 the b-subdivision is never built as a ``Graph``: the Edmonds
-    search and the 1-cover read its bare adjacency from
-    ``SubdivisionMap.adjacency``, and ``_one_cover`` places the points
-    straight onto g, so nothing is pulled back afterwards.
+    Memoized on (g, b).  b = 2k + 1 translates the memoized 1-cover of g
+    down by k, and b = 2k + 2 the 1/2-cover of ``_half_cover``, so the
+    only Edmonds search is g's own and no subdivision is built.
     """
     if b < 1:
         raise ValueError(f"b must be >= 1, got {b}")
-    if b == 1:
-        return _split_and_one_cover(g)[1]
-    h = SubdivisionMap(b, g.n).adjacency(g)
-    return _one_cover(h, gallai_edmonds(h), g, b)
+    base = _split_and_one_cover(g)[1] if b % 2 else _half_cover(g)
+    k = (b - 1) // 2
+    return _translated(g, base, k) if k else base
 
 
 def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
-    """Exact minimum (1/b)-cover via the subdivision route.
+    """Exact minimum (1/b)-cover in polynomial time, on g itself.
 
-    Covers of g at radius 1/b correspond bijectively to covers of the
-    b-subdivision at radius 1, where ``one_cover_min`` solves the problem
-    in polynomial time; the route solves the subdivision as bare adjacency
-    and places its cover on g directly (``_unit_fraction_cover``).
-    ``budget`` is not read; ``perfbench`` still passes it positionally.
-    The cover is verified once per call, on g, memo hit or not; library
-    code calls the unverified, memoized ``_unit_fraction_cover``.
+    1/(2k + 1) = 1/(1 + 2k) and 1/(2k + 2) = (1/2)/(1 + 2k/2), so the
+    construction of ``translate_cover_down`` takes a minimum 1-cover
+    (``one_cover_min``) or 1/2-cover down to a minimum (1/b)-cover with
+    k|E| more points.  No subdivision is solved.  ``budget`` is not read;
+    ``perfbench`` still passes it positionally.  The cover is verified once
+    per call, on g, memo hit or not; library code calls the unverified,
+    memoized ``_unit_fraction_cover``.
     """
     t0 = time.monotonic()
     cover = _unit_fraction_cover(g, b)

@@ -52,6 +52,53 @@ def _merge(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
+def nearest_distances(g: Graph, s: Cover, delta: Fraction
+                      ) -> tuple[int, int, dict[Edge, list[int]], list[int | None]]:
+    """The scaled search of ``is_delta_cover``: scale, reach, offsets and D.
+
+    ``scale`` is the lcm of the denominators of delta and of every offset,
+    the length of an edge; ``reach`` is delta times ``scale``.  The dict
+    lists, per edge (u, v) with u < v, the offsets from u of the points
+    inside it, in ``scale`` units.  ``dist[w]`` is D(w), the distance from
+    w to its nearest point of ``s``, or None when that exceeds ``reach``.
+    Every point is checked with ``Graph.check_point``.  The search is
+    proved in ``is_delta_cover``.
+    """
+    if delta <= ZERO:
+        raise ValueError(f"delta must be positive, got {delta}")
+    scale = delta.denominator
+    for q in s.points:
+        g.check_point(q)
+        scale = lcm(scale, q.t.denominator)
+    reach = delta.numerator * (scale // delta.denominator)
+    on_edge: dict[Edge, list[int]] = {}
+    seeds: list[tuple[int, int]] = []
+    for q in s.points:
+        u, v = q.u, q.v
+        if u == v:
+            seeds.append((0, u))
+            continue
+        a = q.t.numerator * (scale // q.t.denominator)
+        on_edge.setdefault((u, v), []).append(a)
+        if a <= reach:
+            seeds.append((a, u))
+        if scale - a <= reach:
+            seeds.append((scale - a, v))
+    queue = sorted(seeds)
+    adj = g.adj
+    dist: list[int | None] = [None] * g.n
+    for d, w in queue:
+        if dist[w] is not None:
+            continue
+        dist[w] = d
+        nd = d + scale
+        if nd <= reach:
+            for x in adj[w]:
+                if dist[x] is None:
+                    queue.append((nd, x))
+    return scale, reach, on_edge, dist
+
+
 def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyReport:
     """Decide exactly whether ``s`` covers every point of the graph at ``s.delta``.
 
@@ -115,38 +162,8 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     """
     if delta is None:
         delta = s.delta
-    if delta <= ZERO:
-        raise ValueError(f"delta must be positive, got {delta}")
+    scale, reach, on_edge, dist = nearest_distances(g, s, delta)
     n, adj = g.n, g.adj
-    scale = delta.denominator
-    for q in s.points:
-        g.check_point(q)
-        scale = lcm(scale, q.t.denominator)
-    reach = delta.numerator * (scale // delta.denominator)
-    on_edge: dict[Edge, list[int]] = {}
-    seeds: list[tuple[int, int]] = []
-    for q in s.points:
-        u, v = q.u, q.v
-        if u == v:
-            seeds.append((0, u))
-            continue
-        a = q.t.numerator * (scale // q.t.denominator)
-        on_edge.setdefault((u, v), []).append(a)
-        if a <= reach:
-            seeds.append((a, u))
-        if scale - a <= reach:
-            seeds.append((scale - a, v))
-    queue = sorted(seeds)
-    dist: list[int | None] = [None] * n
-    for d, w in queue:
-        if dist[w] is not None:
-            continue
-        dist[w] = d
-        nd = d + scale
-        if nd <= reach:
-            for x in adj[w]:
-                if dist[x] is None:
-                    queue.append((nd, x))
     witness: Point | None = None
     gaps: list[tuple[Edge, Interval]] = []
     for e in g.edges:

@@ -10,9 +10,9 @@ by BFS, the vertex paths of a subdivision by walking it.  Others keep a
 library routine as it was before it moved to integer arithmetic (tree
 climb, point distance, subdivision pull-back, small-delta even points)
 or before it grouped points by edge (neat normalization), the
-unit-fraction route as it was before it solved the subdivision as bare
-adjacency (a subdivided ``Graph``, then a pull-back of its 1-cover), and
-the root core of set cover by its subset definition.
+unit-fraction route as it was before it translated g's own 1-cover or
+1/2-cover down (a subdivided ``Graph``, then a pull-back of its 1-cover),
+and the root core of set cover by its subset definition.
 """
 
 from __future__ import annotations
@@ -526,10 +526,9 @@ def small_even_points_by_fractions(g: Graph, delta: Fraction, k: int) -> frozens
 
 
 def unit_fraction_cover_via_subdivided_graph(g: Graph, b: int) -> Cover:
-    """The minimum (1/b)-cover of g by the route of ``_unit_fraction_cover``
-    before it skipped the subdivided graph: build the b-subdivision as a
-    ``Graph``, take its minimum 1-cover, and pull every point back onto g
-    with ``SubdivisionMap.project_cover``."""
+    """A minimum (1/b)-cover of g by the subdivision route: build the
+    b-subdivision as a ``Graph``, take its minimum 1-cover, and pull every
+    point back onto g with ``SubdivisionMap.project_cover``."""
     from deltacover.matching import _one_cover, gallai_edmonds
     from deltacover.graphs import subdivide
 

@@ -219,14 +219,16 @@ def test_every_component_hits_the_memos_after_its_first_radius():
     info = _traversal.cache_info()
     assert (info.misses, info.hits) == (1, 10)  # the whole graph; cycles are no trees
     # Below 1/3 the even small-delta route reads the vertex points; above,
-    # the odd one reads the 3-subdivision's cover and the split of g.
+    # the odd one reads the 1/3-cover and the split of g.  The 1/3-cover is
+    # translated from the split's 1-cover, so at the first radius the split
+    # is read once more, right after it is filled.
     below = sum(d < F(1, 3) for d in sweep)
     above = len(sweep) - below
     assert (below, above) == (5, 6)
-    for memo, radii in ((_vertices, below), (_unit_fraction_cover, above),
-                        (_split_and_one_cover, above)):
+    for memo, hits in ((_vertices, 12 * (below - 1)), (_unit_fraction_cover, 12 * (above - 1)),
+                       (_split_and_one_cover, 12 * above)):
         info = memo.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (12, 12 * (radii - 1), 12), memo
+        assert (info.misses, info.hits, info.currsize) == (12, hits, 12), memo
 
 
 def test_a_warm_sweep_equals_a_cold_one():
@@ -277,7 +279,7 @@ def test_a_route_that_drops_a_point_is_caught_at_the_boundary(monkeypatch):
     assert broken == ALL_REGIMES
 
 
-def test_small_odd_runs_two_edmonds_searches(monkeypatch):
+def test_small_odd_runs_one_edmonds_search(monkeypatch):
     import deltacover.matching
 
     real = deltacover.matching._edmonds
@@ -291,8 +293,8 @@ def test_small_odd_runs_two_edmonds_searches(monkeypatch):
     for g in (grid(3, 4), k_n(3), cycle(5), gen_triangles_center(3).graph):
         searched.clear()
         rep = cover_small_delta_odd(g, 1, F(2, 5))
-        # One search on the 3-subdivision (n + 2m vertices), one on g.
-        assert sorted(searched) == [g.n, g.n + 2 * g.m]
+        # One search, on g: the 1/3-cover is g's 1-cover translated down.
+        assert searched == [g.n]
         assert len(rep.cover) == g.m + one_cover_min(g).size
 
 

@@ -11,6 +11,7 @@ from deltacover import (
     Cover,
     Graph,
     InternalConsistencyError,
+    InvalidCoverError,
     NotAForestError,
     approx_cover,
     cover_small_delta_odd,
@@ -21,6 +22,7 @@ from deltacover import (
     min_cover_exact,
     one_cover_min,
     subdivide,
+    translate_cover_down,
     tree_cover,
     unit_fraction_cover,
     vc_2approx,
@@ -185,9 +187,8 @@ def test_a_core_that_drops_a_point_raises_internal_consistency_error(monkeypatch
     real_exact = deltacover.solver.solve_exact
     real_part = deltacover.approx._component_part
 
-    def one_cover(h, ge, onto=None, b=1):
-        points = real_one(h, ge, onto, b).points
-        return Cover(_without_a_needed_point(onto or h, points, F(1, b)), F(1, b))
+    def one_cover(h, ge):
+        return Cover(_without_a_needed_point(h, real_one(h, ge).points, F(1)), F(1))
 
     def unit_fraction(h, b):
         return Cover(_without_a_needed_point(h, real_unit(h, b).points, F(1, b)), F(1, b))
@@ -234,8 +235,8 @@ def test_one_cover_of_a_subdivision_covers_it(atlas_suite):
 
 
 def test_the_unit_fraction_route_builds_no_graph_and_pulls_nothing_back(monkeypatch):
-    # The route solves the subdivision as bare adjacency and places its
-    # cover straight onto g.
+    # The route translates g's own 1-cover down: it builds no graph and
+    # pulls no point back from a subdivision.
     from deltacover.graphs import SubdivisionMap
 
     g = gen_triangles_center(3).graph
@@ -257,6 +258,47 @@ def test_the_unit_fraction_route_builds_no_graph_and_pulls_nothing_back(monkeypa
     monkeypatch.undo()
     assert is_delta_cover(g, cover, F(1, 3)).is_cover
     assert len(cover) == min_cover_exact(g, F(1, 3)).size
+
+
+def test_a_unit_fraction_sweep_runs_one_edmonds_search_and_no_subdivision(monkeypatch):
+    from deltacover.graphs import SubdivisionMap
+
+    g = grid(3, 4)
+    searched, subdivided = [], []
+    real_ge, real_adjacency = deltacover.matching.gallai_edmonds, SubdivisionMap.adjacency
+
+    def gallai_edmonds_counted(h):
+        searched.append(h)
+        return real_ge(h)
+
+    def adjacency_counted(self, h):
+        subdivided.append(self.factor)
+        return real_adjacency(self, h)
+
+    monkeypatch.setattr(deltacover.matching, "gallai_edmonds", gallai_edmonds_counted)
+    monkeypatch.setattr(SubdivisionMap, "adjacency", adjacency_counted)
+    sizes = [unit_fraction_cover(g, b).size for b in range(1, 7)]
+    assert searched == [g] and subdivided == []
+    # Each step of two in b adds one point per edge: 1/(2k+1) from the
+    # 1-cover, 1/(2k+2) from the 1/2-cover (all 12 vertices).
+    assert sizes == [6, 12, 6 + 17, 12 + 17, 6 + 34, 12 + 34]
+
+
+def test_unit_fraction_covers_are_minimum_on_the_atlas(atlas_suite, oracle):
+    for name, g in atlas_suite:
+        for b in range(1, 6):
+            assert unit_fraction_cover(g, b).size == oracle.opt(g, F(1, b)), (name, b)
+
+
+def test_translate_cover_down_rejects_a_non_cover():
+    g = cycle(4)
+    half = unit_fraction_cover(g, 2).cover
+    missing = Cover(half.points - {min(half.points)}, F(1, 2))
+    with pytest.raises(InvalidCoverError):
+        translate_cover_down(g, missing, 1)
+    with pytest.raises(ValueError):
+        translate_cover_down(g, Cover(half.points, F(5, 4)), 1)
+    assert translate_cover_down(g, half, 1) == unit_fraction_cover(g, 4).cover
 
 
 # Radii whose route reads a matching result: unit fractions (b = 1, 3, 4),
@@ -290,8 +332,8 @@ def test_a_radius_sweep_runs_one_edmonds_search_per_distinct_graph(edmonds_runs)
         for delta in (F(1, 3), F(1), F(9, 8), F(7, 6), F(5, 4), F(7, 5), F(2, 5)):
             approx_cover(g, delta)
         unit_fraction_cover(g, 2)
-        # g, its 2-subdivision and its 3-subdivision, once each.
-        assert sorted(h.n for h in edmonds_runs) == [g.n, g.n + g.m, g.n + 2 * g.m]
+        # g alone: every unit-fraction cover is translated from g's own.
+        assert edmonds_runs == [g]
 
 
 def test_memoized_answers_equal_fresh_ones(atlas_suite):

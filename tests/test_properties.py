@@ -7,6 +7,7 @@ from deltacover import (
     Cover,
     Graph,
     Point,
+    approx_cover,
     build_set_cover,
     gallai_edmonds,
     harmonic_number,
@@ -18,6 +19,7 @@ from deltacover import (
     solve_exact,
     solve_greedy,
     subdivide,
+    translate_cover_down,
 )
 from deltacover.matching import _nu, _tree_points, _unit_fraction_cover
 from deltacover.solver import GridPoints, SetCoverInstance
@@ -459,10 +461,42 @@ def test_subdivision_adjacency_equals_the_subdivided_graph(g, x):
     assert tuple(map(tuple, h.adj)) == sub.adj
 
 
-@given(st.one_of(any_graphs(), forests()), st.integers(2, 6))
+@given(st.one_of(any_graphs(), forests()), st.integers(1, 7))
 @settings(max_examples=200, deadline=None)
 def test_unit_fraction_route_equals_the_subdivided_graph_route(g, b):
+    # The translated cover places its points elsewhere, but it is a cover of
+    # the same, minimum, size.
     _unit_fraction_cover.cache_clear()
     got = _unit_fraction_cover(g, b)
     want = unit_fraction_cover_via_subdivided_graph(g, b)
-    assert got.points == want.points and got.delta == want.delta == F(1, b)
+    assert len(got) == len(want) and got.delta == want.delta == F(1, b)
+    assert interval_verify(g, got, F(1, b)).is_cover
+
+
+# Radii at which the property below draws its input covers, all <= 1.
+TRANSLATION_RADII = [F(1), F(4, 5), F(3, 4), F(2, 3), F(1, 2), F(1, 3)]
+
+
+@st.composite
+def covers_to_translate(draw):
+    """A graph and a cover of it at a radius <= 1: ``approx_cover``'s answer
+    plus a few more points at offsets j/12 or at vertices."""
+    g = draw(any_graphs(max_n=8))
+    delta = draw(st.sampled_from(TRANSLATION_RADII))
+    points = set(approx_cover(g, delta).cover.points)
+    for _ in range(draw(st.integers(0, 4))):
+        if g.edges and draw(st.booleans()):
+            points.add(draw(graph_points(g)))
+        else:
+            points.add(Point.vertex(draw(st.integers(0, g.n - 1))))
+    return g, Cover(frozenset(points), delta)
+
+
+@given(covers_to_translate(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_translate_cover_down_gives_a_cover_with_k_more_points_per_edge(case, k):
+    g, s = case
+    out = translate_cover_down(g, s, k)
+    assert out.delta == s.delta / (1 + 2 * k * s.delta)
+    assert len(out) == len(s) + k * g.m
+    assert interval_verify(g, out, out.delta).is_cover
