@@ -392,10 +392,11 @@ def _half_cover(g: Graph) -> Cover:
 
     It is minimum.  At radius 1/2, an edge uv with no point of a cover S
     inside needs both ends in S: the points of uv just past its midpoint
-    seen from u are farther than 1/2 from u, so v must reach them, which
-    forces D(v) = 0, and likewise D(u) = 0.  On a component with n
-    vertices let F be its edges with a point of S inside and W its vertices
-    that meet only edges of F; the other n - |W| vertices are in S.  Each
+    seen from u are farther than 1/2 from u, so they are covered through
+    v, and those nearest the midpoint only by a point at v itself;
+    likewise at u.  On a component with n vertices let F be its edges
+    with a point of S inside and W its vertices that meet only edges of
+    F; the other n - |W| vertices are in S.  Each
     component of the subgraph formed by the edges at W has at least as
     many edges as it has vertices in W, unless all its vertices are in W:
     then it is the whole component, with at least n edges, or n - 1 on a
