@@ -6,7 +6,6 @@ from .graphs import (
     GraphValidationError,
     InvalidPointError,
     Point,
-    connected_components,
     induced_subgraph,
     is_forest,
     point_distance,

@@ -9,11 +9,17 @@ Each regime has one core: it takes a connected graph and returns the
 unverified ``_Part`` of its route.  ``_per_component`` runs a core on every
 component and unions the parts; ``approx_cover`` and the public routes
 verify their answer once, at the public boundary, through ``_verified``.
+
+Routing reads delta = p/q as its integer numerator and denominator.  Each
+regime boundary a/b is one cross-multiplication, delta >= a/b iff
+p*b >= a*q, and each interval's parameter is an integer division, so a
+call builds and compares no ``Fraction`` to pick its route: the
+``Fraction`` values it builds are those it returns, the points, claimed
+factor and epsilon.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,9 +53,6 @@ from .solver import (
 from .verify import require_cover, require_output
 
 TWO_THIRDS = Fraction(2, 3)
-THREE_QUARTERS = Fraction(3, 4)
-SEVEN_SIXTHS = Fraction(7, 6)
-FIVE_QUARTERS = Fraction(5, 4)
 THREE_HALVES = Fraction(3, 2)
 FIVE_THIRDS = Fraction(5, 3)
 TWO = Fraction(2)
@@ -92,24 +95,25 @@ def _verified(g: Graph, report: RatioReport, what: str) -> RatioReport:
 def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
     """Run ``core(sub, delta)`` on each connected component and union the parts.
 
-    A connected g goes to the core whole, and its part's points are the
-    answer, without a copy.  The union claims the largest factor, and the
-    regime and param of the last part that is not exact (with the last
-    epsilon any of those gave).  Unverified.
+    A connected g goes to the core whole, and its part is the answer as it
+    is.  Otherwise the union claims the largest factor, and the regime and
+    param of the last part that is not exact (with the last epsilon any of
+    those gave).  Unverified.
     """
+    comps = _traversal(g).components
+    if len(comps) == 1:
+        return _report(g, delta, core(g, delta))
     pieces: list[frozenset[Point]] = []
     claimed, regime, param, epsilon = ONE, "exact", None, None
-    comps = _traversal(g).components
     for comp in comps:
-        sub, old = (g, None) if len(comps) == 1 else induced_subgraph(g, comp)
+        sub, old = induced_subgraph(g, comp)
         part = core(sub, delta)
         pieces.append(relabel_points(part.points, old))
         claimed = max(claimed, part.claimed_factor)
         if part.regime != "exact":
             regime, param = part.regime, part.param
             epsilon = part.epsilon if part.epsilon is not None else epsilon
-    points = pieces[0] if len(pieces) == 1 else frozenset().union(*pieces)
-    return _report(g, delta, _Part(points, claimed, regime, param, epsilon))
+    return _report(g, delta, _Part(frozenset().union(*pieces), claimed, regime, param, epsilon))
 
 
 @graph_memo
@@ -146,18 +150,24 @@ def level_partition(g: Graph) -> LevelPartition:
 
 
 def vertex_set_interval(delta: Fraction) -> int:
-    """The integer x >= 2 with (x+1)/(2x+1) <= delta < x/(2x-1)."""
-    if not HALF < delta < TWO_THIRDS:
+    """The integer x >= 2 with (x+1)/(2x+1) <= delta < x/(2x-1).
+
+    For delta = p/q in (1/2, 2/3), x = ceil((1 - delta)/(2 delta - 1)) =
+    ceil((q - p)/(2p - q)) = (p - 1) // (2p - q).
+    """
+    p, q = delta.numerator, delta.denominator
+    if not (q < 2 * p and 3 * p < 2 * q):
         raise ValueError(f"delta {delta} outside (1/2, 2/3)")
-    x = math.ceil((1 - delta) / (2 * delta - 1))
-    assert Fraction(x + 1, 2 * x + 1) <= delta < Fraction(x, 2 * x - 1)
+    x = (p - 1) // (2 * p - q)
+    assert (x + 1) * q <= (2 * x + 1) * p and (2 * x - 1) * p < x * q
     return x
 
 
-def _one_cover_part(g: Graph, delta: Fraction) -> _Part:
-    if delta < SEVEN_SIXTHS:
+def _one_cover_part(g: Graph, p: int, q: int) -> _Part:
+    """The 1-cover, and the factor of the interval of (1, 3/2) that p/q is in."""
+    if 6 * p < 7 * q:  # delta < 7/6
         factor, regime = THREE_HALVES, "one_cover_3_2"
-    elif delta < FIVE_QUARTERS:
+    elif 4 * p < 5 * q:  # delta < 5/4
         factor, regime = FIVE_THIRDS, "one_cover_5_3"
     else:
         factor, regime = TWO, "one_cover_2"
@@ -170,9 +180,10 @@ def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
     A 1-cover is a delta-cover for every delta >= 1; the cover is verified
     once, on g.
     """
-    if not ONE < delta < THREE_HALVES:
+    p, q = delta.numerator, delta.denominator
+    if not (q < p and 2 * p < 3 * q):
         raise ValueError(f"delta {delta} outside (1, 3/2)")
-    return _verified(g, _report(g, delta, _one_cover_part(g, delta)), "1-cover route")
+    return _verified(g, _report(g, delta, _one_cover_part(g, p, q)), "1-cover route")
 
 
 def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> _Part:
@@ -211,7 +222,8 @@ def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
     The output is a 2/3-cover of any graph whose components are not trees,
     hence a delta-cover throughout [2/3, 3/4).  It is verified once, on g.
     """
-    if not TWO_THIRDS <= delta < THREE_QUARTERS:
+    p, q = delta.numerator, delta.denominator
+    if not (2 * q <= 3 * p and 4 * p < 3 * q):
         raise ValueError(f"delta {delta} outside [2/3, 3/4)")
     if is_forest(g):
         raise ValueError("leaf-level algorithm expects non-tree input")
@@ -222,36 +234,40 @@ def small_delta_interval(delta: Fraction) -> tuple[str, int]:
     """Classify delta < 1/2 (not a unit fraction) into its approximation case.
 
     Returns ("even", k) for delta in (1/(2k+2), 1/(2k+1)) and ("odd", k)
-    for delta in (1/(2k+1), 1/(2k)).
+    for delta in (1/(2k+1), 1/(2k)): for delta = p/q, k is half of
+    m = floor(1/delta) = q // p, rounded down.
     """
-    if not ZERO < delta < HALF:
+    p, q = delta.numerator, delta.denominator
+    if not (0 < p and 2 * p < q):
         raise ValueError(f"delta {delta} outside (0, 1/2)")
-    if delta.numerator == 1:
+    if p == 1:
         raise ValueError(f"delta {delta} is a unit fraction; solve exactly")
-    m = (1 / delta).__floor__()
-    if m % 2 == 0:
-        return "odd", m // 2
-    return "even", (m - 1) // 2
+    m = q // p
+    return ("even" if m % 2 else "odd"), m // 2
 
 
-def _small_even_part(g: Graph, delta: Fraction, k: int) -> _Part:
+def _small_even_part(g: Graph, p: int, q: int, k: int) -> _Part:
     """All vertices, and the same k offsets 1/2 + (2j - k - 1)delta on every edge.
 
-    For delta in (1/(2k+2), 1/(2k+1)), (k - 1)delta < 1/2, so every offset
-    lies strictly inside (0, 1) and each point is built already normalized
-    on the canonical edge (u, v), u < v.
+    For delta = p/q in (1/(2k+2), 1/(2k+1)), (k - 1)delta < 1/2, so every
+    offset lies strictly inside (0, 1) and each point is built already
+    normalized on the canonical edge (u, v), u < v.  An offset is
+    (q + 2(2j - k - 1)p)/(2q), checked on its numerator.  With average
+    degree 2m/n, the factor 1 + 1/(k*avg + 1) is (2km + 2n)/(2km + n).
     """
     inner = []
-    for t in (HALF + (2 * j - k - 1) * delta for j in range(1, k + 1)):
-        if ZERO < t < ONE:
-            inner.append(t)
+    for j in range(1, k + 1):
+        a = q + 2 * (2 * j - k - 1) * p
+        if 0 < a < 2 * q:
+            inner.append(Fraction(a, 2 * q))
         elif g.edges:
             # Only a k out of range for delta gets here: offset 0 or 1 is a
             # vertex, already in the cover, and any other offset raises
             # InvalidPointError on the first edge.
-            Point.on_edge(*g.edges[0], t)
+            Point.on_edge(*g.edges[0], Fraction(a, 2 * q))
     points = _vertices(g).union(Point(u, v, t) for u, v in g.edges for t in inner)
-    factor = 1 + Fraction(1, k * g.average_degree() + 1) if g.m else ONE
+    km = k * g.m
+    factor = Fraction(2 * (km + g.n), 2 * km + g.n) if g.m else ONE
     return _Part(points, factor, "small_even", param=k)
 
 
@@ -264,24 +280,27 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    report = _per_component(g, delta, lambda sub, d: _small_even_part(sub, d, k))
+    p, q = delta.numerator, delta.denominator
+    report = _per_component(g, delta, lambda sub, d: _small_even_part(sub, p, q, k))
     return _verified(g, report, "small-delta even route")
 
 
-def _small_odd_part(g: Graph, delta: Fraction, k: int) -> _Part:
+def _small_odd_part(g: Graph, k: int) -> _Part:
     """The minimum 1/(2k+1)-cover: g's 1-cover with k more points per edge.
 
     ``_unit_fraction_cover`` builds it from the memoized 1-cover, and
     checks that its size is exactly cov1 + k|E|; the split of g gives eps.
+    In integers, with N = n + c_ge3: eps = N/(N - 1) - 1 = 1/d for d = N - 1
+    (d = 1 when N <= 1), 1 + 1/(2k) + eps = ((2k + 1)d + 2k)/(2kd), and
+    with average degree 2m/n, 1 + 4/(3k*avg) = (3km + 2n)/(3km).
     """
     cover = _unit_fraction_cover(g, 2 * k + 1)
-    ge = _split_and_one_cover(g)[0]
-    eps = Fraction(g.n + ge.c_ge3, g.n + ge.c_ge3 - 1) - 1 if g.n + ge.c_ge3 > 1 else ONE
-    avg = g.average_degree()
-    factor = 1 + Fraction(1, 2 * k) + eps
-    if avg > 0:
-        factor = min(factor, 1 + Fraction(4, 3 * k) / avg)
-    return _Part(cover.points, factor, "small_odd", param=k, epsilon=eps)
+    n, m = g.n, g.m
+    d = max(n + _split_and_one_cover(g)[0].c_ge3 - 1, 1)
+    num, den = (2 * k + 1) * d + 2 * k, 2 * k * d
+    if m and num * 3 * k * m > (3 * k * m + 2 * n) * den:
+        num, den = 3 * k * m + 2 * n, 3 * k * m
+    return _Part(cover.points, Fraction(num, den), "small_odd", param=k, epsilon=Fraction(1, d))
 
 
 def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
@@ -297,7 +316,7 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _verified(g, _report(g, delta, _small_odd_part(g, delta, k)), "small-delta odd route")
+    return _verified(g, _report(g, delta, _small_odd_part(g, k)), "small-delta odd route")
 
 
 def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
@@ -337,32 +356,36 @@ def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
 
 
 def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
-    """The core of ``approx_cover``: the route for one connected component."""
+    """The core of ``approx_cover``: the route for one connected component.
+
+    The regime boundaries are compared with delta = p/q as integers.
+    """
+    p, q = delta.numerator, delta.denominator
     # Connected, so a tree iff m = n - 1.
     if g.m == g.n - 1:
         return _Part(frozenset(_tree_points(g, delta)), ONE, "exact")
-    if delta.numerator == 1:
-        return _Part(_unit_fraction_cover(g, delta.denominator).points, ONE, "exact")
-    if delta >= THREE_HALVES:
+    if p == 1:
+        return _Part(_unit_fraction_cover(g, q).points, ONE, "exact")
+    if 2 * p >= 3 * q:  # delta >= 3/2
         # Greedy picks at most H(d) times the optimum, d the largest
         # candidate's element count (Chvatal 1979).
         inst = build_set_cover(g, delta)
         d = max(map(int.bit_count, inst.masks))
         return _Part(solve_greedy(inst).cover.points, harmonic_number(d), "large_delta")
-    if delta > ONE:
-        return _one_cover_part(g, delta)
-    if delta >= THREE_QUARTERS:
+    if p > q:  # delta > 1
+        return _one_cover_part(g, p, q)
+    if 4 * p >= 3 * q:  # delta >= 3/4
         return _Part(_vertices(g), TWO, "vertex_set_34_1")
     # g is connected and, past the tree check above, no tree: the cores
     # below take it whole, without splitting it into components again.
-    if delta >= TWO_THIRDS:
+    if 3 * p >= 2 * q:  # delta >= 2/3
         return _leaf_level_part(g, delta)
-    if delta > HALF:
+    if 2 * p > q:  # delta > 1/2
         return _vertex_set_part(g, delta, vertex_set_interval(delta), budget)
     case, k = small_delta_interval(delta)
     if case == "even":
-        return _small_even_part(g, delta, k)
-    return _small_odd_part(g, delta, k)
+        return _small_even_part(g, p, q, k)
+    return _small_odd_part(g, k)
 
 
 def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
@@ -371,7 +394,7 @@ def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> 
     The cores return unverified parts; the union is verified once here,
     and a core that produced a non-cover raises InternalConsistencyError.
     """
-    if delta <= ZERO:
+    if delta.numerator <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     report = _per_component(g, delta, lambda sub, d: _component_part(sub, d, budget))
     return _verified(g, report, "approx cover")

@@ -90,13 +90,14 @@ class Graph:
 
     The edges never change after construction, which costs O(n + m).
     Equality and the hash read (n, edges) only; the memos, keyed by a
-    graph's value, rely on the edges never changing, and the hash is
-    computed once.  No distance table is built: ``hop_layers`` runs a BFS
-    bounded by a hop count, and ``point_distance`` caches on the graph the
-    hop row of each source vertex it routes through.
+    graph's value, rely on the edges never changing, and the hash and the
+    average degree are computed once.  No distance table is built:
+    ``hop_layers`` runs a BFS bounded by a hop count, and
+    ``point_distance`` caches on the graph the hop row of each source
+    vertex it routes through.
     """
 
-    __slots__ = ("n", "edges", "edge_index", "adj", "_hop_rows", "_hash")
+    __slots__ = ("n", "edges", "edge_index", "adj", "_hop_rows", "_hash", "_average_degree")
 
     def __init__(self, edges: Iterable[Edge], n: int | None = None):
         raw = list(edges)
@@ -127,6 +128,7 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._hop_rows: dict[int, list[int | None]] = {}
         self._hash: int | None = None
+        self._average_degree: Fraction | None = None
 
     @property
     def m(self) -> int:
@@ -136,7 +138,9 @@ class Graph:
         return len(self.adj[u])
 
     def average_degree(self) -> Fraction:
-        return Fraction(2 * self.m, self.n) if self.n else ZERO
+        if self._average_degree is None:
+            self._average_degree = Fraction(2 * self.m, self.n) if self.n else ZERO
+        return self._average_degree
 
     def check_point(self, p: Point) -> None:
         if p.is_vertex:
@@ -316,8 +320,8 @@ class _Traversal:
 def _traversal(g: Graph) -> _Traversal:
     """The BFS forest of g, memoized on its value.
 
-    The components, ``is_forest`` and the tree climb all read it, so a
-    sweep over radii on one graph searches it once.  Like the matching
+    ``approx_cover``'s split, ``is_forest`` and the tree climb all read
+    it, so a sweep over radii on one graph searches it once.  Like the matching
     memos, it is a module-level ``graph_memo`` that ``cache_clear`` empties.
     """
     parent = [-1] * g.n
@@ -336,11 +340,6 @@ def _traversal(g: Graph) -> _Traversal:
                     order.append(w)
         orders.append(tuple(order))
     return _Traversal(tuple(orders), tuple(tuple(sorted(o)) for o in orders), tuple(parent))
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, ordered by smallest member."""
-    return [list(c) for c in _traversal(g).components]
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:

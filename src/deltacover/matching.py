@@ -553,7 +553,8 @@ def _cover_tree_component(g: Graph, root: int, order: Sequence[int], parent: Seq
 
     Lengths are scaled by q, the denominator of delta = p/q: an edge is q
     long and the radius is p, so every position, need and reach is an
-    integer, and a Fraction is built only for a placed point.  State per
+    integer, and a Fraction is built once per distinct offset of a placed
+    point, so at most q - 1 times per call.  State per
     processed vertex: ``need`` = distance to the farthest point below it
     still uncovered (None if everything is), ``reach`` = leftover covering
     radius extending upward from placed points (None if none reaches).
@@ -561,6 +562,7 @@ def _cover_tree_component(g: Graph, root: int, order: Sequence[int], parent: Seq
     exactly delta; deferred placements land on vertices.
     """
     placed: set[Point] = set()
+    at: dict[int, Fraction] = {}  # few distinct offsets recur on every edge
     need_at: list[int | None] = [None] * g.n
     reach_at: list[int | None] = [None] * g.n
 
@@ -578,10 +580,11 @@ def _cover_tree_component(g: Graph, root: int, order: Sequence[int], parent: Seq
                 if trigger == remaining:
                     return p, None  # defer: need hits delta exactly at the vertex
                 pos += trigger
-                if child < top:
-                    placed.add(Point(child, top, Fraction(pos, q)))
-                else:
-                    placed.add(Point(top, child, Fraction(q - pos, q)))
+                u, v, a = (child, top, pos) if child < top else (top, child, q - pos)
+                t = at.get(a)
+                if t is None:
+                    t = at[a] = Fraction(a, q)
+                placed.add(Point(u, v, t))
                 need, reach = None, p
                 continue
             if need is not None:

@@ -64,7 +64,7 @@ def nearest_distances(g: Graph, s: Cover, delta: Fraction
     Every point is checked with ``Graph.check_point``.  The search is
     proved in ``is_delta_cover``.
     """
-    if delta <= ZERO:
+    if delta.numerator <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     scale = delta.denominator
     for q in s.points:
@@ -192,11 +192,12 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
                 gaps.append((e, (Fraction(lo, scale), Fraction(hi, scale))))
                 if witness is None:
                     witness = Point.on_edge(u, v, Fraction(lo + hi, 2 * scale))
-    for w in range(n):
-        if not adj[w] and dist[w] is None:
-            gaps.append(((w, w), (ZERO, ZERO)))
-            if witness is None:
-                witness = Point.vertex(w)
+    if not all(adj):  # isolated vertices
+        for w in range(n):
+            if not adj[w] and dist[w] is None:
+                gaps.append(((w, w), (ZERO, ZERO)))
+                if witness is None:
+                    witness = Point.vertex(w)
     return VerifyReport(witness is None, witness, tuple(gaps))
 
 

@@ -8,8 +8,9 @@ per edge by the reach of every cover point separately, set-cover masks by
 one distance per candidate and universe point, leaf levels and forests
 by BFS, the vertex paths of a subdivision by walking it.  Others keep a
 library routine as it was before it moved to integer arithmetic (tree
-climb, point distance, subdivision pull-back, small-delta even points)
-or before it grouped points by edge (neat normalization), the
+climb, point distance, subdivision pull-back, small-delta even points,
+``approx_cover``'s regime chain and its factors) or before it grouped
+points by edge (neat normalization), the
 unit-fraction route as it was before it translated g's own 1-cover or
 1/2-cover down (a subdivided ``Graph``, then a pull-back of its 1-cover),
 and the root core of set cover by its subset definition.
@@ -17,6 +18,7 @@ and the root core of set cover by its subset definition.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -534,3 +536,103 @@ def unit_fraction_cover_via_subdivided_graph(g: Graph, b: int) -> Cover:
 
     sub, smap = subdivide(g, b)
     return smap.project_cover(g, _one_cover(sub, gallai_edmonds(sub)))
+
+
+def small_factors_by_fractions(g: Graph, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(small-even factor, small-odd factor, small-odd epsilon) for k on g.
+
+    The library's formulas as they were before they moved to integers:
+    1 + 1/(k*avg + 1) (1 on a graph without edges), and with N = n + c_ge3
+    from the Gallai-Edmonds split, eps = N/(N - 1) - 1 (1 when N <= 1) and
+    min(1 + 1/(2k) + eps, 1 + 4/(3k*avg)) (the first when avg = 0).
+    """
+    from deltacover.matching import _split_and_one_cover
+
+    avg = Fraction(2 * g.m, g.n) if g.n else Fraction(0)
+    even = 1 + Fraction(1, k * avg + 1) if g.m else Fraction(1)
+    big_n = g.n + _split_and_one_cover(g)[0].c_ge3
+    eps = Fraction(big_n, big_n - 1) - 1 if big_n > 1 else Fraction(1)
+    odd = 1 + Fraction(1, 2 * k) + eps
+    if avg > 0:
+        odd = min(odd, 1 + Fraction(4, 3 * k) / avg)
+    return even, odd, eps
+
+
+def approx_by_fraction_chain(g: Graph, delta: Fraction) -> tuple:
+    """``approx_cover``'s (points, regime, param, epsilon, claimed factor,
+    average degree), by its dispatch as it was before it routed on delta's
+    integer numerator and denominator.
+
+    Each component (found by BFS) goes down a chain of ``Fraction``
+    comparisons with the regime boundaries; the interval parameters and
+    every factor and epsilon are ``Fraction`` arithmetic.  The points come
+    from the library's unverified cores, except on trees
+    (``tree_cover_by_fractions``) and in the small-delta even case
+    (``small_even_points_by_fractions``).  The union claims the largest
+    factor and the regime, param and epsilon of the last part that is not
+    exact.
+    """
+    from deltacover import build_set_cover, harmonic_number, induced_subgraph, solve_greedy
+    from deltacover.approx import _leaf_level_part, _vertex_set_part, _vertices
+    from deltacover.matching import _split_and_one_cover, _unit_fraction_cover
+    from deltacover.solver import DEFAULT_BUDGET
+
+    half, one, two = Fraction(1, 2), Fraction(1), Fraction(2)
+
+    def part(h: Graph) -> tuple:
+        if h.m == h.n - 1:
+            return tree_cover_by_fractions(h, delta), one, "exact", None, None
+        if delta.numerator == 1:
+            return _unit_fraction_cover(h, delta.denominator).points, one, "exact", None, None
+        if delta >= Fraction(3, 2):
+            inst = build_set_cover(h, delta)
+            d = max(bin(m).count("1") for m in inst.masks)
+            return solve_greedy(inst).cover.points, harmonic_number(d), "large_delta", None, None
+        if delta > one:
+            points = _split_and_one_cover(h)[1].points
+            if delta < Fraction(7, 6):
+                return points, Fraction(3, 2), "one_cover_3_2", None, None
+            if delta < Fraction(5, 4):
+                return points, Fraction(5, 3), "one_cover_5_3", None, None
+            return points, two, "one_cover_2", None, None
+        if delta >= Fraction(3, 4):
+            return _vertices(h), two, "vertex_set_34_1", None, None
+        if delta >= Fraction(2, 3):
+            return _leaf_level_part(h, delta).points, Fraction(3, 2), "leaf_level", None, None
+        if delta > half:
+            x = math.ceil((1 - delta) / (2 * delta - 1))
+            assert Fraction(x + 1, 2 * x + 1) <= delta < Fraction(x, 2 * x - 1)
+            points = _vertex_set_part(h, delta, x, DEFAULT_BUDGET).points
+            return points, Fraction(x + 1, x), "vertex_set_x", x, None
+        m = math.floor(1 / delta)
+        if m % 2:
+            k = (m - 1) // 2
+            factor = small_factors_by_fractions(h, k)[0]
+            return small_even_points_by_fractions(h, delta, k), factor, "small_even", k, None
+        k = m // 2
+        _, factor, eps = small_factors_by_fractions(h, k)
+        return _unit_fraction_cover(h, 2 * k + 1).points, factor, "small_odd", k, eps
+
+    seen: set[int] = set()
+    points: set[Point] = set()
+    claimed, regime, param, epsilon = Fraction(1), "exact", None, None
+    for root in range(g.n):
+        if root in seen:
+            continue
+        comp = [root]
+        seen.add(root)
+        for u in comp:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        sub, old = induced_subgraph(g, comp)
+        pts, factor, reg, par, eps = part(sub)
+        points |= {Point.vertex(old[p.u]) if p.is_vertex else Point(old[p.u], old[p.v], p.t)
+                   for p in pts}
+        claimed = max(claimed, factor)
+        if reg != "exact":
+            regime, param = reg, par
+            epsilon = eps if eps is not None else epsilon
+    avg = Fraction(2 * g.m, g.n) if g.n else Fraction(0)
+    return frozenset(points), regime, param, epsilon, claimed, avg

@@ -3,6 +3,7 @@ import random
 from itertools import combinations
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from deltacover import (
@@ -30,7 +31,12 @@ from deltacover import (
 from deltacover.approx import small_delta_interval
 from deltacover.families import gen_triangles_center, gen_triangles_paths, gen_ugc_gadget
 from conftest import clear_library_caches, cycle, grid, k_n, path, star
-from oracles import leaf_levels_by_distance, small_even_points_by_fractions
+from oracles import (
+    approx_by_fraction_chain,
+    leaf_levels_by_distance,
+    small_even_points_by_fractions,
+    small_factors_by_fractions,
+)
 
 
 def test_vertex_set_interval_values():
@@ -38,8 +44,9 @@ def test_vertex_set_interval_values():
     assert vertex_set_interval(F(4, 7)) == 3
     assert vertex_set_interval(F(5, 9)) == 4
     assert vertex_set_interval(F(13, 25)) == 12
-    with pytest.raises(ValueError):
-        vertex_set_interval(F(2, 3))
+    for outside in (F(1, 2), F(2, 3)):
+        with pytest.raises(ValueError):
+            vertex_set_interval(outside)
 
 
 def test_small_delta_interval_classification():
@@ -47,8 +54,40 @@ def test_small_delta_interval_classification():
     assert small_delta_interval(F(2, 7)) == ("even", 1)
     assert small_delta_interval(F(2, 9)) == ("odd", 2)
     assert small_delta_interval(F(2, 11)) == ("even", 2)
-    with pytest.raises(ValueError):
-        small_delta_interval(F(1, 3))
+    for outside in (F(1, 3), F(1, 2), F(3, 5), F(0)):
+        with pytest.raises(ValueError):
+            small_delta_interval(outside)
+
+
+def test_routing_equals_the_fraction_chain():
+    # Every a/b in (0, 3] with b <= 30.  That holds the regime boundaries
+    # and both ends (x+1)/(2x+1) and x/(2x-1) of the vertex-set intervals
+    # for x = 2..6, named here so that the grid cannot lose them.
+    named = {F(1, 2), F(2, 3), F(3, 4), F(1), F(7, 6), F(5, 4), F(3, 2)}
+    named |= {F(x + 1, 2 * x + 1) for x in range(2, 7)} | {F(x, 2 * x - 1) for x in range(2, 7)}
+    radii = {F(a, b) for b in range(1, 31) for a in range(1, 3 * b + 1)} | named
+    two_components = Graph([(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4)], n=8)
+    for g in (k_n(4), cycle(5), grid(3, 4), path(5), two_components):
+        for delta in sorted(radii):
+            rep = approx_cover(g, delta)
+            got = (rep.cover.points, rep.regime, rep.param, rep.epsilon, rep.claimed_factor,
+                   rep.avg_degree)
+            assert got == approx_by_fraction_chain(g, delta), (g.edges, delta)
+
+
+def test_small_route_factors_equal_the_fraction_formulas():
+    # Both sides of the small-odd minimum, and a graph without edges.
+    cubic = [nx.random_regular_graph(3, n, seed=seed) for n, seed in ((8, 1), (10, 2), (12, 3))]
+    graphs = [cycle(5), cycle(6), grid(3, 3), grid(3, 4), k_n(4), Graph([], n=1)]
+    graphs += [Graph(sorted(tuple(sorted(e)) for e in h.edges()), n=h.number_of_nodes())
+               for h in cubic]
+    for g in graphs:
+        for k in range(1, 5):
+            even, odd, eps = small_factors_by_fractions(g, k)
+            rep = cover_small_delta_even(g, k, F(1, 2 * k + 2) + F(1, 1000))
+            assert (rep.claimed_factor, rep.epsilon) == (even, None)
+            rep = cover_small_delta_odd(g, k, F(1, 2 * k + 1) + F(1, 1000))
+            assert (rep.claimed_factor, rep.epsilon) == (odd, eps)
 
 
 def test_dispatcher_exact_routes(oracle):

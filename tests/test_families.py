@@ -20,7 +20,7 @@ from deltacover.families import (
     gen_triangles_paths,
     gen_ugc_gadget,
 )
-from deltacover.graphs import connected_components
+from deltacover.graphs import _traversal
 from conftest import cycle, k_n
 from oracles import hops_from
 
@@ -180,7 +180,7 @@ def test_generated_graphs_stay_connected():
         gen_ds_reduction(k_n(3), 2, "path_triangle"),
         gen_ugc_gadget(cycle(5), 2, "path_apex"),
     ):
-        assert len(connected_components(g)) == 1
+        assert len(_traversal(g).components) == 1
 
 
 def test_generator_validation():

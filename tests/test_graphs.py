@@ -9,7 +9,6 @@ from deltacover import (
     GraphValidationError,
     InvalidPointError,
     Point,
-    connected_components,
     induced_subgraph,
     is_forest,
     point_distance,
@@ -263,6 +262,8 @@ def test_wreath_k2_examples():
 
 
 def test_induced_subgraph_equals_the_edge_scan_definition():
+    from deltacover.graphs import _traversal
+
     rng = random.Random(31)
     for _ in range(60):
         # A few random pieces side by side, with isolated vertices among them.
@@ -275,7 +276,7 @@ def test_induced_subgraph_equals_the_edge_scan_definition():
         ids = list(range(n))
         rng.shuffle(ids)
         g = Graph([(ids[u], ids[v]) for u, v in edges], n=n)
-        subsets = connected_components(g) + [rng.sample(range(n), rng.randrange(n + 1))]
+        subsets = [*_traversal(g).components, rng.sample(range(n), rng.randrange(n + 1))]
         for vertices in subsets:
             sub, old = induced_subgraph(g, vertices)
             to_new = {u: i for i, u in enumerate(sorted(vertices))}
@@ -321,15 +322,11 @@ def test_the_traversal_memo_equals_a_cold_search_and_is_immutable():
     assert cold.orders == ((0, 2, 4), (1, 5, 6), (3,), (7,))
     assert cold.components == ((0, 2, 4), (1, 5, 6), (3,), (7,))
     assert cold.parent == (-1, -1, 0, -1, 0, 1, 5, -1)
-    assert connected_components(g) == [[0, 2, 4], [1, 5, 6], [3], [7]]
     for fields in (cold.orders, cold.components):
         assert isinstance(fields, tuple) and all(isinstance(c, tuple) for c in fields)
     assert isinstance(cold.parent, tuple)
     with pytest.raises(FrozenInstanceError):
         cold.parent = ()
-    # A caller may change the lists it is given; the memo keeps its tuples.
-    connected_components(g)[0].append(99)
-    assert connected_components(g)[0] == [0, 2, 4]
 
 
 def test_a_graph_memo_is_bounded_by_the_cells_of_its_graphs(monkeypatch):

@@ -9,6 +9,8 @@ from deltacover import (
     InvalidCoverError,
     InvalidPointError,
     Point,
+    VerifyReport,
+    approx_cover,
     is_delta_cover,
     normalize_neat,
     verify,
@@ -80,6 +82,36 @@ def test_isolated_vertex_handling():
     assert not report.is_cover and report.witness == Point.vertex(2)
     s2 = Cover.of([Point.on_edge(0, 1, F(1, 2)), Point.vertex(2)], F(1))
     assert is_delta_cover(g, s2).is_cover
+
+
+def test_isolated_vertices_are_reported_after_the_edges_in_vertex_order():
+    # Isolated vertices 0, 3 and 7: 3 is covered, 0 and 7 are not.
+    g = Graph([(1, 2), (2, 4), (5, 6)], n=8)
+    zero = (F(0), F(0))
+    s = Cover.of([Point.vertex(2), Point.vertex(3), Point.on_edge(5, 6, F(1, 2))], F(1))
+    assert is_delta_cover(g, s) == VerifyReport(
+        False, Point.vertex(0), (((0, 0), zero), ((7, 7), zero)))
+    # With a gap on an edge, that gap comes first and gives the witness.
+    s = Cover.of([Point.vertex(2), Point.vertex(3), Point.on_edge(5, 6, F(1, 4))], F(1, 2))
+    assert is_delta_cover(g, s) == VerifyReport(False, Point.on_edge(1, 2, F(1, 4)), (
+        ((1, 2), (F(0), F(1, 2))), ((2, 4), (F(1, 2), F(1))), ((5, 6), (F(3, 4), F(1))),
+        ((0, 0), zero), ((7, 7), zero)))
+    s = Cover.of([*s.points, Point.vertex(0), Point.vertex(7)], F(1))
+    assert is_delta_cover(g, s) == VerifyReport(True, None, ())
+
+
+def test_a_radius_that_is_not_positive_raises():
+    g = cycle(4)
+    for delta in (F(0), F(-1, 2)):
+        cover = Cover.of([Point.vertex(0)], delta)
+        with pytest.raises(ValueError, match="must be positive"):
+            approx_cover(g, delta)
+        with pytest.raises(ValueError, match="must be positive"):
+            is_delta_cover(g, cover)
+        with pytest.raises(ValueError, match="must be positive"):
+            is_delta_cover(g, Cover.of([Point.vertex(0)], 1), delta)
+        with pytest.raises(ValueError, match="must be positive"):
+            verify.nearest_distances(g, cover, delta)
 
 
 def test_verifier_never_reads_the_distance_table():
