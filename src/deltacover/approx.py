@@ -281,6 +281,8 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     p, q = delta.numerator, delta.denominator
+    if q >= (2 * k + 2) * p:  # delta <= 1/(2k+2)
+        raise ValueError(f"k = {k} needs delta > 1/{2 * k + 2}, got {delta}")
     report = _per_component(g, delta, lambda sub, d: _small_even_part(sub, p, q, k))
     return _verified(g, report, "small-delta even route")
 
@@ -316,6 +318,8 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if delta.denominator > (2 * k + 1) * delta.numerator:  # delta < 1/(2k+1)
+        raise ValueError(f"k = {k} needs delta >= 1/{2 * k + 1}, got {delta}")
     return _verified(g, _report(g, delta, _small_odd_part(g, k)), "small-delta odd route")
 
 

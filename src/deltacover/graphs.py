@@ -28,15 +28,16 @@ class InvalidPointError(ValueError):
     """Raised when a point refers to an edge the graph does not have."""
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
     """A location on a graph: a vertex, or an interior position on an edge.
 
     Interior points store the offset ``t`` from the lesser endpoint ``u``
     with ``0 < t < 1``; the same location written from the other end,
     ``(v, u, 1 - t)``, normalizes to this form.  Vertex points use
-    ``u == v`` and ``t == 0``, so equality and hashing are structural;
-    the hash reads ``t`` as its integer numerator and denominator.
+    ``u == v`` and ``t == 0``, so equality is structural.  A point is an
+    immutable (u, v, t) tuple: it unpacks, orders and compares as one, and
+    is built and compared in C.  The hash reads ``t`` as its integer
+    numerator and denominator.
     """
 
     u: int
@@ -67,8 +68,8 @@ class Point:
         # A Fraction is in lowest terms and an int has denominator 1, so
         # equal points give equal tuples; Fraction.__hash__ would compute a
         # modular inverse on every set insertion.
-        t = self.t
-        return hash((self.u, self.v, t.numerator, t.denominator))
+        u, v, t = self
+        return hash((u, v, t.numerator, t.denominator))
 
     @property
     def is_vertex(self) -> bool:

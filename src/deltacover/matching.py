@@ -419,7 +419,7 @@ def _translated(g: Graph, s: Cover, k: int) -> Cover:
     ``s`` must be a delta-cover of g with delta <= 1; an edge it leaves
     uncovered through both ends raises InternalConsistencyError.
     """
-    scale, reach, on_edge, dist = nearest_distances(g, s, s.delta)
+    scale, reach, on_edge, left = nearest_distances(g, s, s.delta)
     if reach > scale:
         raise ValueError(f"translation down needs delta <= 1, got {s.delta}")
     step = 2 * reach
@@ -433,10 +433,9 @@ def _translated(g: Graph, s: Cover, k: int) -> Cover:
             c = max(offsets)
             offsets = offsets + list(range(c + step, c + k * step + 1, step))
         else:
-            du, dv = dist[u], dist[v]
-            if du is None or dv is None or 2 * reach - du - dv < scale:
+            p, rv = left[u], left[v]
+            if p < 0 or rv < 0 or p + rv < scale:
                 raise InternalConsistencyError(f"edge {e} is not covered at {s.delta}")
-            p = reach - du
             offsets = range(p + reach, p + k * step, step)
         for a in offsets:
             t = at.get(a)

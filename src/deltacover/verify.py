@@ -4,14 +4,14 @@ Coverage is decided per edge from nearest-point distances: one
 multi-source search gives each vertex its distance to the nearest cover
 point, and an edge is covered exactly when the reach through its two
 endpoints and the intervals of the cover points inside it together make up
-its [0, 1] coordinate.  All lengths are scaled to integers.  Closed-ball
-semantics throughout, so touching intervals merge and exactly-tight
+its [0, 1] coordinate; one sweep over each edge's sorted offsets decides
+it and finds its gaps.  All lengths are scaled to integers.  Closed-ball
+semantics throughout, so touching pieces leave no gap and exactly-tight
 packings verify.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -40,63 +40,62 @@ class VerifyReport:
     per_edge_gaps: tuple[tuple[Edge, Interval], ...]
 
 
-def _merge(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Union of closed intervals as sorted maximal pieces; touching ones merge."""
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+def _check_points(g: Graph, s: Cover) -> None:
+    """Raise InvalidPointError for the first point of ``s`` not on g."""
+    for q in s.points:
+        g.check_point(q)
 
 
 def nearest_distances(g: Graph, s: Cover, delta: Fraction
-                      ) -> tuple[int, int, dict[Edge, list[int]], list[int | None]]:
-    """The scaled search of ``is_delta_cover``: scale, reach, offsets and D.
+                      ) -> tuple[int, int, dict[Edge, list[int]], list[int]]:
+    """The scaled search of ``is_delta_cover``: scale, reach, offsets and reaches.
 
     ``scale`` is the lcm of the denominators of delta and of every offset,
     the length of an edge; ``reach`` is delta times ``scale``.  The dict
     lists, per edge (u, v) with u < v, the offsets from u of the points
-    inside it, in ``scale`` units.  ``dist[w]`` is D(w), the distance from
-    w to its nearest point of ``s``, or None when that exceeds ``reach``.
-    Every point is checked with ``Graph.check_point``.  The search is
-    proved in ``is_delta_cover``.
+    inside it, in ``scale`` units.  ``left[w]`` is reach - D(w), where D(w)
+    is the distance from w to its nearest point of ``s``, or -1 when D(w)
+    exceeds ``reach``.  A point on no edge of g, or a vertex outside
+    [0, n), raises InvalidPointError from ``Graph.check_point``; the
+    edges are checked once each, as one comparison of key sets.  The
+    search is proved in ``is_delta_cover``.
     """
     if delta.numerator <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    scale = delta.denominator
-    for q in s.points:
-        g.check_point(q)
-        scale = lcm(scale, q.t.denominator)
-    reach = delta.numerator * (scale // delta.denominator)
-    on_edge: dict[Edge, list[int]] = {}
+    n = g.n
     seeds: list[tuple[int, int]] = []
+    inner: list[tuple[int, int, int, int]] = []
     for q in s.points:
-        u, v = q.u, q.v
+        u, v, t = q
         if u == v:
+            if not 0 <= u < n:
+                _check_points(g, s)
             seeds.append((0, u))
-            continue
-        a = q.t.numerator * (scale // q.t.denominator)
+        else:
+            inner.append((u, v, *t.as_integer_ratio()))
+    scale = lcm(delta.denominator, *{den for _, _, _, den in inner})
+    reach = delta.numerator * (scale // delta.denominator)
+    far = scale - reach
+    on_edge: dict[Edge, list[int]] = {}
+    for u, v, num, den in inner:
+        a = num * (scale // den)
         on_edge.setdefault((u, v), []).append(a)
         if a <= reach:
             seeds.append((a, u))
-        if scale - a <= reach:
+        if a >= far:
             seeds.append((scale - a, v))
+    if not on_edge.keys() <= g.edge_index.keys():
+        _check_points(g, s)
     queue = sorted(seeds)
     adj = g.adj
-    dist: list[int | None] = [None] * g.n
+    left = [-1] * n
     for d, w in queue:
-        if dist[w] is not None:
-            continue
-        dist[w] = d
-        nd = d + scale
-        if nd <= reach:
-            for x in adj[w]:
-                if dist[x] is None:
-                    queue.append((nd, x))
-    return scale, reach, on_edge, dist
+        if left[w] < 0:
+            left[w] = reach - d
+            d += scale
+            if d <= reach:
+                queue.extend([(d, x) for x in adj[w] if left[x] < 0])
+    return scale, reach, on_edge, left
 
 
 def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyReport:
@@ -129,20 +128,29 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     reaches delta - D(u) and delta - D(v) sum to at least 1, their two
     pieces cover the edge (if one reach is negative, the other exceeds 1).
     A vertex farther than delta from every cover point adds no piece, so
-    the search stops at the radius.  The gaps of an edge lie between its
-    merged, sorted pieces [lo1, hi1], ..., [lok, hik]: they are the pairs
-    (0, lo1), (hi1, lo2), ..., (hik, 1) with lo < hi.  An isolated
-    vertex w is reached only by a point at w, so it is covered iff
-    D(w) <= delta.
+    the search stops at the radius.  An isolated vertex w is reached only
+    by a point at w, so it is covered iff D(w) <= delta.
+
+    The gaps of an edge are the maximal open stretches of (0, 1) outside
+    every piece, and one sweep over the pieces in order of their left ends
+    finds them, as for any union of intervals: it keeps f, the furthest
+    right end so far, and a piece that starts after f leaves the gap
+    (f, its left end).  Every piece ends at or after its left end, so the
+    gaps come out from left to right.  The order is u's piece, then the
+    point pieces by offset, then v's piece: a point at a is a from u and
+    1 - a from v, so D(u) <= a and D(v) <= 1 - a, and its left end
+    a - delta lies between those of u's and v's pieces.  An endpoint out
+    of reach has no piece; the sweep starts at f = 0 and ends at 1 as if
+    it had an empty one there, which changes no open gap.  So f starts as
+    max(delta - D(u), 0), and the last gap is (f, 1 - (delta - D(v))), or
+    (f, 1) when v is out of reach, if f is below it.  Touching pieces
+    leave no gap, so exactly-tight packings verify.
 
     All lengths are multiplied by ``scale``, the lcm of the denominators
     of delta and of every offset, so an edge is ``scale`` long, the radius
     is ``reach`` and every quantity is an integer.  An endpoint's reach is
-    ``reach - D``, or -1 when D exceeds the radius.  An edge with exactly
-    one interior point, at a, is covered when ``ru >= a - reach`` and
-    ``a + reach >= scale - rv``: its three pieces then touch or overlap
-    in turn.  That test is sufficient, not necessary; an edge it does not
-    settle has its pieces sorted and merged.
+    ``reach - D``, or -1 when D exceeds the radius, as the search returns
+    it.
 
     The search is Dijkstra's with a first-in, first-out queue in place of
     a heap.  Every seed lies below ``scale``: a vertex point seeds 0, an
@@ -154,47 +162,43 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     entries leave the queue in non-decreasing distance, and the first
     entry for a vertex carries its distance D, as in Dijkstra's algorithm.
 
-    Cost: two passes over the points (check each and find ``scale``, then
-    seed the search: a vertex point at 0, an interior point's endpoints
-    when within the radius), then O(n + m + |S| log |S|) integer
-    operations; no hop distance between vertices is computed, and a
-    Fraction is built only for a reported gap and the witness.
+    Cost: one pass over the points, with a range check per vertex point;
+    ``scale`` from the distinct denominators; one pass over the interior
+    points, which groups their offsets by edge and seeds their endpoints
+    within the radius; one check that every such edge is in g; the search
+    in O(n + m + |S| log |S|) integer operations; one pass over the edges
+    that drops those covered through their two ends; and one sweep per
+    edge left, over its offsets, sorted when it has two or more.  No hop
+    distance between vertices is computed, and a Fraction is built only
+    for a reported gap and the witness.
     """
     if delta is None:
         delta = s.delta
-    scale, reach, on_edge, dist = nearest_distances(g, s, delta)
-    n, adj = g.n, g.adj
+    scale, reach, on_edge, left = nearest_distances(g, s, delta)
     witness: Point | None = None
     gaps: list[tuple[Edge, Interval]] = []
-    for e in g.edges:
-        u, v = e
-        du, dv = dist[u], dist[v]
-        ru = -1 if du is None else reach - du
-        rv = -1 if dv is None else reach - dv
-        if ru + rv >= scale:
-            continue
+    for e in [e for e in g.edges if left[e[0]] + left[e[1]] < scale]:
+        ru, rv = left[e[0]], left[e[1]]
+        f = ru if ru > 0 else 0
+        end = scale - rv if rv > 0 else scale
         at = on_edge.get(e, ())
-        if len(at) == 1:
-            a = at[0]
-            if ru >= a - reach and a + reach >= scale - rv:
-                continue
-        pieces = [(max(a - reach, 0), min(a + reach, scale)) for a in at]
-        if ru >= 0:
-            pieces.append((0, min(ru, scale)))
-        if rv >= 0:
-            pieces.append((max(scale - rv, 0), scale))
-        ends = [0]
-        for piece in _merge(pieces):
-            ends.extend(piece)
-        ends.append(scale)
-        for lo, hi in zip(ends[::2], ends[1::2]):
-            if lo < hi:
-                gaps.append((e, (Fraction(lo, scale), Fraction(hi, scale))))
-                if witness is None:
-                    witness = Point.on_edge(u, v, Fraction(lo + hi, 2 * scale))
+        if len(at) > 1:
+            at.sort()
+        for a in at:
+            lo = a - reach
+            if lo > f:
+                gaps.append((e, (Fraction(f, scale), Fraction(lo, scale))))
+            if a + reach > f:
+                f = a + reach
+        if f < end:
+            gaps.append((e, (Fraction(f, scale), Fraction(end, scale))))
+    if gaps:
+        (u, v), (lo, hi) = gaps[0]
+        witness = Point.on_edge(u, v, (lo + hi) / 2)
+    adj = g.adj
     if not all(adj):  # isolated vertices
-        for w in range(n):
-            if not adj[w] and dist[w] is None:
+        for w in range(g.n):
+            if not adj[w] and left[w] < 0:
                 gaps.append(((w, w), (ZERO, ZERO)))
                 if witness is None:
                     witness = Point.vertex(w)

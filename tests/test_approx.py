@@ -90,6 +90,21 @@ def test_small_route_factors_equal_the_fraction_formulas():
             assert (rep.claimed_factor, rep.epsilon) == (odd, eps)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_small_routes_reject_a_k_too_small_for_delta(k):
+    # The odd route covers from delta = 1/(2k+1) up, the even route above
+    # 1/(2k+2); just below either bound is a caller's error, not a bug.
+    g = cycle(5)
+    odd, even = F(1, 2 * k + 1), F(1, 2 * k + 2)
+    assert is_delta_cover(g, cover_small_delta_odd(g, k, odd).cover).is_cover
+    assert is_delta_cover(g, cover_small_delta_even(g, k, F(2, 4 * k + 3)).cover).is_cover
+    with pytest.raises(ValueError, match=f"needs delta >= 1/{2 * k + 1}"):
+        cover_small_delta_odd(g, k, F(2, 4 * k + 3))
+    for below in (even, F(2, 4 * k + 5)):
+        with pytest.raises(ValueError, match=f"needs delta > 1/{2 * k + 2}"):
+            cover_small_delta_even(g, k, below)
+
+
 def test_dispatcher_exact_routes(oracle):
     c4 = cycle(4)
     rep = approx_cover(c4, F(1))

@@ -10,6 +10,7 @@ from deltacover import (
     InvalidPointError,
     Point,
     induced_subgraph,
+    is_delta_cover,
     is_forest,
     point_distance,
     subdivide,
@@ -88,6 +89,38 @@ def test_point_normalization():
     assert Point.on_edge(1, 0, F(1, 4)) == Point.on_edge(0, 1, F(3, 4))
     with pytest.raises(InvalidPointError):
         Point.on_edge(0, 1, F(5, 4))
+    assert tuple(Point.on_edge(3, 1, F(1, 3))) == (1, 3, F(2, 3))
+    assert Point.on_edge(2, 2, F(0)) == Point.vertex(2) == (2, 2, 0)
+    with pytest.raises(InvalidPointError, match=r"interior point on loop \(2, 2\)"):
+        Point.on_edge(2, 2, F(1, 2))
+
+
+def test_point_is_an_immutable_u_v_t_tuple():
+    p = Point.on_edge(4, 1, F(1, 4))
+    u, v, t = p
+    assert (u, v, t) == (p.u, p.v, p.t) == (1, 4, F(3, 4))
+    for field in ("u", "v", "t"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, 0)
+    # Equal points hash alike, an int offset as its Fraction.
+    assert hash(Point(0, 0, 0)) == hash(Point.vertex(0))
+    assert hash(Point(1, 4, F(6, 8))) == hash(p)
+    rng = random.Random(5)
+    points = [Point.vertex(rng.randrange(4)) for _ in range(10)]
+    points += [Point.on_edge(*rng.sample(range(4), 2), F(rng.randrange(1, 7), 7))
+               for _ in range(20)]
+    assert sorted(points) == sorted(points, key=lambda q: (q.u, q.v, q.t))
+    assert [q.is_vertex for q in points] == [q.u == q.v for q in points]
+
+
+def test_invalid_points_keep_their_messages_in_the_verifier():
+    g = path(2)
+    for bad, message in ((Point.vertex(3), "vertex 3 outside [0, 3)"),
+                         (Point.vertex(-1), "vertex -1 outside [0, 3)"),
+                         (Point(0, 2, F(1, 2)), "edge (0, 2) not in graph")):
+        with pytest.raises(InvalidPointError) as err:
+            is_delta_cover(g, Cover.of([Point.vertex(1), bad], F(1)))
+        assert str(err.value) == message
 
 
 def test_point_distance_triangle_midpoint():

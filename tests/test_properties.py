@@ -163,33 +163,42 @@ def test_verifier_report_equals_interval_oracle_at_ties_and_reach(case):
     assert is_delta_cover(g, cover, delta) == interval_verify(g, cover, delta)
 
 
+def _endpoint_side(draw, reach):
+    """(D, the nearest edge point's distance) for one endpoint of uv.
+
+    Either in reach, at distance D from a point at the endpoint (D = 0) or
+    on its outer edge, with D + (the distance to it of the nearest point
+    inside uv) - 2 reach in {-1, 0, 1}, so the two balls miss by one,
+    touch or overlap by one; or out of reach (D = None), with every point
+    farther than reach from it and the edge's own ball ending one or two
+    short of it.
+    """
+    if draw(st.booleans()):
+        # At dist = reach, c = -1 would put the edge's own point nearer.
+        c = draw(st.sampled_from([-1, 0, 1]))
+        dist = draw(st.integers(0, reach - (c < 0)))
+        return dist, 2 * reach - dist + c
+    return None, reach + draw(st.sampled_from([1, 2]))
+
+
 @st.composite
-def one_point_edges(draw):
+def multi_point_edges(draw, counts=(1,)):
     """A path s_u - u - v - s_v at radius reach/scale, in scaled integers.
 
-    Edge uv carries one interior point at a from u.  Each endpoint x is
-    either in reach, at distance D from a point at x (D = 0) or on the edge
-    x s_x, with D + (the point's distance to x) - 2 reach in {-1, 0, 1}, so
-    the two balls miss by one, touch or overlap by one; or out of reach,
-    with every point farther than reach from x and the edge's own ball
-    ending one or two short of x.  Vertex ids are shuffled, so u may be
-    the greater endpoint.
+    Edge uv carries k interior points, k drawn from ``counts``, whose
+    consecutive balls miss by one, touch or overlap by one.  Each endpoint
+    is drawn by ``_endpoint_side``, the first point a from u and the last
+    b from v.  Vertex ids are shuffled, so u may be the greater endpoint.
     """
     reach = draw(st.integers(1, 6))
-    sides = []
-    for _ in range(2):
-        if draw(st.booleans()):
-            # At dist = reach, c = -1 would put the edge's own point nearer.
-            c = draw(st.sampled_from([-1, 0, 1]))
-            dist = draw(st.integers(0, reach - (c < 0)))
-            sides.append((dist, 2 * reach - dist + c))
-        else:
-            sides.append((None, reach + draw(st.sampled_from([1, 2]))))
-    (du, a), (dv, b) = sides
-    scale = a + b
+    (du, a), (dv, b) = _endpoint_side(draw, reach), _endpoint_side(draw, reach)
+    offsets = [a]
+    for _ in range(draw(st.sampled_from(counts)) - 1):
+        offsets.append(offsets[-1] + 2 * reach + draw(st.sampled_from([-1, 0, 1])))
+    scale = offsets[-1] + b
     assume(a > 0 and b > 0)
     u, v, su, sv = draw(st.permutations(range(4)))
-    points = [Point.on_edge(u, v, F(a, scale))]
+    points = [Point.on_edge(u, v, F(x, scale)) for x in offsets]
     for x, s, dist in ((u, su, du), (v, sv, dv)):
         if dist == 0:
             points.append(Point.vertex(x))
@@ -202,9 +211,16 @@ def one_point_edges(draw):
     return g, Cover.of(points, F(reach, scale))
 
 
-@given(one_point_edges())
+@given(multi_point_edges())
 @settings(max_examples=400, deadline=None)
 def test_one_point_edges_report_equals_interval_oracle(case):
+    g, cover = case
+    assert is_delta_cover(g, cover) == interval_verify(g, cover, cover.delta)
+
+
+@given(multi_point_edges(counts=(2, 3, 4)))
+@settings(max_examples=400, deadline=None)
+def test_multi_point_edges_report_equals_interval_oracle(case):
     g, cover = case
     assert is_delta_cover(g, cover) == interval_verify(g, cover, cover.delta)
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,10 @@ from deltacover import (
     Point,
     VerifyReport,
     approx_cover,
+    cover_small_delta_even,
     is_delta_cover,
     normalize_neat,
+    unit_fraction_cover,
     verify,
 )
 from deltacover.solver import GridPoints
@@ -252,15 +255,28 @@ def test_invalid_points_raise():
             is_delta_cover(g, Cover.of([Point.vertex(1), bad], F(1)))
 
 
-def test_one_point_edges_whose_pieces_touch_are_settled_without_merging(monkeypatch):
+def test_edges_whose_pieces_touch_are_settled_without_building_a_gap(monkeypatch):
     # Vertices plus midpoints at 1/4: on every edge the pieces [0, 1/4],
-    # [1/4, 3/4] and [3/4, 1] touch, and the one-point test settles it.
-    g = cycle(5)
-    points = [Point.vertex(w) for w in range(g.n)] + [Point.on_edge(u, v, F(1, 2))
-                                                      for u, v in g.edges]
+    # [1/4, 3/4] and [3/4, 1] touch.  The small-even cover at 2/7 has one
+    # point per edge.  The translated 1/3 cover of the cycle has two points
+    # on each edge that carried an interior point of its 1-cover, each ball
+    # touching the next; the grid's 1-cover is the vertices 1, 3, 5 and 7,
+    # so its translation has one point per edge, where u's reach ends.
+    # The sweep settles every edge without building a gap, and a gap is the
+    # only place the verifier builds a Fraction.
+    c5, g33 = cycle(5), grid(3, 3)
+    covers = [
+        (c5, Cover.of([Point.vertex(w) for w in range(c5.n)]
+                      + [Point.on_edge(u, v, F(1, 2)) for u, v in c5.edges], F(1, 4))),
+        (c5, cover_small_delta_even(c5, 1, F(2, 7)).cover),
+        (c5, unit_fraction_cover(c5, 3).cover),
+        (g33, unit_fraction_cover(g33, 3).cover),
+    ]
+    assert max(Counter(p.edge() for p in covers[2][1].points if not p.is_vertex).values()) == 2
 
-    def no_merge(pieces):
-        raise AssertionError(f"merged {pieces}")
+    def no_gap(*args):
+        raise AssertionError(f"built a gap end Fraction{args}")
 
-    monkeypatch.setattr(verify, "_merge", no_merge)
-    assert is_delta_cover(g, Cover.of(points, F(1, 4))).is_cover
+    monkeypatch.setattr(verify, "Fraction", no_gap)
+    for g, cover in covers:
+        assert is_delta_cover(g, cover).is_cover
