@@ -94,7 +94,9 @@ def nearest_distances(g: Graph, s: Cover, delta: Fraction
             left[w] = reach - d
             d += scale
             if d <= reach:
-                queue.extend([(d, x) for x in adj[w] if left[x] < 0])
+                for x in adj[w]:
+                    if left[x] < 0:
+                        queue.append((d, x))
     return scale, reach, on_edge, left
 
 
@@ -177,8 +179,10 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     scale, reach, on_edge, left = nearest_distances(g, s, delta)
     witness: Point | None = None
     gaps: list[tuple[Edge, Interval]] = []
-    for e in [e for e in g.edges if left[e[0]] + left[e[1]] < scale]:
+    for e in g.edges:
         ru, rv = left[e[0]], left[e[1]]
+        if ru + rv >= scale:
+            continue
         f = ru if ru > 0 else 0
         end = scale - rv if rv > 0 else scale
         at = on_edge.get(e, ())
