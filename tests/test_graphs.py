@@ -110,7 +110,6 @@ def test_point_is_an_immutable_u_v_t_tuple():
     points += [Point.on_edge(*rng.sample(range(4), 2), F(rng.randrange(1, 7), 7))
                for _ in range(20)]
     assert sorted(points) == sorted(points, key=lambda q: (q.u, q.v, q.t))
-    assert [q.is_vertex for q in points] == [q.u == q.v for q in points]
 
 
 def test_invalid_points_keep_their_messages_in_the_verifier():
