@@ -30,6 +30,7 @@ from .graphs import (
     ONE,
     Point,
     ZERO,
+    _make_point,
     _traversal,
     graph_memo,
     induced_subgraph,
@@ -37,10 +38,10 @@ from .graphs import (
     relabel_points,
 )
 from .matching import (
+    _matched_ends,
     _split_and_one_cover,
     _tree_points,
     _unit_fraction_cover,
-    vc_2approx,
 )
 from .solver import (
     Budget,
@@ -60,7 +61,11 @@ TWO = Fraction(2)
 
 @dataclass(frozen=True)
 class RatioReport:
-    """An approximate cover plus the guarantee claimed for it."""
+    """An approximate cover plus the guarantee claimed for it.
+
+    ``proven`` is False when the claim rests on an exact sub-solve that ran
+    out of its budget.
+    """
 
     cover: Cover
     claimed_factor: Fraction
@@ -68,6 +73,7 @@ class RatioReport:
     avg_degree: Fraction
     param: int | None = None
     epsilon: Fraction | None = None
+    proven: bool = True
 
 
 @dataclass(frozen=True)
@@ -79,11 +85,12 @@ class _Part:
     regime: str
     param: int | None = None
     epsilon: Fraction | None = None
+    proven: bool = True
 
 
 def _report(g: Graph, delta: Fraction, part: _Part) -> RatioReport:
     return RatioReport(Cover(part.points, delta), part.claimed_factor, part.regime,
-                       g.average_degree(), part.param, part.epsilon)
+                       g.average_degree(), part.param, part.epsilon, part.proven)
 
 
 def _verified(g: Graph, report: RatioReport, what: str) -> RatioReport:
@@ -98,28 +105,30 @@ def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
     A connected g goes to the core whole, and its part is the answer as it
     is.  Otherwise the union claims the largest factor, and the regime and
     param of the last part that is not exact (with the last epsilon any of
-    those gave).  Unverified.
+    those gave); it is proven when every part is.  Unverified.
     """
     comps = _traversal(g).components
     if len(comps) == 1:
         return _report(g, delta, core(g, delta))
     pieces: list[frozenset[Point]] = []
-    claimed, regime, param, epsilon = ONE, "exact", None, None
+    claimed, regime, param, epsilon, proven = ONE, "exact", None, None, True
     for comp in comps:
         sub, old = induced_subgraph(g, comp)
         part = core(sub, delta)
         pieces.append(relabel_points(part.points, old))
         claimed = max(claimed, part.claimed_factor)
+        proven = proven and part.proven
         if part.regime != "exact":
             regime, param = part.regime, part.param
             epsilon = part.epsilon if part.epsilon is not None else epsilon
-    return _report(g, delta, _Part(frozenset().union(*pieces), claimed, regime, param, epsilon))
+    return _report(g, delta, _Part(frozenset().union(*pieces), claimed, regime, param, epsilon,
+                                   proven))
 
 
 @graph_memo
 def _vertices(g: Graph) -> frozenset[Point]:
     """Every vertex of g as a point, memoized on g's value like ``_traversal``."""
-    return frozenset(Point.vertex(v) for v in range(g.n))
+    return frozenset(map(_make_point, [(v, v, ZERO) for v in range(g.n)]))
 
 
 @dataclass(frozen=True)
@@ -187,13 +196,16 @@ def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
 
 
 def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> _Part:
+    """The claim (x+1)/x is proven unless the exact sub-solve ran out of budget."""
+    proven = True
     if g.m >= g.n and g.m >= x:
         points = _vertices(g)
     elif g.m == g.n - 1:
         points = frozenset(_tree_points(g, delta))
     else:
-        points = solve_exact(build_set_cover(g, delta), budget).cover.points
-    return _Part(points, Fraction(x + 1, x), "vertex_set_x", param=x)
+        result = solve_exact(build_set_cover(g, delta), budget)
+        points, proven = result.cover.points, result.optimal
+    return _Part(points, Fraction(x + 1, x), "vertex_set_x", param=x, proven=proven)
 
 
 def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
@@ -211,7 +223,7 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
 def _leaf_level_part(g: Graph, delta: Fraction) -> _Part:
     levels = level_partition(g)
     points = {Point.on_edge(u0, u1, TWO_THIRDS) for u0, u1 in levels.E01}
-    points |= {Point.vertex(v) for v in vc_2approx(Graph(levels.E11, n=g.n))}
+    points |= {Point.vertex(v) for v in _matched_ends(levels.E11)}
     points |= {Point.vertex(v) for v in levels.W}
     return _Part(frozenset(points), THREE_HALVES, "leaf_level")
 
@@ -265,7 +277,7 @@ def _small_even_part(g: Graph, p: int, q: int, k: int) -> _Part:
             # vertex, already in the cover, and any other offset raises
             # InvalidPointError on the first edge.
             Point.on_edge(*g.edges[0], Fraction(a, 2 * q))
-    points = _vertices(g).union(Point(u, v, t) for u, v in g.edges for t in inner)
+    points = _vertices(g).union(map(_make_point, [(u, v, t) for u, v in g.edges for t in inner]))
     km = k * g.m
     factor = Fraction(2 * (km + g.n), 2 * km + g.n) if g.m else ONE
     return _Part(points, factor, "small_even", param=k)

@@ -150,6 +150,7 @@ def _cmd_approx(args) -> int:
         "param": report.param,
         "claimed_factor": format_rational(report.claimed_factor),
         "epsilon": None if report.epsilon is None else format_rational(report.epsilon),
+        "proven": report.proven,
         "avg_degree": format_rational(report.avg_degree),
         "size": len(report.cover),
         "verified": True,

@@ -36,8 +36,10 @@ class Point(NamedTuple):
     ``(v, u, 1 - t)``, normalizes to this form.  Vertex points use
     ``u == v`` and ``t == 0``, so equality is structural.  A point is an
     immutable (u, v, t) tuple: it unpacks, orders and compares as one, and
-    is built and compared in C.  The hash reads ``t`` as its integer
-    numerator and denominator.
+    compares in C.  ``Point(u, v, t)`` is the public constructor; the
+    library builds its points with ``_make_point((u, v, t))``, which skips
+    the Python-level ``__new__``.  The hash reads ``t`` as its integer
+    ratio.
     """
 
     u: int
@@ -46,7 +48,7 @@ class Point(NamedTuple):
 
     @staticmethod
     def vertex(u: int) -> "Point":
-        return Point(u, u, ZERO)
+        return _make_point((u, u, ZERO))
 
     @staticmethod
     def on_edge(u: int, v: int, t: Fraction | int) -> "Point":
@@ -67,9 +69,10 @@ class Point(NamedTuple):
     def __hash__(self) -> int:
         # A Fraction is in lowest terms and an int has denominator 1, so
         # equal points give equal tuples; Fraction.__hash__ would compute a
-        # modular inverse on every set insertion.
+        # modular inverse on every set insertion.  ``_make_point``, the
+        # library's construction path, skips ``__new__`` but not this hash.
         u, v, t = self
-        return hash((u, v, t.numerator, t.denominator))
+        return hash((u, v, *t.as_integer_ratio()))
 
     @property
     def is_vertex(self) -> bool:
@@ -84,6 +87,10 @@ class Point(NamedTuple):
         if self.is_vertex:
             return f"Point.vertex({self.u})"
         return f"Point.on_edge({self.u}, {self.v}, {self.t})"
+
+
+# Point's own __new__ is a Python function; this builds the same tuple in C.
+_make_point = functools.partial(tuple.__new__, Point)
 
 
 class Graph:

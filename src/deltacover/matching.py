@@ -23,6 +23,7 @@ from .graphs import (
     ONE,
     Point,
     ZERO,
+    _make_point,
     _traversal,
     graph_memo,
     is_forest,
@@ -294,13 +295,13 @@ def _one_cover(g: Graph, ge: GEDecomposition) -> Cover:
     touched = set(X)
     for a, c in ge.matching.edges:
         if a not in X and c not in X:
-            points.add(Point(a, c, HALF))
+            points.add(_make_point((a, c, HALF)))
             touched.update((a, c))
     for s in range(g.n):
         if s not in touched:
             w = next((w for w in g.adj[s] if w not in X), None)
             if w is not None:
-                points.add(Point(min(s, w), max(s, w), HALF))
+                points.add(_make_point((s, w, HALF) if s < w else (w, s, HALF)))
     cover = Cover(frozenset(points), ONE)
     expected = g.n - ge.matching.size - (len(T) - len(X))
     if len(cover) != expected:
@@ -409,7 +410,7 @@ def _half_cover(g: Graph) -> Cover:
         if degrees >= 2 * len(comp) or degrees == 0:
             points.update(map(Point.vertex, comp))
         else:
-            points.update(Point(u, w, HALF) for u in comp for w in adj[u] if w > u)
+            points.update(map(_make_point, [(u, w, HALF) for u in comp for w in adj[u] if w > u]))
     return Cover(frozenset(points), HALF)
 
 
@@ -441,7 +442,7 @@ def _translated(g: Graph, s: Cover, k: int) -> Cover:
             t = at.get(a)
             if t is None:
                 t = at[a] = Fraction(a, length)
-            points.append(Point(u, v, t))
+            points.append(_make_point((u, v, t)))
     cover = Cover(frozenset(points), Fraction(reach, length))
     if len(cover) != len(s) + k * g.m:
         raise InternalConsistencyError(
@@ -536,14 +537,19 @@ def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> So
     return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
 
 
-def vc_2approx(g: Graph) -> frozenset[int]:
-    """Endpoints of a greedy maximal matching: a 2-approximate vertex cover."""
+def _matched_ends(edges: Sequence[Edge]) -> set[int]:
+    """Endpoints of the greedy maximal matching that takes ``edges`` in order."""
     used: set[int] = set()
-    for u, v in g.edges:
+    for u, v in edges:
         if u not in used and v not in used:
             used.add(u)
             used.add(v)
-    return frozenset(used)
+    return used
+
+
+def vc_2approx(g: Graph) -> frozenset[int]:
+    """Endpoints of a greedy maximal matching: a 2-approximate vertex cover."""
+    return frozenset(_matched_ends(g.edges))
 
 
 def _cover_tree_component(g: Graph, root: int, order: Sequence[int], parent: Sequence[int],
@@ -555,67 +561,56 @@ def _cover_tree_component(g: Graph, root: int, order: Sequence[int], parent: Seq
     integer, and a Fraction is built once per distinct offset of a placed
     point, so at most q - 1 times per call.  State per
     processed vertex: ``need`` = distance to the farthest point below it
-    still uncovered (None if everything is), ``reach`` = leftover covering
-    radius extending upward from placed points (None if none reaches).
-    Climbing an edge, a point is placed the moment the need would hit
-    exactly delta; deferred placements land on vertices.
+    still uncovered, ``reach`` = leftover covering radius extending upward
+    from placed points; each is >= 0, or -1 for "none" (everything below
+    is covered, or no placed point reaches up).  The climb runs inline,
+    edge by edge.  Climbing an edge, a point is placed the moment the need
+    would hit exactly delta inside the edge; a need that hits delta
+    exactly at the top is carried up, and its point is placed on that
+    vertex.
     """
     placed: set[Point] = set()
     at: dict[int, Fraction] = {}  # few distinct offsets recur on every edge
-    need_at: list[int | None] = [None] * g.n
-    reach_at: list[int | None] = [None] * g.n
-
-    def climb(child: int, top: int, need: int | None, reach: int | None):
-        pos = 0
-        while True:
-            remaining = q - pos
-            if need is not None:
-                trigger = p - need
-            elif reach is not None and reach < remaining:
-                trigger = reach + p
-            else:
-                trigger = None
-            if trigger is not None and trigger <= remaining:
-                if trigger == remaining:
-                    return p, None  # defer: need hits delta exactly at the vertex
-                pos += trigger
-                u, v, a = (child, top, pos) if child < top else (top, child, q - pos)
+    need_at = [-1] * g.n
+    reach_at = [-1] * g.n
+    adj = g.adj
+    for v in reversed(order):
+        need = reach = -1
+        up = parent[v]
+        for c in adj[v]:
+            if c == up:
+                continue
+            # Climb edge cv from c; rem is the length still to climb.
+            cn, cr, rem = need_at[c], reach_at[c], q
+            trig = p - cn if cn >= 0 else p + cr  # distance to the next point
+            while trig < rem:
+                rem -= trig
+                a = q - rem if c < v else rem
                 t = at.get(a)
                 if t is None:
                     t = at[a] = Fraction(a, q)
-                placed.add(Point(u, v, t))
-                need, reach = None, p
-                continue
-            if need is not None:
-                need = need + remaining
-            elif reach is not None and reach < remaining:
-                need = remaining - reach
-            reach = reach - remaining if reach is not None and reach >= remaining else None
-            if need is None and reach is None:
+                placed.add(_make_point((c, v, t) if c < v else (v, c, t)))
+                cn, cr, trig = -1, p, 2 * p
+            if cn >= 0:
+                cn += rem
+            elif 0 <= cr < rem:
+                cn = rem - cr
+            cr = cr - rem if cr >= rem else -1
+            if cn < 0 and cr < 0:
                 raise InternalConsistencyError("tree climb lost track of coverage")
-            return need, reach
-
-    for v in reversed(order):
-        need: int | None = None
-        reach: int | None = None
-        up = parent[v]
-        for c in g.adj[v]:
-            if c == up:
-                continue
-            cn, cr = climb(c, v, need_at[c], reach_at[c])
-            if cn is not None and (need is None or cn > need):
+            if cn > need:
                 need = cn
-            if cr is not None and (reach is None or cr > reach):
+            if cr > reach:
                 reach = cr
-        if reach is None and (need is None or need < 0):
+        if need < 0 and reach < 0:
             need = 0  # the vertex itself is uncovered
-        if need is not None and reach is not None and need <= reach:
-            need = None
+        if 0 <= need <= reach:
+            need = -1
         if need == p:
             placed.add(Point.vertex(v))
-            need, reach = None, p
+            need, reach = -1, p
         need_at[v], reach_at[v] = need, reach
-    if need_at[root] is not None:
+    if need_at[root] >= 0:
         placed.add(Point.vertex(root))
     return placed
 

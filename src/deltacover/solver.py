@@ -18,7 +18,7 @@ from itertools import accumulate
 from math import lcm
 from operator import xor
 
-from .graphs import Cover, Edge, Graph, Point, ZERO, hop_layers
+from .graphs import Cover, Edge, Graph, Point, ZERO, _make_point, hop_layers
 # InternalConsistencyError is re-exported here for the library's callers.
 from .verify import InternalConsistencyError, require_output
 
@@ -100,8 +100,8 @@ class GridPoints(Sequence[Point]):
         k = bisect_right(self.starts, i) - 1
         u, v = self.blocks[k]
         if u == v:
-            return Point(u, u, ZERO)
-        return Point(u, v, Fraction(i - self.starts[k] + 1, self.step))
+            return _make_point((u, u, ZERO))
+        return _make_point((u, v, Fraction(i - self.starts[k] + 1, self.step)))
 
 
 def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:

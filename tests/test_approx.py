@@ -427,6 +427,21 @@ def test_vertex_set_route():
     assert len(rep_small.cover) == 1  # |E| < x: brute force route
 
 
+def test_a_vertex_set_claim_on_an_unproven_sub_solve_is_not_proven():
+    # At 11/21, x = 10 and the 5-cycle has fewer edges, so it is solved by
+    # the branch and bound; with no nodes to spend it keeps its incumbent.
+    starved = approx_cover(cycle(5), F(11, 21), Budget(max_nodes=0))
+    assert (starved.regime, starved.param, starved.claimed_factor) == ("vertex_set_x", 10, F(11, 10))
+    assert starved.proven is False
+    full = approx_cover(cycle(5), F(11, 21))
+    assert full.proven is True and full.cover == starved.cover
+    # A union is proven only when every part is; the tree part always is.
+    two = Graph(list(cycle(5).edges) + [(5, 6), (6, 7), (7, 8)], n=9)
+    assert approx_cover(two, F(11, 21)).proven is True
+    assert approx_cover(two, F(11, 21), Budget(max_nodes=0)).proven is False
+    assert approx_cover(path(3), F(11, 21), Budget(max_nodes=0)).proven is True
+
+
 def test_leaf_level_gadget(oracle):
     g = gen_ugc_gadget(k_n(3), x=1, variant="path")
     rep = cover_leaf_level(g, F(2, 3))

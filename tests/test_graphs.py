@@ -16,6 +16,7 @@ from deltacover import (
     subdivide,
     wreath_k2,
 )
+from deltacover.graphs import _make_point
 from conftest import cycle, k_n, path
 from oracles import (
     grid_distance,
@@ -110,6 +111,24 @@ def test_point_is_an_immutable_u_v_t_tuple():
     points += [Point.on_edge(*rng.sample(range(4), 2), F(rng.randrange(1, 7), 7))
                for _ in range(20)]
     assert sorted(points) == sorted(points, key=lambda q: (q.u, q.v, q.t))
+
+
+def test_the_library_constructor_builds_the_public_point():
+    rng = random.Random(25)
+    fields = [(2, 2, 0), (3, 3, F(0))]
+    for _ in range(20):
+        u, v = sorted(rng.sample(range(6), 2))
+        fields += [(u, v, F(rng.randrange(1, 9), 9)), (v, v, F(0))]
+    made = [_make_point(f) for f in fields]
+    built = [Point(*f) for f in fields]
+    for p, q in zip(made, built):
+        assert type(p) is Point
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        u, v, t = p
+        assert (u, v, t) == (q.u, q.v, q.t)
+    assert hash(_make_point((2, 2, 0))) == hash(Point.vertex(2))
+    order = sorted(range(len(fields)), key=lambda i: made[i])
+    assert order == sorted(range(len(fields)), key=lambda i: built[i])
 
 
 def test_invalid_points_keep_their_messages_in_the_verifier():

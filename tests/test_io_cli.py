@@ -140,7 +140,7 @@ def test_cli_tree_and_approx(tmp_path, capsys):
                  "--output", str(tmp_path / "a.cover"), "--report", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["regime"] == "exact"
-    assert data["verified"] is True
+    assert data["verified"] is True and data["proven"] is True
 
 
 def test_cli_large_delta_report_on_a_large_universe(tmp_path):

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -29,9 +31,14 @@ from deltacover import (
 )
 from deltacover.families import gen_triangles_center
 from deltacover.io import graph_to_text, parse_graph_text
-from deltacover.matching import _one_cover, _split_and_one_cover, _unit_fraction_cover
+from deltacover.matching import (
+    _one_cover,
+    _split_and_one_cover,
+    _tree_points,
+    _unit_fraction_cover,
+)
 from conftest import cycle, grid, k_n, path, star
-from oracles import brute_max_matching
+from oracles import brute_max_matching, tree_cover_by_fractions
 
 PETERSEN = [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -140,6 +147,36 @@ def test_tree_cover_verifies_and_is_minimal(oracle, small_trees):
             res = tree_cover(g, d)
             assert is_delta_cover(g, res.cover, d).is_cover
             assert res.size == oracle.opt(g, d), (name, str(d))
+
+
+def test_tree_climb_equals_the_fraction_climb_on_shuffled_trees():
+    # Paths, stars and caterpillars up to 12 vertices, three numberings
+    # each.  The radii put two or more points on an edge, and at 2/7 and
+    # 2/9 a need reaches delta exactly at a vertex.
+    shapes = []
+    for n in range(2, 13):
+        shapes.append([(i, i + 1) for i in range(n - 1)])
+        shapes.append([(0, i) for i in range(1, n)])
+    for spine in range(2, 7):
+        for legs in range(1, (12 - spine) // spine + 1):
+            edges = [(i, i + 1) for i in range(spine - 1)]
+            edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+            shapes.append(edges)
+    rng = random.Random(25)
+    most_on_an_edge, vertex_points = 0, 0
+    for edges in shapes:
+        n = len(edges) + 1
+        for _ in range(3):
+            ids = list(range(n))
+            rng.shuffle(ids)
+            g = Graph([(ids[a], ids[b]) for a, b in edges], n=n)
+            for d in (F(1, 4), F(2, 7), F(3, 8), F(2, 9), F(3, 4)):
+                points = _tree_points(g, d)
+                assert points == tree_cover_by_fractions(g, d), (edges, ids, d)
+                per_edge = Counter(p.edge() for p in points if not p.is_vertex)
+                most_on_an_edge = max([most_on_an_edge, *per_edge.values()])
+                vertex_points += sum(p.is_vertex for p in points)
+    assert most_on_an_edge >= 2 and vertex_points
 
 
 def test_vc_2approx():
