@@ -17,7 +17,6 @@ from .verify import (
     InvalidCoverError,
     VerifyReport,
     is_delta_cover,
-    normalize_neat,
 )
 from .solver import (
     Budget,
@@ -39,7 +38,6 @@ from .matching import (
     translate_cover_down,
     tree_cover,
     unit_fraction_cover,
-    vc_2approx,
 )
 from .approx import (
     LevelPartition,

@@ -169,17 +169,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class Adjacency(NamedTuple):
-    """A graph as bare ascending adjacency lists, like ``Graph.adj``.
-
-    ``SubdivisionMap.adjacency`` builds a subdivision this way, without the
-    edge list, the edge dict or the validation of a ``Graph``.
-    """
-
-    n: int
-    adj: Sequence[Sequence[int]]
-
-
 def hop_layers(g: Graph, source: int, max_hops: int) -> list[list[int]]:
     """BFS layers: ``layers[h]`` lists the vertices h hops from ``source``.
 
@@ -363,14 +352,11 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
     return Graph(edges, n=len(old)), old
 
 
-def relabel_points(points: Iterable[Point], old_ids: Sequence[int] | None) -> frozenset[Point]:
+def relabel_points(points: Iterable[Point], old_ids: Sequence[int]) -> frozenset[Point]:
     """Map points of an induced subgraph back to the parent graph's ids.
 
-    The id table is increasing, so canonical edge orientation is preserved;
-    ``None`` is the identity table of a graph that was not copied.
+    The id table is increasing, so canonical edge orientation is preserved.
     """
-    if old_ids is None:
-        return frozenset(points)
     out = set()
     for p in points:
         if p.is_vertex:
@@ -385,127 +371,22 @@ def is_forest(g: Graph) -> bool:
     return g.m == g.n - len(_traversal(g).components)
 
 
-@dataclass(frozen=True)
-class SubdivisionMap:
-    """The numbering of an x-subdivision of a graph with ``base_n`` vertices.
+def subdivide(g: Graph, x: int) -> Graph:
+    """Replace every edge by a path of ``x`` unit edges.
 
-    Edge i = (u, v), u < v, of the base graph becomes the path u, then new
-    vertices j = 1 .. x-1 counted from u, then v.  Base vertices keep their
-    ids and new vertex j of edge i has id ``n + i*(x-1) + j - 1``
-    (``new_vertex``), so its edge and position are one ``divmod`` away
-    (``locate``).  ``subdivide`` and ``adjacency`` build the subdivision in
-    this numbering; ``locate`` and ``segment`` pull it back in integers for
-    ``project_point``.  The library's unit-fraction route solves no
-    subdivision; the tests use this map as its independent oracle.
-    """
-
-    factor: int
-    base_n: int
-
-    def new_vertex(self, i: int, j: int) -> int:
-        """Id of new vertex j (1 <= j < x) on edge i."""
-        return self.base_n + i * (self.factor - 1) + j - 1
-
-    def locate(self, g: Graph, s: int) -> tuple[int, int, int]:
-        """The edge (u, v) of g that new vertex s lies on, and its position.
-
-        The position is s's distance from u in steps of 1/x, in 1 .. x-1.
-        """
-        i, j = divmod(s - self.base_n, self.factor - 1)
-        u, v = g.edges[i]
-        return u, v, j + 1
-
-    def segment(self, g: Graph, a: int, c: int) -> tuple[int, int, int, int]:
-        """Edge (u, v) of g holding subdivision edge a < c, c new, and the
-        positions of a and c on it in steps of 1/x from u.
-
-        Every new id exceeds every base id, so c is the new end; a is u
-        (first segment), v (last segment, read from v) or new vertex c - 1.
-        """
-        u, v, pc = self.locate(g, c)
-        pa = 0 if a == u else self.factor if a == v else pc - 1
-        return u, v, pa, pc
-
-    def adjacency(self, g: Graph) -> Adjacency:
-        """The x-subdivision of g as ascending adjacency lists, in O(n + x*m).
-
-        A base vertex meets new vertex 1 of each edge it starts and new
-        vertex x-1 of each edge it ends, in edge order, which is ascending
-        since the new ids of edge i precede those of edge i+1.  A new
-        vertex meets its path neighbours, the base endpoint first.
-        """
-        x = self.factor
-        if x == 1:
-            return Adjacency(g.n, g.adj)
-        adj: list[Sequence[int]] = [[] for _ in range(g.n)]
-        for i, (u, v) in enumerate(g.edges):
-            first = self.new_vertex(i, 1)
-            last = first + x - 2
-            adj[u].append(first)
-            adj[v].append(last)
-            if x == 2:
-                adj.append((u, v))
-            else:
-                adj.append((u, first + 1))
-                adj.extend((s - 1, s + 1) for s in range(first + 1, last))
-                adj.append((v, last - 1))
-        return Adjacency(len(adj), adj)
-
-    def lift_point(self, g: Graph, p: Point) -> Point:
-        """Position bijection from the base graph into the subdivision."""
-        if p.is_vertex:
-            return p
-        x = self.factor
-        i = g.edge_index[p.edge()]
-
-        def path_vertex(j: int) -> int:
-            return p.u if j == 0 else p.v if j == x else self.new_vertex(i, j)
-
-        s = p.t * x
-        seg = int(s)
-        frac = s - seg
-        if frac == 0:
-            return Point.vertex(path_vertex(seg))
-        return Point.on_edge(path_vertex(seg), path_vertex(seg + 1), frac)
-
-    def project_point(self, g: Graph, p: Point) -> Point:
-        """Inverse bijection: a subdivision point back onto the base graph.
-
-        Integer arithmetic only.  A point at offset t from a on segment
-        a < c sits at pa + t*(pc - pa) steps of 1/x from u, with pa and pc
-        from ``segment``.  The offset is strictly inside edge (u, v), and
-        u < v holds in ``g.edges``, so the point is built already
-        normalized.
-        """
-        x, n = self.factor, self.base_n
-        if p.is_vertex:
-            if p.u < n:
-                return p
-            u, v, pos = self.locate(g, p.u)
-            return Point(u, v, Fraction(pos, x))
-        if p.v < n:  # x == 1: the subdivision is g itself
-            return p
-        tn, td = p.t.numerator, p.t.denominator
-        u, v, pa, pc = self.segment(g, p.u, p.v)
-        return Point(u, v, Fraction(pa * td + (pc - pa) * tn, x * td))
-
-    def project_cover(self, g: Graph, s_x: Cover) -> Cover:
-        """Pull a cover of the subdivision back onto ``g`` (radius divides by the factor)."""
-        points = frozenset(self.project_point(g, p) for p in s_x.points)
-        return Cover(points, s_x.delta / self.factor)
-
-
-def subdivide(g: Graph, x: int) -> tuple[Graph, SubdivisionMap]:
-    """Replace every edge by a path of ``x`` unit edges, numbered as in ``SubdivisionMap``.
-
-    The graph is built from ``SubdivisionMap.adjacency``.
+    Base vertices keep their ids.  Edge i = (u, v), u < v, becomes the path
+    u, then new vertices j = 1 .. x-1 counted from u, then v; new vertex j
+    of edge i has id ``n + i*(x-1) + j - 1``.
     """
     if x < 1:
         raise ValueError(f"subdivision factor must be >= 1, got {x}")
-    smap = SubdivisionMap(x, g.n)
-    sub = smap.adjacency(g)
-    edges = [(a, c) for a, row in enumerate(sub.adj) for c in row if a < c]
-    return Graph(edges, n=sub.n), smap
+    edges: list[Edge] = []
+    s = g.n
+    for u, v in g.edges:
+        path = [u, *range(s, s + x - 1), v]
+        edges.extend(zip(path, path[1:]))
+        s += x - 1
+    return Graph(edges, n=s)
 
 
 def wreath_k2(g: Graph) -> Graph:

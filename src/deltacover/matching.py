@@ -3,9 +3,8 @@
 Maximum matching and the Gallai-Edmonds vertex partition from one Edmonds
 blossom search, minimum 1-covers built from them, the translation of a
 cover down to a smaller radius that takes a 1-cover or 1/2-cover to every
-unit fraction, the exact bottom-up tree solver, and the matching-based
-2-approximate vertex cover.  Everything here is polynomial and iterative:
-no branch and bound and no recursion.
+unit fraction, and the exact bottom-up tree solver.  Everything here is
+polynomial and iterative: no branch and bound and no recursion.
 """
 
 from __future__ import annotations
@@ -545,11 +544,6 @@ def _matched_ends(edges: Sequence[Edge]) -> set[int]:
             used.add(u)
             used.add(v)
     return used
-
-
-def vc_2approx(g: Graph) -> frozenset[int]:
-    """Endpoints of a greedy maximal matching: a 2-approximate vertex cover."""
-    return frozenset(_matched_ends(g.edges))
 
 
 def _cover_tree_component(g: Graph, root: int, order: Sequence[int], parent: Sequence[int],

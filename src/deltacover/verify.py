@@ -233,53 +233,3 @@ def require_output(g: Graph, cover: Cover, what: str) -> None:
         raise InternalConsistencyError(
             f"{what}: not a {cover.delta}-cover, uncovered near {report.witness}"
         )
-
-
-def normalize_neat(g: Graph, s: Cover) -> Cover:
-    """Replace multi-point edges by their endpoints (valid for s.delta >= 1/2).
-
-    An edge is eligible when it carries an interior cover point and at
-    least two cover points in all, counting its endpoints.  An eligible
-    edge gets its interior points swapped for its two endpoints, until no
-    edge is eligible; the result is never larger and remains a cover.
-
-    The points are grouped by edge once.  Swapping only removes interior
-    points and adds vertices, so an edge, once eligible, stays eligible
-    until it is swapped, and the swapped edges are the least set closed
-    under "eligible given the vertices so far": the result does not depend
-    on the order edges are swapped in.  An edge with an interior point
-    becomes eligible when one of its endpoints joins the cover, so each
-    new vertex queues the edges at it; the work is O(|S| + n) set and
-    dictionary operations.
-    """
-    if s.delta < Fraction(1, 2):
-        raise ValueError(f"neat normalization requires delta >= 1/2, got {s.delta}")
-    require_cover(g, s, "normalize_neat input")
-    vertices: set[int] = set()
-    inside: dict[Edge, list[Point]] = {}
-    for p in s.points:
-        if p.is_vertex:
-            vertices.add(p.u)
-        else:
-            inside.setdefault((p.u, p.v), []).append(p)
-    at: dict[int, list[Edge]] = {}
-    for e in inside:
-        for w in e:
-            at.setdefault(w, []).append(e)
-    todo = [e for e, ps in inside.items()
-            if len(ps) >= 2 or e[0] in vertices or e[1] in vertices]
-    while todo:
-        e = todo.pop()
-        if inside.pop(e, None) is None:
-            continue
-        for w in e:
-            if w not in vertices:
-                vertices.add(w)
-                todo.extend(f for f in at[w] if f in inside)
-    points = {Point.vertex(w) for w in vertices}
-    points.update(p for ps in inside.values() for p in ps)
-    out = Cover(frozenset(points), s.delta)
-    require_output(g, out, "normalize_neat output")
-    if len(out) > len(s):
-        raise AssertionError("neat normalization must not grow the cover")
-    return out

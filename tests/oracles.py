@@ -6,14 +6,14 @@ matchings and the Gallai-Edmonds split by bitmask dynamic programming, set
 cover by subset enumeration, coverage by random point probing, coverage
 per edge by the reach of every cover point separately, set-cover masks by
 one distance per candidate and universe point, leaf levels and forests
-by BFS, the vertex paths of a subdivision by walking it.  Others keep a
-library routine as it was before it moved to integer arithmetic (tree
-climb, point distance, subdivision pull-back, small-delta even points,
-``approx_cover``'s regime chain and its factors) or before it grouped
-points by edge (neat normalization), the
-unit-fraction route as it was before it translated g's own 1-cover or
-1/2-cover down (a subdivided ``Graph``, then a pull-back of its 1-cover),
-and the root core of set cover by its subset definition.
+by BFS, the vertex paths of a subdivision by walking it, and the moves of
+a point into a subdivision and back along those paths in Fractions.
+Others keep a library routine as it was before it moved to integer
+arithmetic (tree climb, point distance, small-delta even points,
+``approx_cover``'s regime chain and its factors), the unit-fraction route
+as it was before it translated g's own 1-cover or 1/2-cover down (a
+subdivided ``Graph``, then a pull-back of its 1-cover), and the root core
+of set cover by its subset definition.
 """
 
 from __future__ import annotations
@@ -456,6 +456,25 @@ def subdivision_paths(g: Graph, sub: Graph) -> list[tuple[int, ...]]:
     return paths
 
 
+def lift_point_by_fractions(g: Graph, paths: list[tuple[int, ...]], factor: int,
+                            p: Point) -> Point:
+    """A point of g moved into its subdivision, in Fractions.
+
+    The inverse of ``project_point_by_fractions``: a vertex stays put, and
+    a point at offset t on edge i sits t*factor steps along ``paths[i]``,
+    on a path vertex when that is whole, else inside the segment after
+    path vertex floor(t*factor).
+    """
+    if p.is_vertex:
+        return p
+    path = paths[g.edges.index(p.edge())]
+    s = p.t * factor
+    j = math.floor(s)
+    if s == j:
+        return Point.vertex(path[j])
+    return Point.on_edge(path[j], path[j + 1], s - j)
+
+
 def project_point_by_fractions(g: Graph, paths: list[tuple[int, ...]], factor: int,
                                p: Point) -> Point:
     """A point of a subdivision of g pulled back onto g, in Fractions.
@@ -476,29 +495,6 @@ def project_point_by_fractions(g: Graph, paths: list[tuple[int, ...]], factor: i
                 t = p.t if a < b else 1 - p.t
                 return Point.on_edge(u, v, (j + t) / factor)
     return p
-
-
-def normalize_neat_by_rescanning(g: Graph, cover: Cover) -> frozenset[Point]:
-    """The points of ``normalize_neat(g, cover)``, rescanning every point per edge.
-
-    The library's loop before it grouped points by edge: pass over the
-    edges in order, and give every edge that carries an interior point and
-    at least two points in all, counting its endpoints, its two endpoints
-    in place of its interior points; repeat until a pass changes nothing.
-    """
-    points = set(cover.points)
-    changed = True
-    while changed:
-        changed = False
-        for u, v in g.edges:
-            on_edge = {p for p in points if not p.is_vertex and p.edge() == (u, v)}
-            endpoints = {p for p in (Point.vertex(u), Point.vertex(v)) if p in points}
-            if len(on_edge) + len(endpoints) >= 2 and on_edge:
-                points -= on_edge
-                points.add(Point.vertex(u))
-                points.add(Point.vertex(v))
-                changed = True
-    return frozenset(points)
 
 
 def core_by_subsets(masks: list[int], size: int) -> list[tuple[int, list[int]]]:
@@ -530,12 +526,15 @@ def small_even_points_by_fractions(g: Graph, delta: Fraction, k: int) -> frozens
 def unit_fraction_cover_via_subdivided_graph(g: Graph, b: int) -> Cover:
     """A minimum (1/b)-cover of g by the subdivision route: build the
     b-subdivision as a ``Graph``, take its minimum 1-cover, and pull every
-    point back onto g with ``SubdivisionMap.project_cover``."""
+    point back onto g with ``project_point_by_fractions``."""
     from deltacover.matching import _one_cover, gallai_edmonds
     from deltacover.graphs import subdivide
 
-    sub, smap = subdivide(g, b)
-    return smap.project_cover(g, _one_cover(sub, gallai_edmonds(sub)))
+    sub = subdivide(g, b)
+    paths = subdivision_paths(g, sub)
+    inner = _one_cover(sub, gallai_edmonds(sub))
+    return Cover.of((project_point_by_fractions(g, paths, b, p) for p in inner.points),
+                    Fraction(1, b))
 
 
 def small_factors_by_fractions(g: Graph, k: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -134,7 +134,7 @@ def test_criterion_3_reduction_equivalences(atlas_suite):
             base = min_cover_exact(g, delta, ROW_BUDGET)
             assert base.optimal
             for x in (2, 3):
-                gx, _ = subdivide(g, x)
+                gx = subdivide(g, x)
                 lifted = min_cover_exact(gx, x * delta, ROW_BUDGET)
                 assert lifted.optimal, (name, str(delta), x)
                 assert lifted.size == base.size, (name, str(delta), x)

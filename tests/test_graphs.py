@@ -21,6 +21,7 @@ from conftest import cycle, k_n, path
 from oracles import (
     grid_distance,
     is_forest_by_components,
+    lift_point_by_fractions,
     point_distance_by_fractions,
     project_point_by_fractions,
     subdivision_paths,
@@ -201,37 +202,6 @@ def test_integer_point_distance_equals_fraction_sums():
                 assert got is None or type(got) is F
 
 
-def test_project_point_equals_the_fraction_formula(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("project_point used Fraction arithmetic or Point.on_edge")
-
-    rng = random.Random(9)
-    graphs = [random_graph(rng, n) for n in (2, 3, 5, 6, 7)]
-    graphs.append(Graph([(0, 2), (2, 3), (1, 3)], n=5))  # vertex 4 is isolated
-    flipped = 0
-    for g in graphs:
-        for x in range(1, 6):
-            sub, smap = subdivide(g, x)
-            probes = [Point.vertex(w) for w in range(sub.n)]
-            for a, b in sub.edges:
-                den = rng.randint(2, 30)
-                probes += [Point(a, b, F(1, 2)), Point(a, b, F(rng.randrange(1, den), den))]
-            paths = subdivision_paths(g, sub)
-            assert len(paths) == g.m and all(len(path) == x + 1 for path in paths)
-            flipped += sum(path[j] > path[j + 1] for path in paths for j in range(x))
-            with monkeypatch.context() as m:
-                m.setattr(Point, "on_edge", staticmethod(forbidden))
-                for op in ("add", "sub", "mul", "truediv", "floordiv", "mod"):
-                    m.setattr(F, f"__{op}__", forbidden)
-                    m.setattr(F, f"__r{op}__", forbidden)
-                for op in ("lt", "le", "gt", "ge", "eq", "neg", "abs"):
-                    m.setattr(F, f"__{op}__", forbidden)
-                got = [smap.project_point(g, p) for p in probes]
-            for p, q in zip(probes, got):
-                assert q == project_point_by_fractions(g, paths, x, p), (g.edges, x, p)
-    assert flipped > 0  # last segments run from a new vertex down to v
-
-
 def test_point_distance_rejects_foreign_edge():
     g = path(2)
     with pytest.raises(InvalidPointError):
@@ -239,46 +209,52 @@ def test_point_distance_rejects_foreign_edge():
 
 
 def test_subdivide_counts():
-    g2, _ = subdivide(Graph([(0, 1)]), 3)
+    g2 = subdivide(Graph([(0, 1)]), 3)
     assert (g2.n, g2.m) == (4, 3)
-    g3, _ = subdivide(k_n(3), 2)
+    g3 = subdivide(k_n(3), 2)
     assert (g3.n, g3.m) == (6, 6)
     assert all(g3.degree(v) == 2 for v in range(6))
-    g4, _ = subdivide(cycle(4), 3)
+    g4 = subdivide(cycle(4), 3)
     assert (g4.n, g4.m) == (12, 12)
 
 
 def test_subdivision_scales_distances():
     g = cycle(4)
     for x in (2, 3):
-        _, smap = subdivide(g, x)
-        gx, _ = subdivide(g, x)
+        gx = subdivide(g, x)
+        paths = subdivision_paths(g, gx)
         pts = [Point.vertex(1), Point.on_edge(0, 1, F(1, 2)), Point.on_edge(2, 3, F(1, 4))]
         for p in pts:
             for q in pts:
-                lifted = point_distance(gx, smap.lift_point(g, p), smap.lift_point(g, q))
+                lifted = point_distance(gx, lift_point_by_fractions(g, paths, x, p),
+                                        lift_point_by_fractions(g, paths, x, q))
                 assert lifted == x * point_distance(g, p, q)
 
 
 def lift_cover(g, x, cover):
-    _, smap = subdivide(g, x)
-    return Cover.of((smap.lift_point(g, p) for p in cover.points), cover.delta * x)
+    paths = subdivision_paths(g, subdivide(g, x))
+    return Cover.of((lift_point_by_fractions(g, paths, x, p) for p in cover.points),
+                    cover.delta * x)
+
+
+def project_cover(g, x, cover):
+    paths = subdivision_paths(g, subdivide(g, x))
+    return Cover.of((project_point_by_fractions(g, paths, x, p) for p in cover.points),
+                    cover.delta / x)
 
 
 def test_map_cover_from_subdivision_examples():
     k2 = Graph([(0, 1)])
-    _, smap2 = subdivide(k2, 2)
     mid = Cover.of([Point.vertex(2)], F(1))  # middle vertex of the 2-subdivision
-    assert smap2.project_cover(k2, mid).points == {Point.on_edge(0, 1, F(1, 2))}
+    assert project_cover(k2, 2, mid).points == {Point.on_edge(0, 1, F(1, 2))}
 
-    g3, smap = subdivide(k2, 3)
     inner = Point.on_edge(2, 3, F(1, 2))  # the middle segment of the path 0, 2, 3, 1
-    got = smap.project_cover(k2, Cover.of([inner], F(1)))
+    got = project_cover(k2, 3, Cover.of([inner], F(1)))
     assert got.points == {Point.on_edge(0, 1, F(1, 2))}
     assert got.delta == F(1, 3)
 
     verts = Cover.of([Point.vertex(0), Point.vertex(1)], F(1))
-    assert smap.project_cover(k2, verts).points == verts.points
+    assert project_cover(k2, 3, verts).points == verts.points
 
 
 def test_lift_cover_examples():
@@ -298,8 +274,7 @@ def test_lift_map_round_trip():
         F(1, 2),
     )
     for x in (2, 3, 4):
-        _, smap = subdivide(g, x)
-        back = smap.project_cover(g, lift_cover(g, x, cover))
+        back = project_cover(g, x, lift_cover(g, x, cover))
         assert back.points == cover.points and back.delta == cover.delta
 
 

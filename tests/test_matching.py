@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import deltacover.approx
+import deltacover.graphs
 import deltacover.matching
 import deltacover.solver
 from deltacover import (
@@ -27,7 +28,6 @@ from deltacover import (
     translate_cover_down,
     tree_cover,
     unit_fraction_cover,
-    vc_2approx,
 )
 from deltacover.families import gen_triangles_center
 from deltacover.io import graph_to_text, parse_graph_text
@@ -38,7 +38,12 @@ from deltacover.matching import (
     _unit_fraction_cover,
 )
 from conftest import cycle, grid, k_n, path, star
-from oracles import brute_max_matching, tree_cover_by_fractions
+from oracles import (
+    brute_max_matching,
+    project_point_by_fractions,
+    subdivision_paths,
+    tree_cover_by_fractions,
+)
 
 PETERSEN = [
     (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
@@ -179,15 +184,6 @@ def test_tree_climb_equals_the_fraction_climb_on_shuffled_trees():
     assert most_on_an_edge >= 2 and vertex_points
 
 
-def test_vc_2approx():
-    assert vc_2approx(Graph([(0, 1)])) == {0, 1}
-    assert len(vc_2approx(k_n(3))) == 2
-    c4 = vc_2approx(cycle(4))
-    assert len(c4) <= 4
-    g = cycle(4)
-    assert all(u in c4 or v in c4 for u, v in g.edges)
-
-
 def test_public_entry_points_verify_once(verifier_calls):
     forest = Graph([(0, 1), (1, 2), (3, 4)], n=6)
     calls = [
@@ -265,57 +261,58 @@ def test_one_cover_of_a_subdivision_covers_it(atlas_suite):
     # unit_fraction_cover verifies only the pulled-back cover on g.
     for _, g in atlas_suite[::5]:
         for b in (1, 2, 3, 4):
-            sub, smap = subdivide(g, b)
+            sub = subdivide(g, b)
+            paths = subdivision_paths(g, sub)
             inner = _one_cover(sub, gallai_edmonds(sub))
             assert is_delta_cover(sub, inner, F(1)).is_cover
-            assert len(smap.project_cover(g, inner)) == len(inner) == unit_fraction_cover(g, b).size
+            back = {project_point_by_fractions(g, paths, b, p) for p in inner.points}
+            assert len(back) == len(inner) == unit_fraction_cover(g, b).size
 
 
-def test_the_unit_fraction_route_builds_no_graph_and_pulls_nothing_back(monkeypatch):
-    # The route translates g's own 1-cover down: it builds no graph and
-    # pulls no point back from a subdivision.
-    from deltacover.graphs import SubdivisionMap
-
-    g = gen_triangles_center(3).graph
-    built, projected = [], []
-    real_init, real_project = Graph.__init__, SubdivisionMap.project_point
+def count_builds_and_subdivisions(monkeypatch) -> tuple[list, list]:
+    """Record the arguments of every ``Graph`` built and every ``subdivide``
+    call made through the ``deltacover.graphs`` module."""
+    built, subdivided = [], []
+    real_init, real_subdivide = Graph.__init__, deltacover.graphs.subdivide
 
     def init(self, *args, **kwargs):
         built.append(args)
         real_init(self, *args, **kwargs)
 
-    def project_point(self, *args):
-        projected.append(args)
-        return real_project(self, *args)
+    def subdivide_counted(h, x):
+        subdivided.append(x)
+        return real_subdivide(h, x)
 
     monkeypatch.setattr(Graph, "__init__", init)
-    monkeypatch.setattr(SubdivisionMap, "project_point", project_point)
+    monkeypatch.setattr(deltacover.graphs, "subdivide", subdivide_counted)
+    return built, subdivided
+
+
+def test_the_unit_fraction_route_builds_no_graph_and_pulls_nothing_back(monkeypatch):
+    # The route translates g's own 1-cover down: it builds no graph and
+    # subdivides none, so there is no subdivision to pull a point back from.
+    g = gen_triangles_center(3).graph
+    built, subdivided = count_builds_and_subdivisions(monkeypatch)
     cover = _unit_fraction_cover(g, 3)
-    assert built == [] and projected == []
+    assert built == [] and subdivided == []
     monkeypatch.undo()
     assert is_delta_cover(g, cover, F(1, 3)).is_cover
     assert len(cover) == min_cover_exact(g, F(1, 3)).size
 
 
 def test_a_unit_fraction_sweep_runs_one_edmonds_search_and_no_subdivision(monkeypatch):
-    from deltacover.graphs import SubdivisionMap
-
     g = grid(3, 4)
-    searched, subdivided = [], []
-    real_ge, real_adjacency = deltacover.matching.gallai_edmonds, SubdivisionMap.adjacency
+    searched = []
+    real_ge = deltacover.matching.gallai_edmonds
 
     def gallai_edmonds_counted(h):
         searched.append(h)
         return real_ge(h)
 
-    def adjacency_counted(self, h):
-        subdivided.append(self.factor)
-        return real_adjacency(self, h)
-
     monkeypatch.setattr(deltacover.matching, "gallai_edmonds", gallai_edmonds_counted)
-    monkeypatch.setattr(SubdivisionMap, "adjacency", adjacency_counted)
+    built, subdivided = count_builds_and_subdivisions(monkeypatch)
     sizes = [unit_fraction_cover(g, b).size for b in range(1, 7)]
-    assert searched == [g] and subdivided == []
+    assert searched == [g] and built == [] and subdivided == []
     # Each step of two in b adds one point per edge: 1/(2k+1) from the
     # 1-cover, 1/(2k+2) from the 1/2-cover (all 12 vertices).
     assert sizes == [6, 12, 6 + 17, 12 + 17, 6 + 34, 12 + 34]

@@ -13,7 +13,6 @@ from deltacover import (
     harmonic_number,
     is_delta_cover,
     min_cover_exact,
-    normalize_neat,
     one_cover_min,
     point_distance,
     solve_exact,
@@ -30,7 +29,9 @@ from oracles import (
     gallai_edmonds_by_definition,
     greedy_picks_by_scan,
     interval_verify,
-    normalize_neat_by_rescanning,
+    lift_point_by_fractions,
+    project_point_by_fractions,
+    subdivision_paths,
     tree_cover_by_fractions,
     unit_fraction_cover_via_subdivided_graph,
 )
@@ -91,8 +92,10 @@ def test_point_distance_is_a_metric(case):
 @settings(max_examples=80, deadline=None)
 def test_subdivision_scales_distance(case, x):
     g, (p, q) = case
-    gx, smap = subdivide(g, x)
-    lifted = point_distance(gx, smap.lift_point(g, p), smap.lift_point(g, q))
+    gx = subdivide(g, x)
+    paths = subdivision_paths(g, gx)
+    lifted = point_distance(gx, lift_point_by_fractions(g, paths, x, p),
+                            lift_point_by_fractions(g, paths, x, q))
     assert lifted == x * point_distance(g, p, q)
 
 
@@ -101,11 +104,10 @@ def test_subdivision_scales_distance(case, x):
 def test_subdivision_round_trip(case, x):
     g, pts = case
     cover = Cover.of(pts, F(1, 2))
-    _, smap = subdivide(g, x)
-    lifted = Cover.of((smap.lift_point(g, p) for p in cover.points), cover.delta * x)
+    paths = subdivision_paths(g, subdivide(g, x))
+    lifted = {lift_point_by_fractions(g, paths, x, p) for p in cover.points}
     assert len(lifted) == len(cover)
-    back = smap.project_cover(g, lifted)
-    assert back.points == cover.points
+    assert {project_point_by_fractions(g, paths, x, p) for p in lifted} == cover.points
 
 
 VERIFY_RADII = [F(1, 3), F(2, 5), F(1, 2), F(3, 4), F(1), F(7, 6), F(3, 2), F(5, 2)]
@@ -266,39 +268,6 @@ def test_half_grid_covers_decided_by_the_quarter_grid(g, delta, data):
         for p in GridPoints(g, 4 * b)
     )
     assert grid_ok == is_delta_cover(g, cover, delta).is_cover
-
-
-@given(connected_graphs(max_n=5), st.sampled_from([F(1, 2), F(2, 3), F(1)]))
-@settings(max_examples=40, deadline=None)
-def test_normalize_neat_preserves_covering(g, delta):
-    cover = Cover.of([Point.vertex(v) for v in range(g.n)], delta)
-    extra = Cover.of(
-        set(cover.points) | {Point.on_edge(*g.edges[0], F(1, 3)),
-                             Point.on_edge(*g.edges[0], F(2, 3))},
-        delta,
-    )
-    out = normalize_neat(g, extra)
-    assert len(out) <= len(extra)
-    assert is_delta_cover(g, out, delta).is_cover
-    for u, v in g.edges:
-        interior = [p for p in out.points if not p.is_vertex and p.edge() == (u, v)]
-        endpoints = [p for p in (Point.vertex(u), Point.vertex(v)) if p in out.points]
-        if len(interior) + len(endpoints) >= 2:
-            assert not interior
-
-
-@given(connected_graphs(max_n=7), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2)]),
-       st.data())
-@settings(max_examples=100, deadline=None)
-def test_normalize_neat_equals_the_rescanning_loop(g, delta, data):
-    inner = data.draw(st.lists(st.tuples(st.sampled_from(g.edges), st.integers(1, 5)),
-                               max_size=10))
-    points = {Point.on_edge(u, v, F(k, 6)) for (u, v), k in inner}
-    points |= {Point.vertex(w) for w in data.draw(st.sets(st.integers(0, g.n - 1)))}
-    if not is_delta_cover(g, Cover.of(points, delta)).is_cover:
-        points |= {Point.vertex(w) for w in range(g.n)}
-    cover = Cover.of(points, delta)
-    assert normalize_neat(g, cover).points == normalize_neat_by_rescanning(g, cover)
 
 
 @st.composite
@@ -468,13 +437,17 @@ def test_integer_tree_climb_equals_fraction_climb(g, delta):
     assert _tree_points(g, delta) == tree_cover_by_fractions(g, delta)
 
 
-@given(st.one_of(any_graphs(), forests()), st.integers(1, 5))
+@given(st.one_of(any_graphs(), forests()), st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
-def test_subdivision_adjacency_equals_the_subdivided_graph(g, x):
-    sub, smap = subdivide(g, x)
-    h = smap.adjacency(g)
-    assert h.n == sub.n
-    assert tuple(map(tuple, h.adj)) == sub.adj
+def test_subdivide_numbers_each_edge_path_from_its_lesser_end(g, x):
+    # New vertex j of edge i is n + i(x-1) + j - 1: the oracle lift and
+    # pull-back rely on this numbering.
+    sub = subdivide(g, x)
+    assert (sub.n, sub.m) == (g.n + g.m * (x - 1), g.m * x)
+    assert subdivision_paths(g, sub) == [
+        (u, *(g.n + i * (x - 1) + j - 1 for j in range(1, x)), v)
+        for i, (u, v) in enumerate(g.edges)
+    ]
 
 
 @given(st.one_of(any_graphs(), forests()), st.integers(1, 7))

@@ -242,7 +242,7 @@ def test_greedy_basics():
 def test_greedy_star_subdivided():
     # 5-arm star, arms of 3 edges, radius 3/2: one point per arm is forced
     base = star(5)
-    g, _ = subdivide(base, 3)
+    g = subdivide(base, 3)
     exact = min_cover_exact(g, F(3, 2))
     greedy = solve_greedy(build_set_cover(g, F(3, 2)))
     assert exact.size == 5

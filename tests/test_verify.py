@@ -14,7 +14,6 @@ from deltacover import (
     approx_cover,
     cover_small_delta_even,
     is_delta_cover,
-    normalize_neat,
     unit_fraction_cover,
     verify,
 )
@@ -26,7 +25,6 @@ from oracles import (
     grid as oracle_grid,
     interval_edge_coverage,
     interval_verify,
-    normalize_neat_by_rescanning,
     sample_points,
 )
 
@@ -199,53 +197,6 @@ def test_sampling_agreement():
             by_sampling = covered_by_sampling(g, cover, delta, p)
             by_gaps = not any(e == p.edge() and lo < p.t < hi for e, (lo, hi) in gaps)
             assert by_sampling == by_gaps
-
-
-def test_normalize_neat_two_interior_points():
-    g = Graph([(0, 1)])
-    s = Cover.of([Point.on_edge(0, 1, F(1, 4)), Point.on_edge(0, 1, F(3, 4))], F(1, 2))
-    out = normalize_neat(g, s)
-    assert out.points == {Point.vertex(0), Point.vertex(1)}
-
-
-def test_normalize_neat_identity_when_already_neat():
-    g = cycle(4)
-    s = Cover.of([Point.vertex(v) for v in range(4)], F(1, 2))
-    assert normalize_neat(g, s).points == s.points
-
-
-def test_normalize_neat_c4_mixed():
-    g = cycle(4)
-    s = Cover.of(
-        [Point.on_edge(0, 1, F(1, 3)), Point.on_edge(0, 1, F(2, 3)),
-         Point.on_edge(2, 3, F(1, 2))],
-        F(1),
-    )
-    out = normalize_neat(g, s)
-    assert out.points == {Point.vertex(0), Point.vertex(1), Point.on_edge(2, 3, F(1, 2))}
-    assert len(out) <= len(s)
-    assert is_delta_cover(g, out).is_cover
-
-
-def test_normalize_neat_rejects_non_cover():
-    g = cycle(4)
-    s = Cover.of([Point.vertex(0)], F(1))
-    with pytest.raises(InvalidCoverError) as err:
-        normalize_neat(g, s)
-    assert err.value.witness is not None
-
-
-def test_normalize_neat_equals_the_rescanning_loop_on_a_large_grid():
-    # A midpoint on every edge of the 40x40 grid is neat: no edge carries
-    # two points.  Add one corner vertex, and the corner's edges swap first
-    # and the swap spreads to every edge.
-    g = grid(40, 40)
-    midpoints = Cover.of([Point.on_edge(u, v, F(1, 2)) for u, v in g.edges], F(1))
-    assert normalize_neat(g, midpoints).points == midpoints.points
-    s = Cover.of(set(midpoints.points) | {Point.vertex(0)}, F(1))
-    out = normalize_neat(g, s)
-    assert out.points == normalize_neat_by_rescanning(g, s)
-    assert out.points == {Point.vertex(w) for w in range(g.n)}
 
 
 def test_invalid_points_raise():
