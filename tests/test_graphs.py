@@ -202,6 +202,32 @@ def test_integer_point_distance_equals_fraction_sums():
                 assert got is None or type(got) is F
 
 
+def test_project_point_equals_the_fraction_formula():
+    # Every point of a subdivision, pulled back by the Fraction formula, sits
+    # 1/x as far from each vertex of g as it does in the subdivided graph.
+    rng = random.Random(9)
+    graphs = [random_graph(rng, n) for n in (2, 3, 5, 6)]
+    graphs.append(Graph([(0, 2), (2, 3), (1, 3)], n=5))  # vertex 4 is isolated
+    flipped = 0
+    for g in graphs:
+        for x in range(1, 6):
+            sub = subdivide(g, x)
+            probes = [Point.vertex(w) for w in range(sub.n)]
+            for a, b in sub.edges:
+                den = rng.randint(2, 30)
+                probes += [Point(a, b, F(1, 2)), Point(a, b, F(rng.randrange(1, den), den))]
+            paths = subdivision_paths(g, sub)
+            assert len(paths) == g.m and all(len(path) == x + 1 for path in paths)
+            flipped += sum(path[j] > path[j + 1] for path in paths for j in range(x))
+            for p in probes:
+                q = project_point_by_fractions(g, paths, x, p)
+                w = Point.vertex(rng.randrange(g.n))
+                want = point_distance(g, w, q)
+                got = point_distance(sub, w, p)
+                assert got == (None if want is None else x * want), (g.edges, x, p)
+    assert flipped > 0  # last segments run from a new vertex down to v
+
+
 def test_point_distance_rejects_foreign_edge():
     g = path(2)
     with pytest.raises(InvalidPointError):

@@ -439,15 +439,20 @@ def test_integer_tree_climb_equals_fraction_climb(g, delta):
 
 @given(st.one_of(any_graphs(), forests()), st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
-def test_subdivide_numbers_each_edge_path_from_its_lesser_end(g, x):
+def test_subdivision_adjacency_equals_the_subdivided_graph(g, x):
     # New vertex j of edge i is n + i(x-1) + j - 1: the oracle lift and
     # pull-back rely on this numbering.
     sub = subdivide(g, x)
     assert (sub.n, sub.m) == (g.n + g.m * (x - 1), g.m * x)
-    assert subdivision_paths(g, sub) == [
-        (u, *(g.n + i * (x - 1) + j - 1 for j in range(1, x)), v)
-        for i, (u, v) in enumerate(g.edges)
-    ]
+    paths = [(u, *(g.n + i * (x - 1) + j - 1 for j in range(1, x)), v)
+             for i, (u, v) in enumerate(g.edges)]
+    assert subdivision_paths(g, sub) == paths
+    adj = [set() for _ in range(sub.n)]
+    for path in paths:
+        for a, b in zip(path, path[1:]):
+            adj[a].add(b)
+            adj[b].add(a)
+    assert [set(nbrs) for nbrs in sub.adj] == adj
 
 
 @given(st.one_of(any_graphs(), forests()), st.integers(1, 7))
