@@ -46,10 +46,10 @@ from .matching import (
 from .solver import (
     Budget,
     DEFAULT_BUDGET,
+    _greedy,
     build_set_cover,
     harmonic_number,
     solve_exact,
-    solve_greedy,
 )
 from .verify import require_cover, require_output
 
@@ -384,10 +384,11 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
         return _Part(_unit_fraction_cover(g, q).points, ONE, "exact")
     if 2 * p >= 3 * q:  # delta >= 3/2
         # Greedy picks at most H(d) times the optimum, d the largest
-        # candidate's element count (Chvatal 1979).
-        inst = build_set_cover(g, delta)
-        d = max(map(int.bit_count, inst.masks))
-        return _Part(solve_greedy(inst).cover.points, harmonic_number(d), "large_delta")
+        # candidate's element count (Chvatal 1979).  The universe has one
+        # cell midpoint per 1/(2q) of edge length, so d is 2q times the most
+        # edge length one candidate covers.
+        result, d = _greedy(build_set_cover(g, delta))
+        return _Part(result.cover.points, harmonic_number(d), "large_delta")
     if p > q:  # delta > 1
         return _one_cover_part(g, p, q)
     if 4 * p >= 3 * q:  # delta >= 3/4

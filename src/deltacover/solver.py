@@ -1,9 +1,11 @@
 """Discretization to finite set cover, exact branch-and-bound, and greedy.
 
 For delta = a/b there is always an optimal cover whose points sit on the
-1/(2b) grid, and such a cover covers the whole graph iff it covers the
-1/(4b) grid.  That turns the continuous problem into finite set cover with
-exact integer arithmetic: offsets scale by 4b, the radius becomes 4a.
+1/(2b) grid.  Such a cover covers the whole graph iff it covers every
+isolated vertex and the midpoint of every 1/(2b) cell of every edge (see
+``build_set_cover``).  That turns the continuous problem into finite set
+cover with exact integer arithmetic: offsets scale by 4b, so the cell
+midpoints sit at the odd offsets and the radius becomes 4a.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import accumulate
 from math import lcm
 from operator import xor
 
-from .graphs import Cover, Edge, Graph, Point, ZERO, _make_point, hop_layers
+from .graphs import Cover, Edge, Graph, Point, ZERO, _make_point
 # InternalConsistencyError is re-exported here for the library's callers.
 from .verify import InternalConsistencyError, require_output
 
@@ -41,9 +43,10 @@ class SetCoverInstance:
     """Finite set cover equivalent of a covering instance.
 
     Bit j of ``masks[i]`` is set when universe point j lies within
-    ``delta`` of candidate i.  ``build_set_cover`` gives ``universe`` and
-    ``candidates`` as ``GridPoints``, which build a ``Point`` only when one
-    is read, so a solve pays only for the candidates it returns.
+    ``delta`` of candidate i.  ``build_set_cover`` gives ``universe`` as
+    ``CellMidpoints`` and ``candidates`` as ``GridPoints``, which build a
+    ``Point`` only when one is read, so a solve pays only for the
+    candidates it returns.
     """
 
     delta: Fraction
@@ -61,33 +64,28 @@ class SolveResult:
     elapsed: float
 
 
-class GridPoints(Sequence[Point]):
-    """Every vertex and every edge point at offsets k/step, built only when read.
+class _BlockPoints(Sequence[Point]):
+    """Points in blocks, one per vertex or edge, built only when read.
 
-    Points sort by (u, v, t): vertex u first, then the step - 1 interior
-    points of each edge (u, v), v > u, by offset.  ``starts`` holds the
-    index of each block's first point, ascending, and ``blocks`` its
-    (u, v), with u == v for a vertex; an index finds its block by
-    bisection.
+    Points sort by (u, v, t): vertex u's block, if it has one, then the
+    ``per_edge`` points of each edge (u, v), v > u, by offset.  ``starts``
+    holds the index of each block's first point, ascending, and ``blocks``
+    its (u, v), with u == v for a vertex; an index finds its block by
+    bisection, and ``_offset`` gives the offset of a block's j-th point.
     """
 
-    __slots__ = ("step", "starts", "blocks", "_len")
+    __slots__ = ("starts", "blocks", "_len")
 
-    def __init__(self, g: Graph, step: int):
-        self.step = step
-        self.starts: list[int] = []
-        self.blocks: list[Edge] = []
-        index = 0
-        for u in range(g.n):
-            self.starts.append(index)
-            self.blocks.append((u, u))
-            index += 1
-            for v in g.adj[u]:
-                if v > u:
-                    self.starts.append(index)
-                    self.blocks.append((u, v))
-                    index += step - 1
-        self._len = index
+    def __init__(self, g: Graph, per_edge: int, every_vertex: bool):
+        # The edges are sorted, so this sort merges two sorted runs.
+        vertices = [(u, u) for u in range(g.n) if every_vertex or not g.adj[u]]
+        self.blocks: list[Edge] = sorted(vertices + list(g.edges))
+        self.starts = list(accumulate([1 if u == v else per_edge for u, v in self.blocks],
+                                      initial=0))
+        self._len = self.starts.pop()
+
+    def _offset(self, j: int) -> Fraction:
+        raise NotImplementedError
 
     def __len__(self) -> int:
         return self._len
@@ -96,31 +94,73 @@ class GridPoints(Sequence[Point]):
         if i < 0:
             i += self._len
         if not 0 <= i < self._len:
-            raise IndexError(f"grid index {i} out of range")
+            raise IndexError(f"point index {i} out of range")
         k = bisect_right(self.starts, i) - 1
         u, v = self.blocks[k]
         if u == v:
             return _make_point((u, u, ZERO))
-        return _make_point((u, v, Fraction(i - self.starts[k] + 1, self.step)))
+        return _make_point((u, v, self._offset(i - self.starts[k])))
+
+
+class GridPoints(_BlockPoints):
+    """Every vertex and every edge point at offsets k/step, 0 < k < step."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, g: Graph, step: int):
+        super().__init__(g, step - 1, True)
+        self.step = step
+
+    def _offset(self, j: int) -> Fraction:
+        return Fraction(j + 1, self.step)
+
+
+class CellMidpoints(_BlockPoints):
+    """Every isolated vertex, and the midpoint of each of the ``cells`` equal
+    cells of every edge: the offsets (2j + 1)/(2 cells), 0 <= j < cells."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, g: Graph, cells: int):
+        super().__init__(g, cells, False)
+        self.cells = cells
+
+    def _offset(self, j: int) -> Fraction:
+        return Fraction(2 * j + 1, 2 * self.cells)
 
 
 def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
-    """Universe = 1/(4b) grid, candidates = 1/(2b) grid, exact coverage masks.
+    """Universe = cell midpoints, candidates = 1/(2b) grid, exact coverage masks.
 
-    Lengths scale by 4b, so an edge is ``scale`` = 4b long and the radius
-    is 4a.  A candidate at scaled distance d(w) from vertex w covers, for
-    r = radius - d(w) >= 0, the universe point at w and on every edge at w
-    the interior points within r of w: one run of c = min(r, 4b - 1)
-    consecutive universe indices per edge, since each edge's interior
-    points are listed in offset order.  Points beyond the far endpoint x
-    are reached through x itself, as d(x) <= d(w) + scale.  A candidate
-    inside edge uv at offset t sees d(w) = min(t + scale * hops(u, w),
-    scale - t + scale * hops(v, w)); these runs grow with r, so its mask is
-    the union of the masks of its two anchors, (u, t) and (v, scale - t),
-    plus the run of uv's interior points within the radius of t itself.
+    Lengths scale by 4b, so an edge is ``scale`` = 4b long, the radius is
+    4a, the candidates sit at the even offsets and the universe holds the
+    midpoints of the 2b cells of each edge, at the odd offsets 1, 3, ...,
+    4b - 1, plus each isolated vertex.
+
+    Why the midpoints suffice: the distance from a candidate to a vertex
+    is even, so on an edge (u, v) what the candidate covers, from u, from
+    v or from inside the edge, is a closed interval with ends on the
+    1/(2b) grid.  What a set of candidates leaves uncovered on an edge is
+    then open in the edge, with ends on that grid.  If it is not empty, it
+    contains an interval of positive length between two grid points, so a
+    whole cell, and so that cell's midpoint.  A vertex with an edge is a
+    point of that edge, so covering every cell midpoint and every isolated
+    vertex is the same as covering the graph.
+
+    A candidate at scaled distance d(w) from vertex w covers, for
+    r = radius - d(w) >= 0, the cells of every edge at w whose midpoints
+    lie within r of w: one run of c = min((r + 1) // 2, 2b) consecutive
+    universe indices per edge, since each edge's cells are listed in offset
+    order.  Points beyond the far endpoint x are reached through x itself,
+    as d(x) <= d(w) + scale.  A candidate inside edge uv at offset t sees
+    d(w) = min(t + scale * hops(u, w), scale - t + scale * hops(v, w));
+    these runs grow with r, so its mask is the union of the masks of its
+    two anchors, (u, t) and (v, scale - t), plus the run of uv's cells
+    within the radius of t itself.  An isolated vertex is covered by its
+    own vertex candidate only.
 
     Runs are ORed a set of vertices at a time.  For a vertex w, ``low[w]``
-    has the bit of the first interior index of each edge (w, x), x > w, and
+    has the bit of the first cell of each edge (w, x), x > w, and
     ``high[w]`` the bit just past the last one of each edge (x, w), x < w.
     With ``lo`` and ``hi`` the ORs of these over a vertex set W, the runs
     of length c at the vertices of W are ``lo * R | (hi >> c) * R``,
@@ -128,87 +168,107 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
     distinct, each product is a sum of shifted runs with no carries, and
     each run stays inside its edge's block of indices.  An anchor (x, dx)
     reaches the vertices h hops from x with r = radius - dx - scale * h.
-    The leading layers with r >= 4b - 1 add their whole stars, read off
-    prefix unions built once per vertex x; the next layer, when
-    0 <= r < 4b - 1 there, adds its runs of length r.  The hop layers come
-    from one ``hop_layers`` BFS per vertex, stopped at radius // scale hops,
-    the farthest a vertex can reach another.
+    The leading layers, while r >= 4b - 1, add their whole stars; the next
+    layer, when r >= 0 there, adds its runs of length r // 2.
+
+    The (lo, hi) pair of the ball of vertices within h hops of x grows by
+    neighbour unions, ball_h(x) = ball_{h-1}(x) | the ball_{h-1} of each
+    neighbour of x, for radius // scale rounds, the farthest a vertex can
+    reach another, or until no pair changes.  Every vertex with an edge
+    has a bit in ``low`` or ``high``, so a ball's pair names its vertices,
+    and once a round changes no pair, no later round can.  The isolated
+    vertices, the only ones with a universe bit of their own, are balls
+    that never grow, so their bits stay out of the pairs.  The partial
+    runs go on the whole ball in place of its outer layer, which is exact:
+    each inner vertex's whole star already contains its run.  A radius
+    reaches whole stars for one or two values of ``whole`` across the
+    anchors' offsets, so only the balls of the last three rounds are
+    kept.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     a, b = delta.numerator, delta.denominator
     scale = 4 * b
-    inner = scale - 1
+    cells = 2 * b
     radius = 4 * a
-    universe = GridPoints(g, scale)
+    universe = CellMidpoints(g, cells)
     vertex_bit = [0] * g.n
     low = [0] * g.n
     high = [0] * g.n
-    run_at: dict[tuple[int, int], int] = {}
+    edge_starts = []
     for start, (u, v) in zip(universe.starts, universe.blocks):
         if u == v:
             vertex_bit[u] = 1 << start
         else:
-            run_at[(u, v)] = start
+            edge_starts.append(start)
             low[u] |= 1 << start
-            high[v] |= 1 << (start + inner)
-    star_run = (1 << inner) - 1
-    max_hops = radius // scale
+            high[v] |= 1 << (start + cells)
     # A candidate at scaled distance dx (even, below scale) from an anchor
     # reaches its first ``whole`` hop layers in full (layer h is whole while
-    # radius - dx - scale*h >= inner), and the next layer by r when r >= 0.
+    # radius - dx - scale*h >= scale - 1), and the next layer by a run of
+    # ``c`` cells, none when r < 0 there.
     plan = []
     for dx in range(0, scale, 2):
         whole = max(0, (radius - dx + 1) // scale)
-        plan.append((whole, radius - dx - scale * whole))
+        plan.append((whole, max(0, radius - dx - scale * whole) // 2))
+    need = {h for whole, _ in plan for h in (whole - 1, whole) if h >= 0}
+    balls = list(zip(low, high))
+    kept = {0: balls}
+    for h in range(1, max(need) + 1):
+        grown = []
+        for x, (lo, hi) in enumerate(balls):
+            for w in g.adj[x]:
+                wl, wh = balls[w]
+                lo |= wl
+                hi |= wh
+            grown.append((lo, hi))
+        if grown == balls:
+            break
+        balls = grown
+        if h in need:
+            kept[h] = balls
+    # stars[h][x]: every cell of every edge at the vertices of ball_h(x).
+    star_run = (1 << cells) - 1
+    stars = {-1: [0] * g.n}
+    for whole, _ in plan:
+        if whole - 1 not in stars:
+            stars[whole - 1] = [lo * star_run | (hi >> cells) * star_run
+                                for lo, hi in kept.get(whole - 1, balls)]
+    layers = [(stars[whole - 1], kept.get(whole, balls), (1 << c) - 1, c) for whole, c in plan]
     # anchors[x][dx // 2]: what that candidate covers through x.
     anchors: list[list[int]] = []
     for x in range(g.n):
-        layers = []
-        stars = [0]
-        for ws in hop_layers(g, x, max_hops):
-            vs = lo = hi = 0
-            for w in ws:
-                vs |= vertex_bit[w]
-                lo |= low[w]
-                hi |= high[w]
-            layers.append((vs, lo, hi))
-            stars.append(stars[-1] | vs | lo * star_run | (hi >> inner) * star_run)
         row = []
-        for whole, r in plan:
-            if whole >= len(layers):
-                row.append(stars[-1])
-            elif r < 0:
-                row.append(stars[whole])
-            else:
-                vs, lo, hi = layers[whole]
-                run = (1 << r) - 1
-                row.append(stars[whole] | vs | lo * run | (hi >> r) * run)
+        for inner, ball, run, c in layers:
+            lo, hi = ball[x]
+            row.append(inner[x] | lo * run | (hi >> c) * run)
         anchors.append(row)
-    # The interior points of its own edge that a candidate at scaled
-    # offset 2k covers directly, as a run from the edge's first one.
+    # The cells of its own edge that a candidate at scaled offset 2k covers
+    # directly, as a run from the edge's first one: those with midpoints
+    # 2j + 1 within radius of 2k.
     own = []
     for tc in range(0, scale, 2):
-        lo = max(1, tc - radius)
-        hi = min(inner, tc + radius)
-        own.append(((1 << (hi - lo + 1)) - 1) << (lo - 1))
+        first = max(0, (tc - radius) // 2)
+        last = min(cells - 1, (tc + radius) // 2 - 1)
+        own.append(((1 << (last - first + 1)) - 1) << first)
 
     # Candidates in GridPoints order with step 2b: scaled offsets 2, 4, ...
-    half = 2 * b
+    # Both sequences list the edges in the same order.
+    candidates = GridPoints(g, cells)
+    next_start = iter(edge_starts).__next__
     masks: list[int] = []
-    for u in range(g.n):
-        at_u = anchors[u]
-        masks.append(at_u[0])
-        for v in g.adj[u]:
-            if v > u:
-                at_v, base = anchors[v], run_at[(u, v)]
-                masks += [at_u[k] | at_v[half - k] | own[k] << base for k in range(1, half)]
+    for u, v in candidates.blocks:
+        if u == v:
+            masks.append(anchors[u][0] | vertex_bit[u])
+        else:
+            at_u, at_v, base = anchors[u], anchors[v], next_start()
+            masks += [at_u[k] | at_v[cells - k] | own[k] << base for k in range(1, cells)]
     covered = 0
     for m in masks:
         covered |= m
     if covered != (1 << len(universe)) - 1:
         raise InfeasibleInstanceError("universe element with no candidate in range")
-    return SetCoverInstance(delta, universe, GridPoints(g, 2 * b), tuple(masks))
+    return SetCoverInstance(delta, universe, candidates, tuple(masks))
 
 
 def _element_candidates(masks: Sequence[int], size: int) -> list[int]:
@@ -641,12 +701,24 @@ def solve_greedy(inst: SetCoverInstance) -> SolveResult:
     in one pass of C-level ``map`` calls, so a pick costs |C| big-integer
     ANDs and popcounts and no Python loop.
     """
+    return _greedy(inst)[0]
+
+
+def _greedy(inst: SetCoverInstance) -> tuple[SolveResult, int]:
+    """``solve_greedy``'s result, and d, the most elements one candidate covers.
+
+    The first pick's gains are the masks' popcounts, so the pass that makes
+    it also gives d, on which the greedy's H(d) guarantee rests.
+    """
     t0 = time.monotonic()
     masks = inst.masks
     uncovered = (1 << len(inst.universe)) - 1
+    gains = list(map(int.bit_count, masks))
+    d = max(gains, default=0)
     chosen: list[int] = []
     while uncovered:
-        gains = list(map(int.bit_count, map(uncovered.__and__, masks)))
+        if chosen:
+            gains = list(map(int.bit_count, map(uncovered.__and__, masks)))
         best_gain = max(gains, default=0)
         if best_gain == 0:
             raise InfeasibleInstanceError("greedy stuck: uncoverable element")
@@ -654,9 +726,8 @@ def solve_greedy(inst: SetCoverInstance) -> SolveResult:
         chosen.append(best)
         uncovered &= ~masks[best]
     points = frozenset(inst.candidates[i] for i in chosen)
-    return SolveResult(
-        Cover(points, inst.delta), len(points), False, 0, time.monotonic() - t0
-    )
+    result = SolveResult(Cover(points, inst.delta), len(points), False, 0, time.monotonic() - t0)
+    return result, d
 
 
 def min_cover_exact(

@@ -5,7 +5,8 @@ sharing no code path with the library: distances by BFS on a fine grid,
 matchings and the Gallai-Edmonds split by bitmask dynamic programming, set
 cover by subset enumeration, coverage by random point probing, coverage
 per edge by the reach of every cover point separately, set-cover masks by
-one distance per candidate and universe point, leaf levels and forests
+one distance per candidate and universe point (over the cell midpoints and
+over the 1/(4b) grid the library used before them), leaf levels and forests
 by BFS, the vertex paths of a subdivision by walking it, and the moves of
 a point into a subdivision and back along those paths in Fractions.
 Others keep a library routine as it was before it moved to integer
@@ -190,17 +191,20 @@ def grid(g: Graph, step: int) -> tuple[Point, ...]:
     return tuple(sorted(points))
 
 
-def coverage_by_distance(g: Graph, delta: Fraction) -> tuple[tuple, tuple, tuple]:
-    """(universe, candidates, masks) of the discretized set cover, pair by pair.
+def cell_midpoints(g: Graph, cells: int) -> tuple[Point, ...]:
+    """Every isolated vertex and the midpoints (2j + 1)/(2 cells) of the
+    ``cells`` equal cells of every edge, in sorted point order."""
+    points = [Point.vertex(w) for w in range(g.n) if not g.adj[w]]
+    points += [Point(u, v, Fraction(2 * j + 1, 2 * cells)) for u, v in g.edges
+               for j in range(cells)]
+    return tuple(sorted(points))
 
-    The universe is ``grid(g, 4b)``, the candidates ``grid(g, 2b)``; bit j
-    of mask i is set when ``point_distance`` puts universe point j within
-    delta of candidate i.  O(|C| |U|) Fraction distances.
-    """
+
+def _masks_by_distance(g: Graph, delta: Fraction, universe: tuple, candidates: tuple) -> tuple:
+    """Bit j of mask i is set when ``point_distance`` puts universe point j
+    within delta of candidate i.  O(|C| |U|) Fraction distances."""
     from deltacover import point_distance
 
-    b = delta.denominator
-    universe, candidates = grid(g, 4 * b), grid(g, 2 * b)
     masks = []
     for c in candidates:
         mask = 0
@@ -209,7 +213,30 @@ def coverage_by_distance(g: Graph, delta: Fraction) -> tuple[tuple, tuple, tuple
             if d is not None and d <= delta:
                 mask |= 1 << j
         masks.append(mask)
-    return universe, candidates, tuple(masks)
+    return tuple(masks)
+
+
+def coverage_by_distance(g: Graph, delta: Fraction) -> tuple[tuple, tuple, tuple]:
+    """(universe, candidates, masks) of the discretized set cover, pair by pair.
+
+    The universe is ``cell_midpoints(g, 2b)``, the candidates
+    ``grid(g, 2b)``, and the masks come from one distance per pair.
+    """
+    b = delta.denominator
+    universe, candidates = cell_midpoints(g, 2 * b), grid(g, 2 * b)
+    return universe, candidates, _masks_by_distance(g, delta, universe, candidates)
+
+
+def quarter_grid_coverage_by_distance(g: Graph, delta: Fraction) -> tuple[tuple, tuple, tuple]:
+    """``coverage_by_distance`` over the 1/(4b) grid, every vertex included.
+
+    The universe the library used before it kept only the cell midpoints:
+    a 1/(2b)-grid cover covers the graph iff it covers this grid, since the
+    grid holds every cell's ends and midpoint.
+    """
+    b = delta.denominator
+    universe, candidates = grid(g, 4 * b), grid(g, 2 * b)
+    return universe, candidates, _masks_by_distance(g, delta, universe, candidates)
 
 
 def leaf_levels_by_distance(g: Graph) -> tuple[frozenset, frozenset, frozenset]:

@@ -14,6 +14,7 @@ from deltacover import (
     InvalidPointError,
     Point,
     approx_cover,
+    build_set_cover,
     cover_leaf_level,
     cover_small_delta_even,
     cover_small_delta_odd,
@@ -146,16 +147,27 @@ def test_dispatcher_regimes_by_delta():
 
 
 def test_large_delta_route_on_a_large_universe():
-    # |U| = 539 on the 6x7 grid at 5/2, and the largest candidate covers
-    # d = 201 elements: the greedy claims H(d), not H(|U|).
+    # |U| = 284 cell midpoints on the 6x7 grid at 5/2, and the largest
+    # candidate covers d = 102 of them: the greedy claims H(d), not H(|U|).
     rows, cols = 6, 7
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
     g = Graph(edges, n=rows * cols)
     rep = approx_cover(g, F(5, 2))
     assert rep.regime == "large_delta"
-    assert rep.claimed_factor == harmonic_number(201)
+    assert len(build_set_cover(g, F(5, 2)).universe) == 284
+    assert rep.claimed_factor == harmonic_number(102)
     assert is_delta_cover(g, rep.cover, F(5, 2)).is_cover
+
+
+def test_large_delta_greedy_is_optimal_on_a_long_cycle():
+    # A point covers at most 2 delta of the cycle, so ceil(n / (2 delta))
+    # points are needed, and the greedy finds that many.
+    g = cycle(1000)
+    for delta, size in [(F(3, 2), 334), (F(5, 2), 200)]:
+        rep = approx_cover(g, delta)
+        assert rep.regime == "large_delta"
+        assert len(rep.cover.points) == size == -(-1000 // (2 * delta))
 
 
 def test_large_delta_route_verifies_once(verifier_calls):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from deltacover import Budget, Cover, Graph, Point, harmonic_number
+from deltacover import Budget, Cover, Graph, Point, build_set_cover, harmonic_number
 from deltacover.bench import run_bench, run_row
 from deltacover.cli import main
 from deltacover.io import (
@@ -144,17 +144,18 @@ def test_cli_tree_and_approx(tmp_path, capsys):
 
 
 def test_cli_large_delta_report_on_a_large_universe(tmp_path):
-    # |U| = 10,400 on the 1,300-vertex cycle at 5/2: H(|U|) has more digits
-    # than int-to-str converts.  The claim is H(41), for the 41 elements of
-    # the largest candidate.
+    # |U| = 10,400 cell midpoints, 8 per edge, on the 1,300-vertex cycle at
+    # 9/4: H(|U|) has more digits than int-to-str converts.  The claim is
+    # H(36), for the 36 elements of the largest candidate.
     gpath = tmp_path / "c1300.graph"
     write_graph_file(gpath, cycle(1300))
     report = tmp_path / "r.json"
-    assert main(["approx", "--delta", "5/2", "--input", str(gpath),
+    assert main(["approx", "--delta", "9/4", "--input", str(gpath),
                  "--report", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["regime"] == "large_delta"
-    assert F(data["claimed_factor"]) == harmonic_number(41)
+    assert len(build_set_cover(cycle(1300), F(9, 4)).universe) == 10_400
+    assert F(data["claimed_factor"]) == harmonic_number(36)
 
 
 def test_cli_gen_and_metadata(tmp_path):

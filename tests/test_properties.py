@@ -21,7 +21,7 @@ from deltacover import (
     translate_cover_down,
 )
 from deltacover.matching import _nu, _tree_points, _unit_fraction_cover
-from deltacover.solver import GridPoints, SetCoverInstance
+from deltacover.solver import CellMidpoints, GridPoints, SetCoverInstance
 from oracles import (
     brute_max_matching,
     brute_set_cover_size,
@@ -31,6 +31,7 @@ from oracles import (
     interval_verify,
     lift_point_by_fractions,
     project_point_by_fractions,
+    quarter_grid_coverage_by_distance,
     subdivision_paths,
     tree_cover_by_fractions,
     unit_fraction_cover_via_subdivided_graph,
@@ -268,6 +269,12 @@ def test_half_grid_covers_decided_by_the_quarter_grid(g, delta, data):
         for p in GridPoints(g, 4 * b)
     )
     assert grid_ok == is_delta_cover(g, cover, delta).is_cover
+    # The cell midpoints alone decide it too: the universe of build_set_cover.
+    midpoints_ok = all(
+        any(point_distance(g, p, q) <= delta for q in cover.points)
+        for p in CellMidpoints(g, 2 * b)
+    )
+    assert midpoints_ok == grid_ok
 
 
 @st.composite
@@ -388,6 +395,57 @@ def test_set_cover_masks_equal_pairwise_distances(g, delta):
     inst = build_set_cover(g, delta)
     got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
     assert got == coverage_by_distance(g, delta)
+
+
+@given(any_graphs(max_n=7), st.sampled_from([F(1), F(3, 2), F(2), F(5, 2), F(7, 2),
+                                               F(10, 3), F(33, 4), F(10)]))
+@settings(max_examples=150, deadline=None)
+def test_set_cover_masks_equal_pairwise_distances_once_the_balls_stop_growing(g, delta):
+    # Radii at and far above the diameter, on graphs with isolated vertices
+    # and several components: the neighbour unions stop well before
+    # radius // scale rounds, at a different round in each component.
+    inst = build_set_cover(g, delta)
+    got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
+    assert got == coverage_by_distance(g, delta)
+
+
+def test_set_cover_masks_at_radii_far_above_the_diameter():
+    # A 5-vertex path (diameter 4) at 33/4, with an isolated vertex and a
+    # triangle beside it, and the path alone at radii from just below its
+    # diameter to far above it.
+    path5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    cases = [(Graph(path5), F(33, 4)),
+             (Graph(path5 + [(6, 7), (7, 8), (6, 8)], n=9), F(33, 4)),
+             *((Graph(path5), d) for d in (F(7, 2), F(4), F(9, 2), F(17, 2), F(101, 7)))]
+    for g, delta in cases:
+        inst = build_set_cover(g, delta)
+        got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
+        assert got == coverage_by_distance(g, delta), (g.edges, str(delta))
+        # Each candidate on the path reaches all of it.
+        path_cells = sum(1 << i for i, p in enumerate(inst.universe) if p.u < 5 and not p.is_vertex)
+        for i, c in enumerate(inst.candidates):
+            if c.u < 5 and delta >= 4:
+                assert inst.masks[i] & path_cells == path_cells
+
+
+# Radii with b <= 7 below and above 1 and 3/2.
+EXACTNESS_DELTAS = [F(3, 4), F(6, 7), F(1), F(8, 7), F(4, 3), F(7, 5), F(3, 2), F(11, 7),
+                    F(5, 3), F(2)]
+
+
+@given(any_graphs(max_n=7), st.sampled_from(EXACTNESS_DELTAS))
+@settings(max_examples=150, deadline=None)
+def test_cell_midpoints_give_the_optimum_of_the_quarter_grid(g, delta):
+    # The cell-midpoint universe proves the same optimum as the 1/(4b) grid,
+    # built pair by pair, and its cover verifies.
+    assume(g.m <= 9)
+    inst = build_set_cover(g, delta)
+    grid_inst = SetCoverInstance(delta, *quarter_grid_coverage_by_distance(g, delta))
+    assert grid_inst.candidates == tuple(inst.candidates)
+    new, old = solve_exact(inst), solve_exact(grid_inst)
+    assert new.optimal and old.optimal
+    assert new.size == old.size
+    assert is_delta_cover(g, new.cover, delta).is_cover
 
 
 @given(any_graphs())

@@ -28,22 +28,26 @@ def test_candidate_counts():
 
 def test_build_set_cover_k2_single_candidate_covers():
     g = Graph([(0, 1)])
-    inst = build_set_cover(g, F(1, 2))  # b = 2, so the grid has 4b+1 = 9 points
+    inst = build_set_cover(g, F(1, 2))  # b = 2, so the edge has 2b = 4 cells
+    assert list(inst.universe) == [Point.on_edge(0, 1, F(k, 8)) for k in (1, 3, 5, 7)]
     mid = inst.candidates.index(Point.on_edge(0, 1, F(1, 2)))
-    assert inst.masks[mid].bit_count() == len(inst.universe) == 9
+    assert inst.masks[mid].bit_count() == len(inst.universe) == 4
 
     inst1 = build_set_cover(g, F(1))
     u = inst1.candidates.index(Point.vertex(0))
-    assert inst1.masks[u].bit_count() == len(inst1.universe) == 5
+    assert inst1.masks[u].bit_count() == len(inst1.universe) == 2
 
 
 def test_build_set_cover_k3_far_edge():
+    # From vertex 0 at radius 1 the far edge (1, 2) is reached only at its
+    # ends, so neither of its cell midpoints is covered.
     g = k_n(3)
     inst = build_set_cover(g, F(1))
     u = inst.candidates.index(Point.vertex(0))
     covered = {p for i, p in enumerate(inst.universe) if inst.masks[u] >> i & 1}
-    assert Point.on_edge(1, 2, F(1, 2)) not in covered
-    assert Point.vertex(1) in covered and Point.vertex(2) in covered
+    assert covered == {Point.on_edge(0, w, t) for w in (1, 2) for t in (F(1, 4), F(3, 4))}
+    assert Point.on_edge(1, 2, F(1, 4)) in inst.universe
+    assert Point.on_edge(1, 2, F(3, 4)) in inst.universe
 
 
 def test_coverage_agrees_with_point_distance():
@@ -119,6 +123,7 @@ def test_exact_size_invariant_under_permutation():
     g = cycle(5)
     inst = build_set_cover(g, F(2, 3))
     base = solve_exact(inst).size
+    assert base == 4  # ceil(5 / (2 * 2/3))
     rng = random.Random(3)
     for _ in range(3):
         cperm = list(range(len(inst.candidates)))

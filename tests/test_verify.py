@@ -17,10 +17,11 @@ from deltacover import (
     unit_fraction_cover,
     verify,
 )
-from deltacover.solver import GridPoints
+from deltacover.solver import CellMidpoints, GridPoints
 from deltacover.verify import require_cover
 from conftest import cycle, grid, k_n, path
 from oracles import (
+    cell_midpoints,
     covered_by_sampling,
     grid as oracle_grid,
     interval_edge_coverage,
@@ -147,9 +148,12 @@ def test_verifier_never_reads_the_distance_table():
 
 
 def test_universe_sizes():
-    assert len(GridPoints(Graph([(0, 1)]), 4)) == 5
-    assert len(GridPoints(k_n(3), 4)) == 12
-    assert len(GridPoints(Graph([(0, 1)]), 12)) == 13
+    # 2b cells per edge, and one element per isolated vertex.
+    assert len(CellMidpoints(Graph([(0, 1)]), 2)) == 2
+    assert len(CellMidpoints(k_n(3), 2)) == 6
+    assert len(CellMidpoints(Graph([(0, 1)]), 6)) == 6
+    assert len(CellMidpoints(Graph([(0, 1)], n=4), 2)) == 4
+    assert len(CellMidpoints(Graph([], n=3), 8)) == 3
 
 
 def test_grid_points_decoder_matches_the_list():
@@ -160,9 +164,9 @@ def test_grid_points_decoder_matches_the_list():
         pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
         g = Graph(rng.sample(pairs, rng.randint(3, 10)), n=9)
         for b in (1, 2, 3, 5):
-            for step in (2 * b, 4 * b):
-                listed = list(oracle_grid(g, step))
-                lazy = GridPoints(g, step)
+            for listed, lazy in ((list(oracle_grid(g, 2 * b)), GridPoints(g, 2 * b)),
+                                 (list(oracle_grid(g, 4 * b)), GridPoints(g, 4 * b)),
+                                 (list(cell_midpoints(g, 2 * b)), CellMidpoints(g, 2 * b))):
                 assert len(lazy) == len(listed)
                 assert list(lazy) == listed
                 assert [lazy[i] for i in range(-len(listed), 0)] == listed
