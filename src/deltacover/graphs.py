@@ -100,7 +100,6 @@ class Graph:
     Equality and the hash read (n, edges) only; the memos, keyed by a
     graph's value, rely on the edges never changing, and the hash and the
     average degree are computed once.  No distance table is built:
-    ``hop_layers`` runs a BFS bounded by a hop count, and
     ``point_distance`` caches on the graph the hop row of each source
     vertex it routes through.
     """
@@ -169,38 +168,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def hop_layers(g: Graph, source: int, max_hops: int) -> list[list[int]]:
-    """BFS layers: ``layers[h]`` lists the vertices h hops from ``source``.
-
-    The search stops after ``max_hops`` hops, or sooner once it has
-    reached the whole component of ``source``.
-    """
-    seen = {source}
-    layers = [[source]]
-    while len(layers) <= max_hops:
-        layer = []
-        for u in layers[-1]:
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    layer.append(w)
-        if not layer:
-            break
-        layers.append(layer)
-    return layers
-
-
 def _hop_row(g: Graph, source: int) -> list[int | None]:
     """Hop distance from ``source`` to every vertex (None in other components).
 
-    Computed on first use and cached on the graph.
+    Computed on first use, by BFS, and cached on the graph.
     """
     row = g._hop_rows.get(source)
     if row is None:
         row = [None] * g.n
-        for h, layer in enumerate(hop_layers(g, source, g.n)):
-            for w in layer:
-                row[w] = h
+        row[source] = 0
+        queue = [source]
+        for u in queue:
+            for w in g.adj[u]:
+                if row[w] is None:
+                    row[w] = row[u] + 1
+                    queue.append(w)
         g._hop_rows[source] = row
     return row
 

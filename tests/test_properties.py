@@ -384,26 +384,16 @@ def any_graphs(draw, max_n=10):
     return Graph(edges, n=n)
 
 
-# Radii in (0, 1/2), (1/2, 3/2) and from 3/2 up, unit and non-unit fractions.
+# Radii in (0, 1/2), (1/2, 3/2) and from 3/2 up, unit and non-unit fractions,
+# and two far above every drawn diameter, where the hop balls stop growing
+# before radius // scale rounds.
 COVERAGE_DELTAS = [F(1, 4), F(1, 3), F(2, 5), F(1, 2), F(3, 5), F(2, 3), F(1), F(5, 4),
-                   F(4, 3), F(3, 2), F(5, 3), F(2), F(5, 2), F(3)]
+                   F(4, 3), F(3, 2), F(5, 3), F(2), F(5, 2), F(3), F(33, 4), F(10)]
 
 
 @given(st.one_of(any_graphs(max_n=5), long_paths_and_cycles()), st.sampled_from(COVERAGE_DELTAS))
-@settings(max_examples=120, deadline=None)
-def test_set_cover_masks_equal_pairwise_distances(g, delta):
-    inst = build_set_cover(g, delta)
-    got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
-    assert got == coverage_by_distance(g, delta)
-
-
-@given(any_graphs(max_n=7), st.sampled_from([F(1), F(3, 2), F(2), F(5, 2), F(7, 2),
-                                               F(10, 3), F(33, 4), F(10)]))
 @settings(max_examples=150, deadline=None)
-def test_set_cover_masks_equal_pairwise_distances_once_the_balls_stop_growing(g, delta):
-    # Radii at and far above the diameter, on graphs with isolated vertices
-    # and several components: the neighbour unions stop well before
-    # radius // scale rounds, at a different round in each component.
+def test_set_cover_masks_equal_pairwise_distances(g, delta):
     inst = build_set_cover(g, delta)
     got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
     assert got == coverage_by_distance(g, delta)
