@@ -55,7 +55,7 @@ def main() -> int:
     print("\nper-regime summary:")
     for regime, agg in sorted(summarize(rows)["regimes"].items()):
         print(f"  {regime:<15} rows={agg['rows']:<4} max_ratio={agg['max_ratio']} "
-              f"violations={agg['violations']}")
+              f"violations={agg['violations']} unproven_claims={agg['unproven_claims']}")
     return 0
 
 

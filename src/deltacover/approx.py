@@ -53,6 +53,7 @@ from .solver import (
 )
 from .verify import require_cover, require_output
 
+ONE_THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
 THREE_HALVES = Fraction(3, 2)
 FIVE_THIRDS = Fraction(5, 3)
@@ -221,8 +222,12 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
 
 
 def _leaf_level_part(g: Graph, delta: Fraction) -> _Part:
+    """A point 2/3 from the leaf on each leaf edge, the matched ends among
+    leaf neighbours, and W.  A leaf-edge point is built on the canonical
+    edge: 2/3 from the leaf u0 when u0 < u1, else 1/3 from u1."""
     levels = level_partition(g)
-    points = {Point.on_edge(u0, u1, TWO_THIRDS) for u0, u1 in levels.E01}
+    points = {_make_point((u0, u1, TWO_THIRDS) if u0 < u1 else (u1, u0, ONE_THIRD))
+              for u0, u1 in levels.E01}
     points |= {Point.vertex(v) for v in _matched_ends(levels.E11)}
     points |= {Point.vertex(v) for v in levels.W}
     return _Part(frozenset(points), THREE_HALVES, "leaf_level")

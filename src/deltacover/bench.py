@@ -2,11 +2,17 @@
 
 A suite configuration lists instances (graph files or generator specs) and
 a grid of rationals.  Every (instance, delta) row runs the range-dispatched
-approximation and attempts the exact oracle within budget, each of which
-verifies its own cover once (a failure raises InternalConsistencyError), and
-records the empirical ratio whenever the oracle finished.  Rationals are
-serialized as "a/b" strings; float columns are marked lossy and exist only
-for plotting.
+approximation and attempts the exact oracle within budget, and records the
+empirical ratio whenever the oracle finished.  Each checks its own cover
+through ``verify.require_output`` (a failure raises
+InternalConsistencyError).  Its proof memo, keyed by the graph and the
+point set and bounded by ``graphs.MEMO_CELLS`` cells like the route memos,
+is not emptied between rows: points already proved on a graph at a radius
+no larger, such as a 1-cover reused across the radii of one instance, are
+not searched again.  ``claim_proven`` says whether the claimed factor rests
+only on sub-solves that proved optimality (``RatioReport.proven``), and the
+summary counts the rows without it per regime.  Rationals are serialized as
+"a/b" strings; float columns are marked lossy and exist only for plotting.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ CSV_COLUMNS = [
     "ratio",
     "ratio_float_lossy",
     "claimed_factor",
+    "claim_proven",
     "verify",
     "runtime_ms",
 ]
@@ -57,6 +64,7 @@ class BenchRow:
     oracle_optimal: bool
     ratio: Fraction | None
     claimed_factor: Fraction
+    claim_proven: bool
     verify: str
     runtime_ms: int
 
@@ -74,6 +82,7 @@ class BenchRow:
             "ratio": "" if self.ratio is None else format_rational(self.ratio),
             "ratio_float_lossy": "" if self.ratio is None else float(self.ratio),
             "claimed_factor": format_rational(self.claimed_factor),
+            "claim_proven": int(self.claim_proven),
             "verify": self.verify,
             "runtime_ms": self.runtime_ms,
         }
@@ -120,6 +129,7 @@ def run_row(instance: str, family: str, g: Graph, delta: Fraction,
         oracle_optimal=oracle.optimal,
         ratio=ratio,
         claimed_factor=report.claimed_factor,
+        claim_proven=report.proven,
         verify="pass",
         runtime_ms=int(1000 * (time.monotonic() - t0)),
     )
@@ -163,9 +173,11 @@ def summarize(rows: list[BenchRow]) -> dict[str, Any]:
     for row in rows:
         agg = per_regime.setdefault(
             row.regime,
-            {"rows": 0, "oracle_complete": 0, "max_ratio": None, "violations": 0},
+            {"rows": 0, "oracle_complete": 0, "max_ratio": None, "violations": 0,
+             "unproven_claims": 0},
         )
         agg["rows"] += 1
+        agg["unproven_claims"] += not row.claim_proven
         if row.ratio is not None:
             agg["oracle_complete"] += 1
             if agg["max_ratio"] is None or row.ratio > parse_rational(agg["max_ratio"]):

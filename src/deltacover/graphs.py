@@ -337,15 +337,10 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int
 def relabel_points(points: Iterable[Point], old_ids: Sequence[int]) -> frozenset[Point]:
     """Map points of an induced subgraph back to the parent graph's ids.
 
-    The id table is increasing, so canonical edge orientation is preserved.
+    The id table is increasing, so canonical edge orientation is preserved,
+    and a vertex point (u, u, 0) maps to a vertex point.
     """
-    out = set()
-    for p in points:
-        if p.is_vertex:
-            out.add(Point.vertex(old_ids[p.u]))
-        else:
-            out.add(Point(old_ids[p.u], old_ids[p.v], p.t))
-    return frozenset(out)
+    return frozenset(map(_make_point, [(old_ids[u], old_ids[v], t) for u, v, t in points]))
 
 
 def is_forest(g: Graph) -> bool:

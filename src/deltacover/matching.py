@@ -333,8 +333,11 @@ def one_cover_min(g: Graph) -> SolveResult:
 
     B is the bipartite graph between the Gallai-Edmonds set A and the
     D-singletons that have a neighbour; def(B) = #singletons - nu(B).  The
-    cover is verified here once per call, memo hit or not; library code
-    calls the unverified, memoized ``_split_and_one_cover``.
+    cover goes through ``require_output`` on every call.  The memoized
+    cover is the same frozenset each time, so once it is proved at radius 1
+    later calls find the proof in ``require_output``'s memo without a
+    search.  Library code calls the unverified, memoized
+    ``_split_and_one_cover``.
 
     *Neat covers.*  In a 1-cover S keep the vertex points as X and replace
     the points inside each edge by its midpoint (edge set M).  An edge xy
@@ -526,9 +529,11 @@ def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> So
     construction of ``translate_cover_down`` takes a minimum 1-cover
     (``one_cover_min``) or 1/2-cover down to a minimum (1/b)-cover with
     k|E| more points.  No subdivision is solved.  ``budget`` is not read;
-    ``perfbench`` still passes it positionally.  The cover is verified once
-    per call, on g, memo hit or not; library code calls the unverified,
-    memoized ``_unit_fraction_cover``.
+    ``perfbench`` still passes it positionally.  The cover goes through
+    ``require_output`` on g on every call; its proof memo searches a
+    memoized cover once at radius 1/b and answers later calls, and the
+    small-delta odd route's radii above 1/b, by lookup.  Library code calls
+    the unverified, memoized ``_unit_fraction_cover``.
     """
     t0 = time.monotonic()
     cover = _unit_fraction_cover(g, b)
@@ -629,8 +634,10 @@ def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
 def tree_cover(g: Graph, delta: Fraction) -> SolveResult:
     """Exact minimum delta-cover of a forest, one greedy pass per component.
 
-    The cover is verified once here; library code calls the unverified
-    ``_tree_points``.
+    The cover goes through ``require_output`` once here.  The climb builds
+    a new point set on every call, so the proof memo hits only when the
+    same points were proved on this forest at a radius no larger.  Library
+    code calls the unverified ``_tree_points``.
     """
     if delta <= ZERO:
         raise ValueError(f"delta must be positive, got {delta}")

@@ -214,14 +214,37 @@ ALL_REGIMES = {"exact", "large_delta", "one_cover_3_2", "one_cover_5_3", "one_co
 
 
 def test_every_regime_verifies_once(verifier_calls):
+    # Each call starts cold, as in a fresh process: a warm call may find its
+    # cover in the proof memo and not search at all.
     regimes = set()
     for g in ROUTE_GRAPHS:
         for delta in CONNECTED_ROUTE_DELTAS:
+            clear_library_caches()
             verifier_calls.clear()
             rep = approx_cover(g, delta)
             assert verifier_calls == [g], (g.edges, str(delta), len(verifier_calls))
             regimes.add(rep.regime)
     assert regimes == ALL_REGIMES
+
+
+def test_clearing_the_caches_empties_every_memo():
+    # perfbench's clear_caches follows the same rule as clear_library_caches,
+    # so a memo it could not empty would let a timed pass start warm.
+    import sys
+
+    from deltacover.verify import require_output
+
+    for g in ROUTE_GRAPHS:
+        for delta in CONNECTED_ROUTE_DELTAS:
+            approx_cover(g, delta)
+    memos = {id(value): value for name, module in list(sys.modules.items())
+             if name == "deltacover" or name.startswith("deltacover.")
+             for value in vars(module).values() if hasattr(value, "cache_info")}
+    assert id(require_output) in memos
+    assert require_output.cache_info().currsize > 0
+    clear_library_caches()
+    for memo in memos.values():
+        assert memo.cache_info().currsize == 0, memo.__name__
 
 
 def test_public_routes_verify_once(verifier_calls):

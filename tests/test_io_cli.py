@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from deltacover import Budget, Cover, Graph, Point, build_set_cover, harmonic_number
-from deltacover.bench import run_bench, run_row
+from deltacover.bench import run_bench, run_row, summarize
 from deltacover.cli import main
 from deltacover.io import (
     FileFormatError,
@@ -18,7 +18,7 @@ from deltacover.io import (
     write_cover,
     write_graph_file,
 )
-from conftest import cycle, k_n, path
+from conftest import clear_library_caches, cycle, k_n, path
 
 
 def test_parse_minimal_graph():
@@ -203,7 +203,9 @@ def test_cli_bench_small_suite(tmp_path):
     assert summary["rows"] == 8
     assert summary["all_verified"] is True
     for regime, agg in summary["regimes"].items():
-        assert agg["violations"] == 0
+        assert agg["violations"] == 0 and agg["unproven_claims"] == 0
+    with open(csv_path, newline="") as fh:
+        assert {row["claim_proven"] for row in csv.DictReader(fh)} == {"1"}
 
 
 def test_cli_bench_empty_suite(tmp_path):
@@ -218,6 +220,16 @@ def test_cli_bench_empty_suite(tmp_path):
 def test_bench_row_on_the_empty_graph_has_ratio_one():
     row = run_row("empty", "file", parse_graph_text("p 0 0\n"), F(1, 2), Budget())
     assert (row.cover_size, row.oracle_size, row.ratio) == (0, 0, F(1))
+
+
+def test_bench_row_says_whether_its_claim_is_proven():
+    # At 11/21 the 5-cycle's (x+1)/x claim rests on an exact sub-solve,
+    # which has no nodes to spend here.
+    starved = run_row("c5", "file", cycle(5), F(11, 21), Budget(max_nodes=0))
+    full = run_row("c5", "file", cycle(5), F(11, 21), Budget())
+    assert (starved.regime, starved.claim_proven, full.claim_proven) == ("vertex_set_x", False, True)
+    assert starved.as_record()["claim_proven"] == 0 and full.as_record()["claim_proven"] == 1
+    assert summarize([starved, full])["regimes"]["vertex_set_x"]["unproven_claims"] == 1
 
 
 def test_cli_bench_on_an_empty_graph_file(tmp_path):
@@ -268,13 +280,16 @@ def test_cli_commands_verify_once(tmp_path, verifier_calls):
         ["solve", "--greedy", "--delta", "2/3"],
         ["solve", "--unit-fraction", "3"],
     ]
+    # Each command starts cold, as a new process of the CLI does.
     for command in commands:
+        clear_library_caches()
         verifier_calls.clear()
         assert main(command + ["--input", str(gpath)]) == 0
         assert len(verifier_calls) == 1, command
     # A bench row verifies its approximate cover and its oracle cover once each.
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps({"deltas": ["2/3"], "instances": [{"id": "p5", "file": str(gpath)}]}))
+    clear_library_caches()
     verifier_calls.clear()
     assert main(["bench", "--config", str(cfg), "--csv", str(tmp_path / "rows.csv")]) == 0
     assert len(verifier_calls) == 2

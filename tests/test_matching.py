@@ -37,7 +37,7 @@ from deltacover.matching import (
     _tree_points,
     _unit_fraction_cover,
 )
-from conftest import cycle, grid, k_n, path, star
+from conftest import clear_library_caches, cycle, grid, k_n, path, star
 from oracles import (
     brute_max_matching,
     project_point_by_fractions,
@@ -197,6 +197,7 @@ def test_public_entry_points_verify_once(verifier_calls):
         (min_cover_exact, forest, F(1, 2)),
     ]
     for fn, g, *args in calls:
+        clear_library_caches()  # cold, as in a fresh process
         verifier_calls.clear()
         fn(g, *args)
         assert verifier_calls == [g], (fn.__name__, g.edges)
@@ -395,17 +396,37 @@ def test_the_memo_is_keyed_by_the_graph_value(edmonds_runs):
     assert edmonds_runs == [one_more_edge]
 
 
-def test_a_memo_hit_still_verifies(verifier_calls):
+def test_a_proof_is_reused_only_at_an_equal_or_larger_radius(verifier_calls, monkeypatch):
     g = grid(3, 4)
-    calls = [
-        (one_cover_min, g),
-        (unit_fraction_cover, g, 3),
-        (cover_via_one_cover, g, F(5, 4)),
-        (cover_small_delta_odd, g, 1, F(2, 5)),
-        (approx_cover, g, F(7, 6)),
-    ]
-    for fn, h, *args in calls:
-        for _ in range(2):
-            verifier_calls.clear()
-            fn(h, *args)
-            assert verifier_calls == [h], fn.__name__
+
+    def searches(fn, *args):
+        verifier_calls.clear()
+        fn(g, *args)
+        return len(verifier_calls)
+
+    # The 1-cover routes return the memoized 1-cover at every radius.
+    assert searches(cover_via_one_cover, F(7, 6)) == 1  # first proof
+    assert searches(cover_via_one_cover, F(7, 6)) == 0  # same points, same radius
+    assert searches(cover_via_one_cover, F(5, 4)) == 0  # larger radius
+    assert searches(approx_cover, F(4, 3)) == 0
+    assert searches(one_cover_min) == 1  # radius 1 is smaller: searched again
+    assert searches(cover_via_one_cover, F(9, 8)) == 0
+    assert searches(one_cover_min) == 0
+    # The 1/3-cover is proved at 1/3 and reused at 2/5 by the small-delta route.
+    assert searches(unit_fraction_cover, 3) == 1
+    assert searches(cover_small_delta_odd, 1, F(2, 5)) == 0
+    assert searches(unit_fraction_cover, 3) == 0
+    # A core that, on a route-memo hit, returns other points that are no
+    # cover is searched, rejected, and its points are never recorded.
+    real = deltacover.approx._split_and_one_cover
+
+    def broken(h):
+        ge, cover = real(h)
+        return ge, Cover(_without_a_needed_point(h, cover.points, F(7, 6)), F(1))
+
+    monkeypatch.setattr(deltacover.approx, "_split_and_one_cover", broken)
+    for _ in range(2):
+        verifier_calls.clear()
+        with pytest.raises(InternalConsistencyError):
+            cover_via_one_cover(g, F(7, 6))
+        assert verifier_calls == [g]

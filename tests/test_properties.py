@@ -6,6 +6,7 @@ from deltacover import (
     Budget,
     Cover,
     Graph,
+    InternalConsistencyError,
     Point,
     approx_cover,
     build_set_cover,
@@ -22,6 +23,7 @@ from deltacover import (
 )
 from deltacover.matching import _nu, _tree_points, _unit_fraction_cover
 from deltacover.solver import CellMidpoints, GridPoints, SetCoverInstance
+from deltacover.verify import require_output
 from oracles import (
     brute_max_matching,
     brute_set_cover_size,
@@ -252,6 +254,25 @@ def test_monotone_in_the_point_set(case, delta):
         assert is_delta_cover(g, big, delta).is_cover
     if not is_delta_cover(g, big, delta).is_cover:
         assert not is_delta_cover(g, small, delta).is_cover
+
+
+@given(connected_graphs(max_n=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_require_output_raises_iff_the_verifier_rejects(g, data):
+    # The proof memo is not emptied between examples, so every call meets
+    # the memo as the earlier draws left it: small graphs recur, and each
+    # example asks about two point sets at radii in a random order.
+    sets = [frozenset(data.draw(st.lists(graph_points(g), max_size=4))) for _ in range(2)]
+    for _ in range(data.draw(st.integers(1, 8))):
+        cover = Cover(data.draw(st.sampled_from(sets)),
+                      data.draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2)])))
+        try:
+            require_output(g, cover, "property")
+        except InternalConsistencyError:
+            raised = True
+        else:
+            raised = False
+        assert raised is not is_delta_cover(g, cover).is_cover
 
 
 @given(connected_graphs(max_n=5), st.sampled_from([F(1, 2), F(2, 3), F(1), F(4, 3)]),

@@ -18,7 +18,7 @@ from deltacover import (
     verify,
 )
 from deltacover.solver import CellMidpoints, GridPoints
-from deltacover.verify import require_cover
+from deltacover.verify import require_cover, require_output
 from conftest import cycle, grid, k_n, path
 from oracles import (
     cell_midpoints,
@@ -235,3 +235,31 @@ def test_edges_whose_pieces_touch_are_settled_without_building_a_gap(monkeypatch
     monkeypatch.setattr(verify, "Fraction", no_gap)
     for g, cover in covers:
         assert is_delta_cover(g, cover).is_cover
+
+
+def test_the_proof_memo_is_bounded_by_cells(monkeypatch):
+    import deltacover.graphs
+
+    monkeypatch.setattr(deltacover.graphs, "MEMO_CELLS", 20)
+    p3 = path(3)
+    every = Cover.of(map(Point.vertex, range(4)), 1)  # 4 + 3 + 4 = 11 cells
+    inner = Cover.of([Point.vertex(1), Point.vertex(2)], F(3, 2))  # 9 cells
+    require_output(p3, every, "bound")
+    require_output(p3, every, "bound")
+    require_output(p3, inner, "bound")
+    assert require_output.cache_info() == (1, 2, 2)
+    # A smaller radius searches again and replaces the entry in place.
+    require_output(p3, Cover(inner.points, F(1)), "bound")
+    require_output(p3, Cover(inner.points, F(1)), "bound")
+    assert require_output.cache_info() == (2, 3, 2)
+    one = Cover.of([Point.vertex(1)], 2)  # 8 cells: 28 > 20, emptied first
+    require_output(p3, one, "bound")
+    assert require_output.cache_info().currsize == 1
+    require_output(p3, every, "bound")  # 19 cells: searched again, kept
+    assert require_output.cache_info() == (2, 5, 2)
+    big = path(30)  # 31 + 30 + 31 cells, over the bound alone: the only entry
+    require_output(big, Cover.of(map(Point.vertex, range(31)), 1), "bound")
+    require_output(big, Cover.of(map(Point.vertex, range(31)), 1), "bound")
+    assert require_output.cache_info() == (3, 6, 1)
+    require_output.cache_clear()
+    assert require_output.cache_info() == (0, 0, 0)
