@@ -232,40 +232,8 @@ class ProofInfo(NamedTuple):
 
 
 def _proof_memo(check):
-    """Memoize ``check(g, cover, what)``, which raises unless the cover is one.
-
-    The memo maps (g, cover.points) to the smallest radius at which
-    ``check`` accepted exactly those points on exactly that graph.  A call
-    whose radius is at least the stored one returns at once; any other call
-    runs ``check``, and when it returns the memo keeps the smaller of the
-    stored radius and the call's.  A call that raises records nothing.
-
-    A hit is a proof.  The key compares by value: ``Graph`` equality reads
-    (n, edges), and a graph never changes; a ``Point`` is an immutable
-    (u, v, t) tuple, and a frozenset of points equals only a set of equal
-    tuples.  So a hit asks about exactly the graph and points that
-    ``check`` accepted at the stored radius r, at a radius delta >= r.  The
-    library builds its points in canonical form, a vertex or 0 < t < 1 on
-    an edge (u, v) of g with u < v, so equal tuples are equal locations,
-    and the verifier decides their coverage exactly.  A closed ball of
-    radius delta contains the ball of radius r about the same point, so
-    points that cover g at r cover it at delta, and ``check`` would accept
-    them again.
-
-    The memo is bounded like a ``graphs.graph_memo``: each entry costs
-    g.n + g.m + |S| cells against ``graphs.MEMO_CELLS``, and the memo is
-    emptied when a new entry would take it past the bound.  It holds its
-    graphs and point sets, which the route memos often hold as well.
-    Measured with ``tracemalloc``, what the memo alone keeps alive at the
-    bound is 6.3 MB for six 3,200-vertex random cubic graphs with their
-    1-covers, and 8.3 MB for 16,384 one-point covers of a single edge,
-    where the dict and its keys dominate.  A route that reads a
-    matching memo returns the same frozenset at every radius, so a hit
-    costs one tuple, the graph's cached hash, the set's cached hash and one
-    dict lookup.  ``cache_clear`` empties the memo and its counts, as
-    ``perfbench`` and the tests do before every pass and test, and
-    ``cache_info`` gives the hits and misses since then.
-    """
+    """Memoize ``check(g, cover, what)``, which raises unless the cover is
+    one, on the proofs it makes; ``require_output`` documents the memo."""
     proved: dict[tuple[Graph, frozenset[Point]], Fraction] = {}
     cells = hits = misses = 0
 
@@ -304,11 +272,41 @@ def require_output(g: Graph, cover: Cover, what: str) -> None:
     """Check a cover the library built, at its own radius.
 
     Every public entry point checks its answer here once; a non-cover is a
-    bug and raises InternalConsistencyError.  The proof memo of
-    ``_proof_memo`` skips the search for points already proved on g at a
-    radius no larger than ``cover.delta``, so a radius sweep that reuses
-    one cover searches it once; ``is_delta_cover`` and ``require_cover``
-    keep no memo.
+    bug and raises InternalConsistencyError.  ``is_delta_cover`` and
+    ``require_cover`` keep no memo, but this check does: it maps
+    (g, cover.points) to the smallest radius at which the search accepted
+    exactly those points on exactly that graph.  A call whose radius is at
+    least the stored one returns at once; any other call searches, and
+    when the search accepts, the memo keeps the smaller of the stored
+    radius and the call's.  A call that raises records nothing.  So a
+    radius sweep that reuses one cover searches it once.
+
+    A hit is a proof.  The key compares by value: ``Graph`` equality reads
+    (n, edges), and a graph never changes; a ``Point`` is an immutable
+    (u, v, t) tuple, and a frozenset of points equals only a set of equal
+    tuples.  So a hit asks about exactly the graph and points that the
+    search accepted at the stored radius r, at a radius delta >= r.  The
+    library builds its points in canonical form, a vertex or 0 < t < 1 on
+    an edge (u, v) of g with u < v, so equal tuples are equal locations,
+    and the search decides their coverage exactly.  A closed ball of
+    radius delta contains the ball of radius r about the same point, so
+    points that cover g at r cover it at delta, and the search would
+    accept them again.
+
+    The memo is bounded like a ``graphs.graph_memo``: each entry costs
+    g.n + g.m + |S| cells against ``graphs.MEMO_CELLS``, and the memo is
+    emptied when a new entry would take it past the bound.  It holds its
+    graphs and point sets, which the route memos often hold as well.
+    Measured with ``tracemalloc``, what the memo alone keeps alive at the
+    bound is 6.3 MB for six 3,200-vertex random cubic graphs with their
+    1-covers, and 8.3 MB for 16,384 one-point covers of a single edge,
+    where the dict and its keys dominate.  A route that reads a matching
+    memo returns the same frozenset at every radius, so a hit costs one
+    tuple, the graph's cached hash, the set's cached hash and one dict
+    lookup.  ``require_output.cache_clear()`` empties the memo and its
+    counts, as ``perfbench`` does before every pass and the tests before
+    every test, and ``require_output.cache_info()`` gives the hits, the
+    misses (searches) and the entries since then.
     """
     report = is_delta_cover(g, cover)
     if not report.is_cover:
