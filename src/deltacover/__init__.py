@@ -6,6 +6,7 @@ from .graphs import (
     GraphValidationError,
     InvalidPointError,
     Point,
+    RatioReport,
     induced_subgraph,
     is_forest,
     point_distance,
@@ -41,7 +42,6 @@ from .matching import (
 )
 from .approx import (
     LevelPartition,
-    RatioReport,
     approx_cover,
     cover_leaf_level,
     cover_small_delta_even,

@@ -6,9 +6,10 @@ and each remaining interval gets the algorithm whose factor is proven for
 it.  Each report carries the factor actually claimed for the instance.
 
 Each regime has one core: it takes a connected graph and returns the
-unverified ``_Part`` of its route.  ``_per_component`` runs a core on every
-component and unions the parts; ``approx_cover`` and the public routes
-verify their answer once, at the public boundary, through ``_verified``.
+unverified ``RatioReport`` of its route.  ``_per_component`` runs a core on
+every component and unions the reports; ``approx_cover`` and the public
+routes verify their answer once, at the public boundary, through
+``_verified``.
 
 Routing reads delta = p/q as its integer numerator and denominator.  Each
 regime boundary a/b is one cross-multiplication, delta >= a/b iff
@@ -29,6 +30,7 @@ from .graphs import (
     HALF,
     ONE,
     Point,
+    RatioReport,
     ZERO,
     _make_point,
     _traversal,
@@ -60,40 +62,6 @@ FIVE_THIRDS = Fraction(5, 3)
 TWO = Fraction(2)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    """An approximate cover plus the guarantee claimed for it.
-
-    ``proven`` is False when the claim rests on an exact sub-solve that ran
-    out of its budget.
-    """
-
-    cover: Cover
-    claimed_factor: Fraction
-    regime: str
-    avg_degree: Fraction
-    param: int | None = None
-    epsilon: Fraction | None = None
-    proven: bool = True
-
-
-@dataclass(frozen=True)
-class _Part:
-    """A core's unverified points on one connected graph and the claim for them."""
-
-    points: frozenset[Point]
-    claimed_factor: Fraction
-    regime: str
-    param: int | None = None
-    epsilon: Fraction | None = None
-    proven: bool = True
-
-
-def _report(g: Graph, delta: Fraction, part: _Part) -> RatioReport:
-    return RatioReport(Cover(part.points, delta), part.claimed_factor, part.regime,
-                       g.average_degree(), part.param, part.epsilon, part.proven)
-
-
 def _verified(g: Graph, report: RatioReport, what: str) -> RatioReport:
     """``report`` once its cover has passed ``require_output`` on g."""
     require_output(g, report.cover, what)
@@ -101,29 +69,29 @@ def _verified(g: Graph, report: RatioReport, what: str) -> RatioReport:
 
 
 def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
-    """Run ``core(sub, delta)`` on each connected component and union the parts.
+    """Run ``core(sub, delta)`` on each connected component and union the reports.
 
-    A connected g goes to the core whole, and its part is the answer as it
-    is.  Otherwise the union claims the largest factor, and the regime and
-    param of the last part that is not exact (with the last epsilon any of
-    those gave); it is proven when every part is.  Unverified.
+    A connected g goes to the core whole, and its report is the answer as
+    it is.  Otherwise the union claims the largest factor, and the regime
+    and param of the last report that is not exact (with the last epsilon
+    any of those gave); it is proven when every report is.  Unverified.
     """
     comps = _traversal(g).components
     if len(comps) == 1:
-        return _report(g, delta, core(g, delta))
+        return core(g, delta)
     pieces: list[frozenset[Point]] = []
     claimed, regime, param, epsilon, proven = ONE, "exact", None, None, True
     for comp in comps:
         sub, old = induced_subgraph(g, comp)
         part = core(sub, delta)
-        pieces.append(relabel_points(part.points, old))
+        pieces.append(relabel_points(part.cover.points, old))
         claimed = max(claimed, part.claimed_factor)
         proven = proven and part.proven
         if part.regime != "exact":
             regime, param = part.regime, part.param
             epsilon = part.epsilon if part.epsilon is not None else epsilon
-    return _report(g, delta, _Part(frozenset().union(*pieces), claimed, regime, param, epsilon,
-                                   proven))
+    return RatioReport(Cover(frozenset().union(*pieces), delta), claimed, regime, param, epsilon,
+                       proven)
 
 
 @graph_memo
@@ -173,15 +141,16 @@ def vertex_set_interval(delta: Fraction) -> int:
     return x
 
 
-def _one_cover_part(g: Graph, p: int, q: int) -> _Part:
-    """The 1-cover, and the factor of the interval of (1, 3/2) that p/q is in."""
+def _one_cover_part(g: Graph, delta: Fraction) -> RatioReport:
+    """The 1-cover, and the factor of the interval of (1, 3/2) that delta is in."""
+    p, q = delta.numerator, delta.denominator
     if 6 * p < 7 * q:  # delta < 7/6
         factor, regime = THREE_HALVES, "one_cover_3_2"
     elif 4 * p < 5 * q:  # delta < 5/4
         factor, regime = FIVE_THIRDS, "one_cover_5_3"
     else:
         factor, regime = TWO, "one_cover_2"
-    return _Part(_split_and_one_cover(g)[1].points, factor, regime)
+    return RatioReport(Cover(_split_and_one_cover(g)[1].points, delta), factor, regime)
 
 
 def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
@@ -193,10 +162,10 @@ def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
     p, q = delta.numerator, delta.denominator
     if not (q < p and 2 * p < 3 * q):
         raise ValueError(f"delta {delta} outside (1, 3/2)")
-    return _verified(g, _report(g, delta, _one_cover_part(g, p, q)), "1-cover route")
+    return _verified(g, _one_cover_part(g, delta), "1-cover route")
 
 
-def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> _Part:
+def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> RatioReport:
     """The claim (x+1)/x is proven unless the exact sub-solve ran out of budget."""
     proven = True
     if g.m >= g.n and g.m >= x:
@@ -206,7 +175,8 @@ def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> _Part
     else:
         result = solve_exact(build_set_cover(g, delta), budget)
         points, proven = result.cover.points, result.optimal
-    return _Part(points, Fraction(x + 1, x), "vertex_set_x", param=x, proven=proven)
+    return RatioReport(Cover(points, delta), Fraction(x + 1, x), "vertex_set_x", param=x,
+                       proven=proven)
 
 
 def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
@@ -221,7 +191,7 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
     return _verified(g, report, "vertex-set route")
 
 
-def _leaf_level_part(g: Graph, delta: Fraction) -> _Part:
+def _leaf_level_part(g: Graph, delta: Fraction) -> RatioReport:
     """A point 2/3 from the leaf on each leaf edge, the matched ends among
     leaf neighbours, and W.  A leaf-edge point is built on the canonical
     edge: 2/3 from the leaf u0 when u0 < u1, else 1/3 from u1."""
@@ -230,7 +200,7 @@ def _leaf_level_part(g: Graph, delta: Fraction) -> _Part:
               for u0, u1 in levels.E01}
     points |= {Point.vertex(v) for v in _matched_ends(levels.E11)}
     points |= {Point.vertex(v) for v in levels.W}
-    return _Part(frozenset(points), THREE_HALVES, "leaf_level")
+    return RatioReport(Cover(frozenset(points), delta), THREE_HALVES, "leaf_level")
 
 
 def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
@@ -244,7 +214,7 @@ def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
         raise ValueError(f"delta {delta} outside [2/3, 3/4)")
     if is_forest(g):
         raise ValueError("leaf-level algorithm expects non-tree input")
-    return _verified(g, _report(g, delta, _leaf_level_part(g, delta)), "leaf-level route")
+    return _verified(g, _leaf_level_part(g, delta), "leaf-level route")
 
 
 def small_delta_interval(delta: Fraction) -> tuple[str, int]:
@@ -263,7 +233,7 @@ def small_delta_interval(delta: Fraction) -> tuple[str, int]:
     return ("even" if m % 2 else "odd"), m // 2
 
 
-def _small_even_part(g: Graph, p: int, q: int, k: int) -> _Part:
+def _small_even_part(g: Graph, delta: Fraction, k: int) -> RatioReport:
     """All vertices, and the same k offsets 1/2 + (2j - k - 1)delta on every edge.
 
     For delta = p/q in (1/(2k+2), 1/(2k+1)), (k - 1)delta < 1/2, so every
@@ -272,6 +242,7 @@ def _small_even_part(g: Graph, p: int, q: int, k: int) -> _Part:
     (q + 2(2j - k - 1)p)/(2q), checked on its numerator.  With average
     degree 2m/n, the factor 1 + 1/(k*avg + 1) is (2km + 2n)/(2km + n).
     """
+    p, q = delta.numerator, delta.denominator
     inner = []
     for j in range(1, k + 1):
         a = q + 2 * (2 * j - k - 1) * p
@@ -285,7 +256,7 @@ def _small_even_part(g: Graph, p: int, q: int, k: int) -> _Part:
     points = _vertices(g).union(map(_make_point, [(u, v, t) for u, v in g.edges for t in inner]))
     km = k * g.m
     factor = Fraction(2 * (km + g.n), 2 * km + g.n) if g.m else ONE
-    return _Part(points, factor, "small_even", param=k)
+    return RatioReport(Cover(points, delta), factor, "small_even", param=k)
 
 
 def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
@@ -300,11 +271,11 @@ def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     p, q = delta.numerator, delta.denominator
     if q >= (2 * k + 2) * p:  # delta <= 1/(2k+2)
         raise ValueError(f"k = {k} needs delta > 1/{2 * k + 2}, got {delta}")
-    report = _per_component(g, delta, lambda sub, d: _small_even_part(sub, p, q, k))
+    report = _per_component(g, delta, lambda sub, d: _small_even_part(sub, d, k))
     return _verified(g, report, "small-delta even route")
 
 
-def _small_odd_part(g: Graph, k: int) -> _Part:
+def _small_odd_part(g: Graph, delta: Fraction, k: int) -> RatioReport:
     """The minimum 1/(2k+1)-cover: g's 1-cover with k more points per edge.
 
     ``_unit_fraction_cover`` builds it from the memoized 1-cover, and
@@ -319,7 +290,8 @@ def _small_odd_part(g: Graph, k: int) -> _Part:
     num, den = (2 * k + 1) * d + 2 * k, 2 * k * d
     if m and num * 3 * k * m > (3 * k * m + 2 * n) * den:
         num, den = 3 * k * m + 2 * n, 3 * k * m
-    return _Part(cover.points, Fraction(num, den), "small_odd", param=k, epsilon=Fraction(1, d))
+    return RatioReport(Cover(cover.points, delta), Fraction(num, den), "small_odd", param=k,
+                       epsilon=Fraction(1, d))
 
 
 def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
@@ -337,7 +309,7 @@ def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
         raise ValueError(f"k must be >= 1, got {k}")
     if delta.denominator > (2 * k + 1) * delta.numerator:  # delta < 1/(2k+1)
         raise ValueError(f"k = {k} needs delta >= 1/{2 * k + 1}, got {delta}")
-    return _verified(g, _report(g, delta, _small_odd_part(g, k)), "small-delta odd route")
+    return _verified(g, _small_odd_part(g, delta, k), "small-delta odd route")
 
 
 def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
@@ -376,7 +348,7 @@ def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
     return cover
 
 
-def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
+def _component_part(g: Graph, delta: Fraction, budget: Budget) -> RatioReport:
     """The core of ``approx_cover``: the route for one connected component.
 
     The regime boundaries are compared with delta = p/q as integers.
@@ -384,20 +356,20 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
     p, q = delta.numerator, delta.denominator
     # Connected, so a tree iff m = n - 1.
     if g.m == g.n - 1:
-        return _Part(frozenset(_tree_points(g, delta)), ONE, "exact")
+        return RatioReport(Cover(frozenset(_tree_points(g, delta)), delta), ONE, "exact")
     if p == 1:
-        return _Part(_unit_fraction_cover(g, q).points, ONE, "exact")
+        return RatioReport(_unit_fraction_cover(g, q), ONE, "exact")
     if 2 * p >= 3 * q:  # delta >= 3/2
         # Greedy picks at most H(d) times the optimum, d the largest
         # candidate's element count (Chvatal 1979).  The universe has one
         # cell midpoint per 1/(2q) of edge length, so d is 2q times the most
         # edge length one candidate covers.
         result, d = _greedy(build_set_cover(g, delta))
-        return _Part(result.cover.points, harmonic_number(d), "large_delta")
+        return RatioReport(result.cover, harmonic_number(d), "large_delta")
     if p > q:  # delta > 1
-        return _one_cover_part(g, p, q)
+        return _one_cover_part(g, delta)
     if 4 * p >= 3 * q:  # delta >= 3/4
-        return _Part(_vertices(g), TWO, "vertex_set_34_1")
+        return RatioReport(Cover(_vertices(g), delta), TWO, "vertex_set_34_1")
     # g is connected and, past the tree check above, no tree: the cores
     # below take it whole, without splitting it into components again.
     if 3 * p >= 2 * q:  # delta >= 2/3
@@ -406,14 +378,14 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> _Part:
         return _vertex_set_part(g, delta, vertex_set_interval(delta), budget)
     case, k = small_delta_interval(delta)
     if case == "even":
-        return _small_even_part(g, p, q, k)
-    return _small_odd_part(g, k)
+        return _small_even_part(g, delta, k)
+    return _small_odd_part(g, delta, k)
 
 
 def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
     """Route each connected component to its regime and union the covers.
 
-    The cores return unverified parts; the union is verified once here,
+    The cores return unverified reports; the union is verified once here,
     and a core that produced a non-cover raises InternalConsistencyError.
     """
     if delta.numerator <= 0:

@@ -3,7 +3,9 @@
 A suite configuration lists instances (graph files or generator specs) and
 a grid of rationals.  Every (instance, delta) row runs the range-dispatched
 approximation and attempts the exact oracle within budget, and records the
-empirical ratio whenever the oracle finished.  Each checks its own cover
+empirical ratio whenever the oracle finished.  Both return a
+``RatioReport``: the oracle's claims factor 1 and is proven when its search
+closed (``oracle_optimal``).  Each checks its own cover
 through ``verify.require_output`` (a failure raises
 InternalConsistencyError).  Its proof memo, keyed by the graph and the
 point set and bounded by ``graphs.MEMO_CELLS`` cells like the route memos,
@@ -114,9 +116,9 @@ def run_row(instance: str, family: str, g: Graph, delta: Fraction,
     report = approx_cover(g, delta, budget)
     oracle = min_cover_exact(g, delta, budget)
     ratio = None
-    if oracle.optimal:
+    if oracle.proven:
         # Only the empty graph has an empty optimum, and both covers are empty.
-        ratio = Fraction(len(report.cover), oracle.size) if oracle.size else Fraction(1)
+        ratio = Fraction(len(report.cover), len(oracle.cover)) if oracle.cover else Fraction(1)
     return BenchRow(
         instance=instance,
         family=family,
@@ -125,8 +127,8 @@ def run_row(instance: str, family: str, g: Graph, delta: Fraction,
         delta=delta,
         regime=report.regime,
         cover_size=len(report.cover),
-        oracle_size=oracle.size if oracle.optimal else None,
-        oracle_optimal=oracle.optimal,
+        oracle_size=len(oracle.cover) if oracle.proven else None,
+        oracle_optimal=oracle.proven,
         ratio=ratio,
         claimed_factor=report.claimed_factor,
         claim_proven=report.proven,

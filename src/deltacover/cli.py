@@ -27,7 +27,7 @@ from .io import (
     write_graph_file,
 )
 from .matching import NotAForestError, tree_cover, unit_fraction_cover
-from .solver import Budget, build_set_cover, min_cover_exact, solve_greedy
+from .solver import Budget, build_set_cover, solve_exact, solve_greedy
 from .verify import InternalConsistencyError, InvalidCoverError, is_delta_cover, require_output
 
 EXIT_OK = 0
@@ -110,19 +110,19 @@ def build_parser() -> _Parser:
 def _cmd_solve(args) -> int:
     g = parse_graph_file(args.input)
     if args.unit_fraction is not None:
-        result = unit_fraction_cover(g, args.unit_fraction, _budget(args))
-    else:
-        if args.delta is None:
-            raise _UsageError("solve needs --delta or --unit-fraction")
-        delta = parse_rational(args.delta)
-        if args.greedy:
-            result = solve_greedy(build_set_cover(g, delta))
-            require_output(g, result.cover, "greedy cover")
-        else:
-            result = min_cover_exact(g, delta, _budget(args))
+        report = unit_fraction_cover(g, args.unit_fraction)
+        if args.output:
+            write_cover(args.output, report.cover)
+        print(f"size {len(report.cover)} optimal {report.proven}")
+        return EXIT_OK
+    if args.delta is None:
+        raise _UsageError("solve needs --delta or --unit-fraction")
+    inst = build_set_cover(g, parse_rational(args.delta))
+    result = solve_greedy(inst) if args.greedy else solve_exact(inst, _budget(args))
+    require_output(g, result.cover, "greedy cover" if args.greedy else "exact solver output")
     if args.output:
         write_cover(args.output, result.cover)
-    print(f"size {result.size} optimal {result.optimal} "
+    print(f"size {len(result.cover)} optimal {result.optimal} "
           f"nodes {result.nodes_explored} elapsed {result.elapsed:.3f}s")
     if not args.greedy and not result.optimal:
         return EXIT_BUDGET
@@ -131,10 +131,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_tree(args) -> int:
     g = parse_graph_file(args.input)
-    result = tree_cover(g, parse_rational(args.delta))
+    report = tree_cover(g, parse_rational(args.delta))
     if args.output:
-        write_cover(args.output, result.cover)
-    print(f"size {result.size} optimal True")
+        write_cover(args.output, report.cover)
+    print(f"size {len(report.cover)} optimal {report.proven}")
     return EXIT_OK
 
 
@@ -151,7 +151,7 @@ def _cmd_approx(args) -> int:
         "claimed_factor": format_rational(report.claimed_factor),
         "epsilon": None if report.epsilon is None else format_rational(report.epsilon),
         "proven": report.proven,
-        "avg_degree": format_rational(report.avg_degree),
+        "avg_degree": format_rational(Fraction(2 * g.m, g.n) if g.n else Fraction(0)),
         "size": len(report.cover),
         "verified": True,
     }

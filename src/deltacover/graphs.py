@@ -21,7 +21,7 @@ ONE = Fraction(1)
 
 
 class GraphValidationError(ValueError):
-    """Raised for loops, duplicate edges, or out-of-range vertex ids."""
+    """Raised for loops, duplicate edges, out-of-range vertex ids, or n < 0."""
 
 
 class InvalidPointError(ValueError):
@@ -98,18 +98,19 @@ class Graph:
 
     The edges never change after construction, which costs O(n + m).
     Equality and the hash read (n, edges) only; the memos, keyed by a
-    graph's value, rely on the edges never changing, and the hash and the
-    average degree are computed once.  No distance table is built:
-    ``point_distance`` caches on the graph the hop row of each source
-    vertex it routes through.
+    graph's value, rely on the edges never changing, and the hash is
+    computed once.  No distance table is built: ``point_distance`` reads
+    the memoized hop row of each source vertex it routes through.
     """
 
-    __slots__ = ("n", "edges", "edge_index", "adj", "_hop_rows", "_hash", "_average_degree")
+    __slots__ = ("n", "edges", "edge_index", "adj", "_hash")
 
     def __init__(self, edges: Iterable[Edge], n: int | None = None):
         raw = list(edges)
         if n is None:
             n = 1 + max((max(u, v) for u, v in raw), default=-1)
+        if n < 0:
+            raise GraphValidationError(f"negative vertex count {n}")
         canon: list[Edge] = []
         for i, (u, v) in enumerate(raw):
             if not (0 <= u < n and 0 <= v < n):
@@ -133,9 +134,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
-        self._hop_rows: dict[int, list[int | None]] = {}
         self._hash: int | None = None
-        self._average_degree: Fraction | None = None
 
     @property
     def m(self) -> int:
@@ -143,11 +142,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
-
-    def average_degree(self) -> Fraction:
-        if self._average_degree is None:
-            self._average_degree = Fraction(2 * self.m, self.n) if self.n else ZERO
-        return self._average_degree
 
     def check_point(self, p: Point) -> None:
         if p.is_vertex:
@@ -168,25 +162,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _hop_row(g: Graph, source: int) -> list[int | None]:
-    """Hop distance from ``source`` to every vertex (None in other components).
-
-    Computed on first use, by BFS, and cached on the graph.
-    """
-    row = g._hop_rows.get(source)
-    if row is None:
-        row = [None] * g.n
-        row[source] = 0
-        queue = [source]
-        for u in queue:
-            for w in g.adj[u]:
-                if row[w] is None:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-        g._hop_rows[source] = row
-    return row
-
-
 @dataclass(frozen=True)
 class Cover:
     """A finite set of points proposed as a delta-cover."""
@@ -203,6 +178,26 @@ class Cover:
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
+
+
+@dataclass(frozen=True)
+class RatioReport:
+    """What every graph-level call returns: a cover and the claim made for it.
+
+    The cover is within ``claimed_factor`` of a minimum ``cover.delta``-cover.
+    ``regime`` names the route: an exact route reports ``"exact"`` with
+    factor 1, the others their interval's ``param`` and, where the factor
+    has one, its ``epsilon``.  ``proven`` means the claimed factor rests
+    only on sub-solves that proved optimality; it is False when an exact
+    sub-solve ran out of its budget.
+    """
+
+    cover: Cover
+    claimed_factor: Fraction
+    regime: str
+    param: int | None = None
+    epsilon: Fraction | None = None
+    proven: bool = True
 
 
 def point_distance(g: Graph, p: Point, q: Point) -> Fraction | None:
@@ -279,6 +274,23 @@ def graph_memo(fn):
 
     memo.cache_clear = cache_clear
     return functools.update_wrapper(memo, fn)
+
+
+@graph_memo
+def _hop_row(g: Graph, source: int) -> list[int | None]:
+    """Hop distance from ``source`` to every vertex (None in other components).
+
+    Computed on first use, by BFS, and memoized on (g, source).
+    """
+    row = [None] * g.n
+    row[source] = 0
+    queue = [source]
+    for u in queue:
+        for w in g.adj[u]:
+            if row[w] is None:
+                row[w] = row[u] + 1
+                queue.append(w)
+    return row
 
 
 @dataclass(frozen=True)

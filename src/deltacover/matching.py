@@ -9,7 +9,6 @@ polynomial and iterative: no branch and bound and no recursion.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,13 +20,14 @@ from .graphs import (
     HALF,
     ONE,
     Point,
+    RatioReport,
     ZERO,
     _make_point,
     _traversal,
     graph_memo,
     is_forest,
 )
-from .solver import Budget, DEFAULT_BUDGET, SolveResult
+from .solver import Budget, DEFAULT_BUDGET
 from .verify import InternalConsistencyError, nearest_distances, require_cover, require_output
 
 # Labels of the alternating forest: unreached, even (outer), odd (inner).
@@ -328,12 +328,14 @@ def _split_and_one_cover(g: Graph) -> tuple[GEDecomposition, Cover]:
     return ge, _one_cover(g, ge)
 
 
-def one_cover_min(g: Graph) -> SolveResult:
+def one_cover_min(g: Graph) -> RatioReport:
     """Exact minimum 1-cover in polynomial time: cov1(G) = n - nu(G) - def(B).
 
     B is the bipartite graph between the Gallai-Edmonds set A and the
     D-singletons that have a neighbour; def(B) = #singletons - nu(B).  The
-    cover goes through ``require_output`` on every call.  The memoized
+    report claims factor 1 in the ``"exact"`` regime and is always proven:
+    no search runs that could stop short.  The cover goes through
+    ``require_output`` on every call.  The memoized
     cover is the same frozenset each time, so once it is proved at radius 1
     later calls find the proof in ``require_output``'s memo without a
     search.  Library code calls the unverified, memoized
@@ -379,10 +381,9 @@ def one_cover_min(g: Graph) -> SolveResult:
     polynomial for every unit fraction; the tests cross-check this route
     against the branch and bound.
     """
-    t0 = time.monotonic()
     cover = _split_and_one_cover(g)[1]
     require_output(g, cover, "1-cover")
-    return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
+    return RatioReport(cover, ONE, "exact")
 
 
 def _half_cover(g: Graph) -> Cover:
@@ -522,23 +523,23 @@ def _unit_fraction_cover(g: Graph, b: int) -> Cover:
     return _translated(g, base, k) if k else base
 
 
-def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
+def unit_fraction_cover(g: Graph, b: int, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
     """Exact minimum (1/b)-cover in polynomial time, on g itself.
 
     1/(2k + 1) = 1/(1 + 2k) and 1/(2k + 2) = (1/2)/(1 + 2k/2), so the
     construction of ``translate_cover_down`` takes a minimum 1-cover
     (``one_cover_min``) or 1/2-cover down to a minimum (1/b)-cover with
     k|E| more points.  No subdivision is solved.  ``budget`` is not read;
-    ``perfbench`` still passes it positionally.  The cover goes through
+    ``perfbench`` still passes it positionally.  The report claims factor 1
+    in the ``"exact"`` regime and is always proven.  The cover goes through
     ``require_output`` on g on every call; its proof memo searches a
     memoized cover once at radius 1/b and answers later calls, and the
     small-delta odd route's radii above 1/b, by lookup.  Library code calls
     the unverified, memoized ``_unit_fraction_cover``.
     """
-    t0 = time.monotonic()
     cover = _unit_fraction_cover(g, b)
     require_output(g, cover, "unit-fraction cover")
-    return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
+    return RatioReport(cover, ONE, "exact")
 
 
 def _matched_ends(edges: Sequence[Edge]) -> set[int]:
@@ -631,10 +632,11 @@ def _tree_points(g: Graph, delta: Fraction) -> set[Point]:
     return points
 
 
-def tree_cover(g: Graph, delta: Fraction) -> SolveResult:
+def tree_cover(g: Graph, delta: Fraction) -> RatioReport:
     """Exact minimum delta-cover of a forest, one greedy pass per component.
 
-    The cover goes through ``require_output`` once here.  The climb builds
+    The report claims factor 1 in the ``"exact"`` regime and is always
+    proven.  The cover goes through ``require_output`` once here.  The climb builds
     a new point set on every call, so the proof memo hits only when the
     same points were proved on this forest at a radius no larger.  Library
     code calls the unverified ``_tree_points``.
@@ -643,7 +645,6 @@ def tree_cover(g: Graph, delta: Fraction) -> SolveResult:
         raise ValueError(f"delta must be positive, got {delta}")
     if not is_forest(g):
         raise NotAForestError("input has a cycle; dispatch non-trees elsewhere")
-    t0 = time.monotonic()
     cover = Cover(frozenset(_tree_points(g, delta)), delta)
     require_output(g, cover, "tree cover")
-    return SolveResult(cover, len(cover), True, 0, time.monotonic() - t0)
+    return RatioReport(cover, ONE, "exact")

@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import lcm
 from operator import xor
 
-from .graphs import Cover, Edge, Graph, Point, ZERO, _make_point
+from .graphs import Cover, Edge, Graph, ONE, Point, RatioReport, ZERO, _make_point
 # InternalConsistencyError is re-exported here for the library's callers.
 from .verify import InternalConsistencyError, require_output
 
@@ -57,8 +57,10 @@ class SetCoverInstance:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """What the set-cover layer returns: a cover of the instance's universe,
+    whether the search proved it minimum, and what the search spent."""
+
     cover: Cover
-    size: int
     optimal: bool
     nodes_explored: int
     elapsed: float
@@ -691,7 +693,7 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         optimal = False
     elapsed = time.monotonic() - t0
     points = frozenset(inst.candidates[i] for i in best_chosen)
-    return SolveResult(Cover(points, inst.delta), len(points), optimal, nodes, elapsed)
+    return SolveResult(Cover(points, inst.delta), optimal, nodes, elapsed)
 
 
 def solve_greedy(inst: SetCoverInstance) -> SolveResult:
@@ -726,18 +728,23 @@ def _greedy(inst: SetCoverInstance) -> tuple[SolveResult, int]:
         chosen.append(best)
         uncovered &= ~masks[best]
     points = frozenset(inst.candidates[i] for i in chosen)
-    result = SolveResult(Cover(points, inst.delta), len(points), False, 0, time.monotonic() - t0)
+    result = SolveResult(Cover(points, inst.delta), False, 0, time.monotonic() - t0)
     return result, d
 
 
 def min_cover_exact(
     g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET
-) -> SolveResult:
-    """Build the finite instance, solve it, and verify the result."""
+) -> RatioReport:
+    """Build the finite instance, solve it, and verify the result.
+
+    The report claims factor 1 in the ``"exact"`` regime; it is proven only
+    when the branch and bound closed within ``budget``.  Otherwise the cover
+    is the search's incumbent, still a verified delta-cover.
+    """
     inst = build_set_cover(g, delta)
     result = solve_exact(inst, budget)
     require_output(g, result.cover, "exact solver output")
-    return result
+    return RatioReport(result.cover, ONE, "exact", proven=result.optimal)
 
 
 @functools.lru_cache(maxsize=64)

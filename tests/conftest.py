@@ -7,8 +7,7 @@ import networkx as nx
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from deltacover import Budget, Graph, min_cover_exact
-from deltacover.solver import SolveResult
+from deltacover import Budget, Graph, RatioReport, min_cover_exact
 
 
 def clear_library_caches() -> None:
@@ -81,9 +80,9 @@ class OracleCache:
 
     def __init__(self, budget: Budget):
         self.budget = budget
-        self._memo: dict[tuple[int, tuple, Fraction], SolveResult] = {}
+        self._memo: dict[tuple[int, tuple, Fraction], RatioReport] = {}
 
-    def solve(self, g: Graph, delta: Fraction) -> SolveResult:
+    def solve(self, g: Graph, delta: Fraction) -> RatioReport:
         key = (g.n, g.edges, delta)
         if key not in self._memo:
             self._memo[key] = min_cover_exact(g, delta, self.budget)
@@ -92,7 +91,7 @@ class OracleCache:
     def opt(self, g: Graph, delta: Fraction) -> int | None:
         """Proven optimum, or None when the budget ran out."""
         result = self.solve(g, delta)
-        return result.size if result.optimal else None
+        return len(result.cover) if result.proven else None
 
 
 @pytest.fixture(scope="session")

@@ -585,9 +585,9 @@ def small_factors_by_fractions(g: Graph, k: int) -> tuple[Fraction, Fraction, Fr
 
 
 def approx_by_fraction_chain(g: Graph, delta: Fraction) -> tuple:
-    """``approx_cover``'s (points, regime, param, epsilon, claimed factor,
-    average degree), by its dispatch as it was before it routed on delta's
-    integer numerator and denominator.
+    """``approx_cover``'s (points, regime, param, epsilon, claimed factor), by
+    its dispatch as it was before it routed on delta's integer numerator and
+    denominator.
 
     Each component (found by BFS) goes down a chain of ``Fraction``
     comparisons with the regime boundaries; the interval parameters and
@@ -624,11 +624,12 @@ def approx_by_fraction_chain(g: Graph, delta: Fraction) -> tuple:
         if delta >= Fraction(3, 4):
             return _vertices(h), two, "vertex_set_34_1", None, None
         if delta >= Fraction(2, 3):
-            return _leaf_level_part(h, delta).points, Fraction(3, 2), "leaf_level", None, None
+            points = _leaf_level_part(h, delta).cover.points
+            return points, Fraction(3, 2), "leaf_level", None, None
         if delta > half:
             x = math.ceil((1 - delta) / (2 * delta - 1))
             assert Fraction(x + 1, 2 * x + 1) <= delta < Fraction(x, 2 * x - 1)
-            points = _vertex_set_part(h, delta, x, DEFAULT_BUDGET).points
+            points = _vertex_set_part(h, delta, x, DEFAULT_BUDGET).cover.points
             return points, Fraction(x + 1, x), "vertex_set_x", x, None
         m = math.floor(1 / delta)
         if m % 2:
@@ -660,5 +661,4 @@ def approx_by_fraction_chain(g: Graph, delta: Fraction) -> tuple:
         if reg != "exact":
             regime, param = reg, par
             epsilon = eps if eps is not None else epsilon
-    avg = Fraction(2 * g.m, g.n) if g.n else Fraction(0)
-    return frozenset(points), regime, param, epsilon, claimed, avg
+    return frozenset(points), regime, param, epsilon, claimed

@@ -93,8 +93,8 @@ def test_criterion_1_oracle_suite(suite_rows):
             continue
         if row.small_masks is not None:
             full = (1 << row.universe_size) - 1
-            brute = brute_set_cover_size(row.small_masks, full, row.exact.size + 1)
-            assert brute == row.exact.size, (row.name, str(row.delta))
+            brute = brute_set_cover_size(row.small_masks, full, len(row.exact.cover) + 1)
+            assert brute == len(row.exact.cover), (row.name, str(row.delta))
             cross_checked += 1
     assert elapsed < 600, f"suite took {elapsed:.0f}s, over the 10 minute budget"
     print(f"\ncriterion 1: PASS - {len(rows)} instances verified in {elapsed:.0f}s; "
@@ -110,16 +110,16 @@ def test_criterion_2_exact_route_equality(atlas_suite, small_trees, suite_rows):
         for b in (1, 2, 3, 4):
             uf = unit_fraction_cover(g, b, ROW_BUDGET)
             direct = exact_at[(name, F(1, b))]
-            assert uf.optimal and direct.optimal, (name, b)
-            assert uf.size == direct.size, (name, b)
+            assert uf.proven and direct.optimal, (name, b)
+            assert len(uf.cover) == len(direct.cover), (name, b)
             checked += 1
     tree_checked = 0
     for name, g in small_trees:
         for delta in DELTAS:
             res = tree_cover(g, delta)
             oracle = min_cover_exact(g, delta, ROW_BUDGET)
-            assert oracle.optimal, (name, str(delta))
-            assert res.size == oracle.size, (name, str(delta))
+            assert oracle.proven, (name, str(delta))
+            assert len(res.cover) == len(oracle.cover), (name, str(delta))
             tree_checked += 1
     print(f"\ncriterion 2: PASS - unit-fraction route equal on {checked} cases; "
           f"tree solver equal on {tree_checked} tree cases (tolerance 0)")
@@ -132,12 +132,12 @@ def test_criterion_3_reduction_equivalences(atlas_suite):
     for name, g in small + spot6:
         for delta in (F(1, 2), F(3, 5), F(1)):
             base = min_cover_exact(g, delta, ROW_BUDGET)
-            assert base.optimal
+            assert base.proven
             for x in (2, 3):
                 gx = subdivide(g, x)
                 lifted = min_cover_exact(gx, x * delta, ROW_BUDGET)
-                assert lifted.optimal, (name, str(delta), x)
-                assert lifted.size == base.size, (name, str(delta), x)
+                assert lifted.proven, (name, str(delta), x)
+                assert len(lifted.cover) == len(base.cover), (name, str(delta), x)
                 sub_checked += 1
     trans_checked = 0
     for name, g in small + spot6:
@@ -145,11 +145,11 @@ def test_criterion_3_reduction_equivalences(atlas_suite):
             d_prime = delta / (2 * delta + 1)
             base = min_cover_exact(g, delta, ROW_BUDGET)
             shifted = min_cover_exact(g, d_prime, ROW_BUDGET)
-            assert base.optimal and shifted.optimal, (name, str(delta))
-            assert shifted.size == base.size + g.m, (name, str(delta))
+            assert base.proven and shifted.proven, (name, str(delta))
+            assert len(shifted.cover) == len(base.cover) + g.m, (name, str(delta))
             translated = translate_cover_up(g, shifted.cover)
             assert translated.delta == delta and is_delta_cover(g, translated).is_cover
-            assert len(translated) == base.size, (name, str(delta))
+            assert len(translated) == len(base.cover), (name, str(delta))
             trans_checked += 1
     print(f"\ncriterion 3: PASS - subdivision equality on {sub_checked} cases, "
           f"translation equality plus translated-cover size on {trans_checked} cases")
@@ -160,22 +160,22 @@ def test_criterion_4_tight_families():
         g = gen_triangles_center(k).graph
         at54 = min_cover_exact(g, F(5, 4), Budget(max_seconds=20))
         at1 = min_cover_exact(g, F(1), Budget(max_seconds=20))
-        assert at54.optimal and at54.size == k + 1, k
-        assert at1.optimal and at1.size == 2 * k, k
-        assert F(at1.size, at54.size) == F(2 * k, k + 1)
+        assert at54.proven and len(at54.cover) == k + 1, k
+        assert at1.proven and len(at1.cover) == 2 * k, k
+        assert F(len(at1.cover), len(at54.cover)) == F(2 * k, k + 1)
     tp = gen_triangles_paths(3, "per_vertex").graph
     at76 = min_cover_exact(tp, F(7, 6), Budget(max_seconds=60))
     at1 = min_cover_exact(tp, F(1), Budget(max_seconds=20))
-    assert at76.optimal and at76.size == 10
-    assert at1.optimal and at1.size == 15
+    assert at76.proven and len(at76.cover) == 10
+    assert at1.proven and len(at1.cover) == 15
     star_sizes = []
     for k in (2, 3, 4):
         inst = gen_star_subdivision(2, k)
         res = tree_cover(inst.graph, F(3, 5))
-        assert res.size == 1 + 2 * k, k
-        star_sizes.append(res.size)
+        assert len(res.cover) == 1 + 2 * k, k
+        star_sizes.append(len(res.cover))
     spot = min_cover_exact(gen_star_subdivision(2, 2).graph, F(3, 5), ROW_BUDGET)
-    assert spot.optimal and spot.size == 5
+    assert spot.proven and len(spot.cover) == 5
     print("\ncriterion 4: PASS - triangle-hub optima (k+1, 2k) for k in 3..5; "
           f"path variant optima (10, 15); star optima {star_sizes}")
 
@@ -187,7 +187,7 @@ def test_criterion_5_factor_soundness(suite_rows):
     for row in rows:
         if not row.exact.optimal:
             continue
-        ratio = F(len(row.approx.cover), row.exact.size)
+        ratio = F(len(row.approx.cover), len(row.exact.cover))
         assert ratio <= row.approx.claimed_factor, (
             row.name, str(row.delta), row.approx.regime, str(ratio))
         compared += 1
@@ -206,7 +206,7 @@ def test_criterion_6_structural_bounds(atlas_suite, suite_rows):
         one = exact_at[(name, F(1))]
         assert one.optimal
         ge = gallai_edmonds(g)
-        assert one.size <= F(g.n + ge.c_ge3, 2) <= F(2 * g.n, 3), name
+        assert len(one.cover) <= F(g.n + ge.c_ge3, 2) <= F(2 * g.n, 3), name
     below_one = [d for d in DELTAS if d < 1]
     half_checked = edge_checked = 0
     for name, g in atlas_suite:
@@ -215,10 +215,10 @@ def test_criterion_6_structural_bounds(atlas_suite, suite_rows):
             if not res.optimal:
                 continue
             if not is_forest(g):
-                assert res.size >= F(g.n, 2), (name, str(delta))
+                assert len(res.cover) >= F(g.n, 2), (name, str(delta))
                 half_checked += 1
             if delta < F(1, 2):
-                assert res.size >= g.m, (name, str(delta))
+                assert len(res.cover) >= g.m, (name, str(delta))
                 edge_checked += 1
     print(f"\ncriterion 6: PASS - matching-census bounds on all 142 graphs; "
           f"half-|V| bound on {half_checked} rows, |E| bound on {edge_checked} rows")
@@ -262,8 +262,8 @@ def test_criterion_7_probes_and_greedy(atlas_suite, suite_rows):
     for row in rows:
         if not row.exact.optimal:
             continue
-        bound = harmonic_number(row.universe_size) * row.exact.size
-        assert row.greedy.size <= bound, (row.name, str(row.delta))
+        bound = harmonic_number(row.universe_size) * len(row.exact.cover)
+        assert len(row.greedy.cover) <= bound, (row.name, str(row.delta))
         greedy_checked += 1
     print(f"\ncriterion 7: PASS - {probes_run} random probes agree with interval "
           f"verification on {len(PROBE_CASES)} instances; greedy within H(|U|) "

@@ -27,9 +27,12 @@ from deltacover import (
     min_cover_exact,
     one_cover_min,
     translate_cover_up,
+    tree_cover,
+    unit_fraction_cover,
     vertex_set_interval,
 )
 from deltacover.approx import small_delta_interval
+from deltacover.bench import run_row
 from deltacover.families import gen_triangles_center, gen_triangles_paths, gen_ugc_gadget
 from conftest import clear_library_caches, cycle, grid, k_n, path, star
 from oracles import (
@@ -71,8 +74,7 @@ def test_routing_equals_the_fraction_chain():
     for g in (k_n(4), cycle(5), grid(3, 4), path(5), two_components):
         for delta in sorted(radii):
             rep = approx_cover(g, delta)
-            got = (rep.cover.points, rep.regime, rep.param, rep.epsilon, rep.claimed_factor,
-                   rep.avg_degree)
+            got = (rep.cover.points, rep.regime, rep.param, rep.epsilon, rep.claimed_factor)
             assert got == approx_by_fraction_chain(g, delta), (g.edges, delta)
 
 
@@ -227,6 +229,57 @@ def test_every_regime_verifies_once(verifier_calls):
     assert regimes == ALL_REGIMES
 
 
+def test_polynomial_routes_run_no_branch_and_bound(monkeypatch):
+    # With solve_exact raising wherever the library binds it, every route
+    # the paper calls polynomial still answers: none hides the search.
+    import deltacover.approx
+    import deltacover.solver
+
+    def no_search(inst, budget=None):
+        raise AssertionError("a polynomial route ran the branch and bound")
+
+    monkeypatch.setattr(deltacover.solver, "solve_exact", no_search)
+    monkeypatch.setattr(deltacover.approx, "solve_exact", no_search)
+    g = grid(3, 4)  # m = 17 >= n = 12 and >= x, so the vertex-set route takes V
+    one_cover_min(g)
+    unit_fraction_cover(g, 4)
+    tree_cover(path(7), F(3, 5))
+    radii = [F(1, 3), F(2, 7), F(2, 5), F(4, 7), F(3, 5), F(7, 10), F(4, 5), F(8, 7), F(6, 5),
+             F(4, 3), F(2)]
+    assert {approx_cover(g, delta).regime for delta in radii} == ALL_REGIMES
+
+
+def test_every_graph_level_call_returns_one_report_type():
+    import deltacover.approx
+
+    g, forest = grid(3, 4), path(7)
+    exact_calls = [
+        (F(2, 3), min_cover_exact(g, F(2, 3))),
+        (F(3, 5), tree_cover(forest, F(3, 5))),
+        (F(1, 3), unit_fraction_cover(g, 3)),
+        (F(1), one_cover_min(g)),
+    ]
+    approx_calls = [
+        (F(2, 3), approx_cover(g, F(2, 3))),
+        (F(8, 7), cover_via_one_cover(g, F(8, 7))),
+        (F(4, 7), cover_vertex_set(g, F(4, 7))),
+        (F(7, 10), cover_leaf_level(g, F(7, 10))),
+        (F(2, 7), cover_small_delta_even(g, 1, F(2, 7))),
+        (F(2, 5), cover_small_delta_odd(g, 1, F(2, 5))),
+    ]
+    for delta, rep in exact_calls + approx_calls:
+        assert isinstance(rep, deltacover.approx.RatioReport), delta
+        assert rep.cover.delta == delta and rep.proven
+    for _, rep in exact_calls:
+        assert (rep.claimed_factor, rep.regime) == (1, "exact")
+    # An exact search that runs out of nodes says so, and the bench row
+    # built on it records no proven oracle optimum.
+    assert min_cover_exact(cycle(5), F(11, 21), Budget(max_nodes=0)).proven is False
+    row = run_row("c5", "file", cycle(5), F(11, 21), Budget(max_nodes=0))
+    assert row.oracle_optimal is False and row.as_record()["oracle_optimal"] == 0
+    assert row.oracle_size is None and row.ratio is None
+
+
 def test_clearing_the_caches_empties_every_memo():
     # perfbench's clear_caches follows the same rule as clear_library_caches,
     # so a memo it could not empty would let a timed pass start warm.
@@ -353,11 +406,11 @@ def test_a_route_that_drops_a_point_is_caught_at_the_boundary(monkeypatch):
     def drop_one(sub, delta, budget):
         # Drop the first point that the component cannot do without.
         part = real(sub, delta, budget)
-        for p in sorted(part.points):
-            rest = part.points - {p}
+        for p in sorted(part.cover.points):
+            rest = part.cover.points - {p}
             if not is_delta_cover(sub, Cover(rest, delta), delta).is_cover:
                 broken.add(part.regime)
-                return dataclasses.replace(part, points=rest)
+                return dataclasses.replace(part, cover=Cover(rest, delta))
         raise AssertionError(f"every point of the {part.regime} cover is redundant")
 
     monkeypatch.setattr(deltacover.approx, "_component_part", drop_one)
@@ -384,7 +437,7 @@ def test_small_odd_runs_one_edmonds_search(monkeypatch):
         rep = cover_small_delta_odd(g, 1, F(2, 5))
         # One search, on g: the 1/3-cover is g's 1-cover translated down.
         assert searched == [g.n]
-        assert len(rep.cover) == g.m + one_cover_min(g).size
+        assert len(rep.cover) == g.m + len(one_cover_min(g).cover)
 
 
 def test_leaf_level_output_is_a_two_thirds_cover(atlas_suite):
@@ -591,10 +644,10 @@ def test_translate_optimal_gives_optimal(oracle):
         for d in (F(1), F(3, 2)):
             d_prime = d / (2 * d + 1)
             inner = min_cover_exact(g, d_prime)
-            assert inner.optimal
+            assert inner.proven
             out = translate_cover_up(g, inner.cover)
             opt = oracle.opt(g, d)
-            assert inner.size == opt + g.m
+            assert len(inner.cover) == opt + g.m
             assert len(out) == opt
             assert is_delta_cover(g, out, d).is_cover
 

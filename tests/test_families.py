@@ -29,10 +29,10 @@ def assert_known_values(inst, budget=Budget(max_seconds=10)):
     for kv in inst.known_values:
         result = min_cover_exact(inst.graph, kv.delta, budget)
         if kv.label == "optimal":
-            if result.optimal:
-                assert result.size == kv.size, (inst.family, inst.params, str(kv.delta))
+            if result.proven:
+                assert len(result.cover) == kv.size, (inst.family, inst.params, str(kv.delta))
         else:
-            assert result.size <= kv.size or not result.optimal
+            assert len(result.cover) <= kv.size or not result.proven
 
 
 def test_triangles_center_shape():
@@ -58,10 +58,10 @@ def test_triangles_center_ratio_trend():
         assert ratio > prev
         prev = ratio
         opt54 = min_cover_exact(inst.graph, F(5, 4), Budget(max_seconds=10))
-        assert opt54.optimal and opt54.size == k + 1
+        assert opt54.proven and len(opt54.cover) == k + 1
         if k <= 5:
             opt1 = min_cover_exact(inst.graph, F(1), Budget(max_seconds=10))
-            assert opt1.optimal and opt1.size == 2 * k
+            assert opt1.proven and len(opt1.cover) == 2 * k
 
 
 def test_triangles_paths_per_vertex_shape_and_values():
@@ -70,7 +70,7 @@ def test_triangles_paths_per_vertex_shape_and_values():
     values = {kv.delta: kv.size for kv in inst.known_values}
     assert values == {F(7, 6): 10, F(1): 15}
     opt1 = min_cover_exact(inst.graph, F(1), Budget(max_seconds=10))
-    assert opt1.optimal and opt1.size == 15
+    assert opt1.proven and len(opt1.cover) == 15
 
 
 def test_triangles_paths_per_triangle_values():
@@ -79,7 +79,7 @@ def test_triangles_paths_per_triangle_values():
     values = {kv.delta: kv.size for kv in inst.known_values}
     assert values == {F(9, 8): 7, F(1): 9}
     opt1 = min_cover_exact(inst.graph, F(1), Budget(max_seconds=10))
-    assert opt1.optimal and opt1.size == 9
+    assert opt1.proven and len(opt1.cover) == 9
 
 
 def test_triangles_paths_path_len_one_is_center_family():
@@ -110,11 +110,11 @@ def test_star_subdivision_counts_and_tree_values():
     for k in (1, 2, 3):
         inst = gen_star_subdivision(2, k)
         res = tree_cover(inst.graph, F(3, 5))
-        assert res.size == 1 + 2 * k
+        assert len(res.cover) == 1 + 2 * k
     inst = gen_star_subdivision(3, 3)
     upper = inst.known_values[0]
     assert upper.delta == F(4, 7) and upper.size == 10
-    assert tree_cover(inst.graph, F(4, 7)).size <= 10
+    assert len(tree_cover(inst.graph, F(4, 7)).cover) <= 10
 
 
 def test_star_subdivision_construction_covers():

@@ -70,6 +70,8 @@ def test_build_rejections():
         Graph([(0, 1), (1, 0)])
     with pytest.raises(GraphValidationError, match="outside"):
         Graph([(0, 5)], n=3)
+    with pytest.raises(GraphValidationError, match="negative vertex count -2"):
+        Graph([], n=-2)
 
 
 def test_adjacency_is_ascending_whatever_the_edge_order():

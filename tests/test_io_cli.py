@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -117,6 +118,34 @@ def test_cli_budget_exit_code(tmp_path):
     rc = main(["solve", "--delta", "2/5", "--input", str(gpath),
                "--budget-nodes", "2"])
     assert rc == 2
+
+
+def test_cli_solve_prints_one_line_per_mode(tmp_path, capsys):
+    gpath = tmp_path / "c5.graph"
+    write_graph_file(gpath, cycle(5))
+    solve = ["solve", "--input", str(gpath)]
+    assert main(solve + ["--delta", "2/3"]) == 0
+    assert re.fullmatch(r"size 4 optimal True nodes \d+ elapsed \d+\.\d{3}s\n",
+                        capsys.readouterr().out)
+    assert main(solve + ["--delta", "2/3", "--greedy"]) == 0
+    assert re.fullmatch(r"size 4 optimal False nodes 0 elapsed \d+\.\d{3}s\n",
+                        capsys.readouterr().out)
+    # The unit-fraction route runs no search: one 1-cover of 3, plus 5 points.
+    assert main(solve + ["--unit-fraction", "3"]) == 0
+    assert capsys.readouterr().out == "size 8 optimal True\n"
+    kpath = tmp_path / "k5.graph"
+    write_graph_file(kpath, k_n(5))
+    assert main(["solve", "--input", str(kpath), "--delta", "2/5", "--budget-nodes", "2"]) == 2
+    assert re.fullmatch(r"size \d+ optimal False nodes 3 elapsed \d+\.\d{3}s\n",
+                        capsys.readouterr().out)
+
+
+def test_cli_rejects_a_negative_vertex_count(tmp_path, capsys):
+    gpath = tmp_path / "neg.graph"
+    gpath.write_text("p -2 0\n")
+    for command in (["approx", "--delta", "1/2"], ["solve", "--delta", "1/2"]):
+        assert main(command + ["--input", str(gpath)]) == 3, command
+        assert "negative vertex count -2" in capsys.readouterr().err
 
 
 def test_cli_usage_errors(tmp_path):

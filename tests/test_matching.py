@@ -87,23 +87,23 @@ def test_gallai_edmonds_p3():
 
 
 def test_one_cover_examples(oracle):
-    assert one_cover_min(path(2)).size == 1
-    assert one_cover_min(cycle(4)).size == 2
+    assert len(one_cover_min(path(2)).cover) == 1
+    assert len(one_cover_min(cycle(4)).cover) == 2
     g3 = gen_triangles_center(3).graph
-    assert one_cover_min(g3).size == 6
+    assert len(one_cover_min(g3).cover) == 6
 
 
 def test_one_cover_bounds_on_suite(atlas_suite):
     for _, g in atlas_suite:
         res = one_cover_min(g)
         ge = gallai_edmonds(g)
-        assert res.size <= F(g.n + ge.c_ge3, 2) <= F(2 * g.n, 3)
+        assert len(res.cover) <= F(g.n + ge.c_ge3, 2) <= F(2 * g.n, 3)
 
 
 def test_unit_fraction_examples():
-    assert unit_fraction_cover(Graph([(0, 1)]), 2).size == 1
-    assert unit_fraction_cover(cycle(4), 2).size == 4
-    assert unit_fraction_cover(cycle(4), 3).size == 6  # one extra point per edge
+    assert len(unit_fraction_cover(Graph([(0, 1)]), 2).cover) == 1
+    assert len(unit_fraction_cover(cycle(4), 2).cover) == 4
+    assert len(unit_fraction_cover(cycle(4), 3).cover) == 6  # one extra point per edge
 
 
 def test_unit_fraction_matches_direct_oracle(oracle):
@@ -112,30 +112,30 @@ def test_unit_fraction_matches_direct_oracle(oracle):
     for g in graphs:
         for b in (1, 2, 3, 4):
             via_subdivision = unit_fraction_cover(g, b)
-            assert via_subdivision.optimal
+            assert via_subdivision.proven
             direct = oracle.opt(g, F(1, b))
-            assert direct == via_subdivision.size
+            assert direct == len(via_subdivision.cover)
 
 
 def test_unit_fraction_cover_reads_no_budget():
     res = unit_fraction_cover(grid(8, 8), 3, Budget(max_nodes=1))
-    assert res.optimal and res.nodes_explored == 0
-    assert res.size == 144
+    assert res.proven
+    assert len(res.cover) == 144
 
 
 def test_one_cover_on_long_path_and_cycle():
     long_path = path(1199)
     res = one_cover_min(long_path)
-    assert res.optimal and res.size == 600 == tree_cover(long_path, F(1)).size
+    assert res.proven and len(res.cover) == 600 == len(tree_cover(long_path, F(1)).cover)
     long_cycle = cycle(1200)
-    assert one_cover_min(long_cycle).size == 600
+    assert len(one_cover_min(long_cycle).cover) == 600
     assert gallai_edmonds(long_cycle).C == frozenset(range(1200))
 
 
 def test_tree_cover_examples():
-    assert tree_cover(Graph([(0, 1)]), F(1, 2)).size == 1
-    assert tree_cover(path(6), F(3, 5)).size == 5
-    assert tree_cover(star(3), F(1)).size == 1
+    assert len(tree_cover(Graph([(0, 1)]), F(1, 2)).cover) == 1
+    assert len(tree_cover(path(6), F(3, 5)).cover) == 5
+    assert len(tree_cover(star(3), F(1)).cover) == 1
 
 
 def test_tree_cover_rejects_cycles():
@@ -151,7 +151,7 @@ def test_tree_cover_verifies_and_is_minimal(oracle, small_trees):
         for d in deltas:
             res = tree_cover(g, d)
             assert is_delta_cover(g, res.cover, d).is_cover
-            assert res.size == oracle.opt(g, d), (name, str(d))
+            assert len(res.cover) == oracle.opt(g, d), (name, str(d))
 
 
 def test_tree_climb_equals_the_fraction_climb_on_shuffled_trees():
@@ -233,11 +233,12 @@ def test_a_core_that_drops_a_point_raises_internal_consistency_error(monkeypatch
     def solve_exact(inst, budget):
         res = real_exact(inst, budget)
         rest = _without_a_needed_point(g, res.cover.points, inst.delta)
-        return dataclasses.replace(res, cover=Cover(rest, inst.delta), size=len(rest))
+        return dataclasses.replace(res, cover=Cover(rest, inst.delta))
 
     def component_part(h, delta, budget):
         part = real_part(h, delta, budget)
-        return dataclasses.replace(part, points=_without_a_needed_point(h, part.points, delta))
+        rest = _without_a_needed_point(h, part.cover.points, delta)
+        return dataclasses.replace(part, cover=Cover(rest, delta))
 
     monkeypatch.setattr(deltacover.matching, "_one_cover", one_cover)
     monkeypatch.setattr(deltacover.matching, "_unit_fraction_cover", unit_fraction)
@@ -267,7 +268,7 @@ def test_one_cover_of_a_subdivision_covers_it(atlas_suite):
             inner = _one_cover(sub, gallai_edmonds(sub))
             assert is_delta_cover(sub, inner, F(1)).is_cover
             back = {project_point_by_fractions(g, paths, b, p) for p in inner.points}
-            assert len(back) == len(inner) == unit_fraction_cover(g, b).size
+            assert len(back) == len(inner) == len(unit_fraction_cover(g, b).cover)
 
 
 def count_builds_and_subdivisions(monkeypatch) -> tuple[list, list]:
@@ -298,7 +299,7 @@ def test_the_unit_fraction_route_builds_no_graph_and_pulls_nothing_back(monkeypa
     assert built == [] and subdivided == []
     monkeypatch.undo()
     assert is_delta_cover(g, cover, F(1, 3)).is_cover
-    assert len(cover) == min_cover_exact(g, F(1, 3)).size
+    assert len(cover) == len(min_cover_exact(g, F(1, 3)).cover)
 
 
 def test_a_unit_fraction_sweep_runs_one_edmonds_search_and_no_subdivision(monkeypatch):
@@ -312,7 +313,7 @@ def test_a_unit_fraction_sweep_runs_one_edmonds_search_and_no_subdivision(monkey
 
     monkeypatch.setattr(deltacover.matching, "gallai_edmonds", gallai_edmonds_counted)
     built, subdivided = count_builds_and_subdivisions(monkeypatch)
-    sizes = [unit_fraction_cover(g, b).size for b in range(1, 7)]
+    sizes = [len(unit_fraction_cover(g, b).cover) for b in range(1, 7)]
     assert searched == [g] and built == [] and subdivided == []
     # Each step of two in b adds one point per edge: 1/(2k+1) from the
     # 1-cover, 1/(2k+2) from the 1/2-cover (all 12 vertices).
@@ -322,7 +323,7 @@ def test_a_unit_fraction_sweep_runs_one_edmonds_search_and_no_subdivision(monkey
 def test_unit_fraction_covers_are_minimum_on_the_atlas(atlas_suite, oracle):
     for name, g in atlas_suite:
         for b in range(1, 6):
-            assert unit_fraction_cover(g, b).size == oracle.opt(g, F(1, b)), (name, b)
+            assert len(unit_fraction_cover(g, b).cover) == oracle.opt(g, F(1, b)), (name, b)
 
 
 def test_translate_cover_down_rejects_a_non_cover():

@@ -83,12 +83,12 @@ def test_root_core_equals_the_subset_definition():
 
 
 def test_exact_small_sizes():
-    assert min_cover_exact(cycle(4), F(1)).size == 2
-    assert min_cover_exact(k_n(3), F(1)).size == 2
-    assert min_cover_exact(path(6), F(3, 5)).size == 5
-    assert min_cover_exact(Graph([(0, 1)]), F(1, 4)).size == 2
-    assert min_cover_exact(k_n(3), F(2)).size == 1
-    assert min_cover_exact(cycle(4), F(1, 2)).size == 4
+    assert len(min_cover_exact(cycle(4), F(1)).cover) == 2
+    assert len(min_cover_exact(k_n(3), F(1)).cover) == 2
+    assert len(min_cover_exact(path(6), F(3, 5)).cover) == 5
+    assert len(min_cover_exact(Graph([(0, 1)]), F(1, 4)).cover) == 2
+    assert len(min_cover_exact(k_n(3), F(2)).cover) == 1
+    assert len(min_cover_exact(cycle(4), F(1, 2)).cover) == 4
 
 
 def test_exact_matches_brute_enumeration():
@@ -101,7 +101,7 @@ def test_exact_matches_brute_enumeration():
         assert result.optimal
         masks = inst.masks
         full = (1 << len(inst.universe)) - 1
-        assert result.size == brute_set_cover_size(masks, full, result.size + 1)
+        assert len(result.cover) == brute_set_cover_size(masks, full, len(result.cover) + 1)
 
 
 def test_exact_proves_dense_atlas_graphs_at_three_eighths():
@@ -114,7 +114,7 @@ def test_exact_proves_dense_atlas_graphs_at_three_eighths():
         g = Graph(sorted(tuple(sorted(e)) for e in h.edges()), n=h.number_of_nodes())
         result = solve_exact(build_set_cover(g, F(3, 8)), budget)
         assert result.optimal, (index, result.nodes_explored)
-        assert result.size == size, index
+        assert len(result.cover) == size, index
 
 
 def test_exact_size_invariant_under_permutation():
@@ -122,7 +122,7 @@ def test_exact_size_invariant_under_permutation():
 
     g = cycle(5)
     inst = build_set_cover(g, F(2, 3))
-    base = solve_exact(inst).size
+    base = len(solve_exact(inst).cover)
     assert base == 4  # ceil(5 / (2 * 2/3))
     rng = random.Random(3)
     for _ in range(3):
@@ -138,7 +138,7 @@ def test_exact_size_invariant_under_permutation():
             tuple(sum(1 << upos[e] for e in range(len(uperm)) if inst.masks[i] >> e & 1)
                   for i in cperm),
         )
-        assert solve_exact(shuffled).size == base
+        assert len(solve_exact(shuffled).cover) == base
 
 
 def test_one_candidate_leaf_proves_atlas52_within_100_nodes(atlas_suite):
@@ -146,7 +146,7 @@ def test_one_candidate_leaf_proves_atlas52_within_100_nodes(atlas_suite):
     # spending a bound, a component split and one child per candidate.
     g = dict(atlas_suite)["atlas52"]
     res = min_cover_exact(g, F(5, 4), Budget(max_nodes=100, max_seconds=1e9))
-    assert res.optimal and res.size == 3
+    assert res.proven and len(res.cover) == 3
 
 
 def _vertex_instance(sets: list[set[int]], n_elems: int) -> SetCoverInstance:
@@ -205,7 +205,7 @@ def test_rarest_first_incumbent_proves_atlas173_at_two_fifths(atlas_suite):
     # it there unproven.
     g = dict(atlas_suite)["atlas173"]
     res = min_cover_exact(g, F(2, 5), Budget(max_nodes=1000, max_seconds=1e9))
-    assert res.optimal and res.size == 10
+    assert res.proven and len(res.cover) == 10
 
 
 def test_exact_proves_atlas207_and_atlas161_within_1000_nodes(atlas_suite):
@@ -215,7 +215,7 @@ def test_exact_proves_atlas207_and_atlas161_within_1000_nodes(atlas_suite):
     budget = Budget(max_nodes=1000, max_seconds=1e9)
     for name, delta, size in (("atlas207", F(1, 3), 17), ("atlas161", F(2, 5), 10)):
         res = min_cover_exact(graphs[name], delta, budget)
-        assert res.optimal and res.size == size, (name, res.nodes_explored)
+        assert res.proven and len(res.cover) == size, name
 
 
 def test_sibling_nested_below_the_root_is_skipped():
@@ -231,16 +231,16 @@ def test_sibling_nested_below_the_root_is_skipped():
     inst = _vertex_instance([{u, v} for u, v in edges], 8)
     res = solve_exact(inst)
     assert res.optimal
-    assert res.size == brute_set_cover_size(list(inst.masks), (1 << 8) - 1, len(edges)) == 4
+    assert len(res.cover) == brute_set_cover_size(list(inst.masks), (1 << 8) - 1, len(edges)) == 4
     assert res.nodes_explored == 7
 
 
 def test_greedy_basics():
     g = Graph([(0, 1)])
-    assert solve_greedy(build_set_cover(g, F(1))).size == 1
+    assert len(solve_greedy(build_set_cover(g, F(1))).cover) == 1
     c4 = cycle(4)
     r = solve_greedy(build_set_cover(c4, F(1)))
-    assert r.size == 2
+    assert len(r.cover) == 2
     assert not r.optimal
 
 
@@ -250,16 +250,17 @@ def test_greedy_star_subdivided():
     g = subdivide(base, 3)
     exact = min_cover_exact(g, F(3, 2))
     greedy = solve_greedy(build_set_cover(g, F(3, 2)))
-    assert exact.size == 5
-    assert greedy.size >= 2
-    assert greedy.size >= exact.size
-    assert greedy.size <= harmonic_number(len(build_set_cover(g, F(3, 2)).universe)) * exact.size
+    assert len(exact.cover) == 5
+    assert len(greedy.cover) >= 2
+    assert len(greedy.cover) >= len(exact.cover)
+    bound = harmonic_number(len(build_set_cover(g, F(3, 2)).universe)) * len(exact.cover)
+    assert len(greedy.cover) <= bound
 
 
 def test_results_verify_and_budget_flag():
     g = k_n(4)
     res = min_cover_exact(g, F(2, 3))
-    assert res.optimal and is_delta_cover(g, res.cover).is_cover
+    assert res.proven and is_delta_cover(g, res.cover).is_cover
     starved = solve_exact(build_set_cover(g, F(2, 3)), Budget(max_nodes=1))
     assert not starved.optimal
     assert is_delta_cover(g, starved.cover, F(2, 3)).is_cover

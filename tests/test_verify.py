@@ -17,6 +17,7 @@ from deltacover import (
     unit_fraction_cover,
     verify,
 )
+from deltacover.graphs import _hop_row
 from deltacover.solver import CellMidpoints, GridPoints
 from deltacover.verify import require_cover, require_output
 from conftest import cycle, grid, k_n, path
@@ -141,8 +142,8 @@ def test_verifier_never_reads_the_distance_table():
             with pytest.raises(InvalidCoverError) as err:
                 require_cover(g, cover, "table-free")
             assert err.value.witness == report.witness
-        # No hop row was computed on the graph's point_distance cache.
-        assert g._hop_rows == {}
+        # No hop row was computed in point_distance's memo.
+        assert _hop_row.cache_info().currsize == 0
         assert report == interval_verify(g, cover, cover.delta)
     assert verdicts == [False, True, False, True]
 
