@@ -1,15 +1,15 @@
 """Range-dispatched approximation algorithms with proven guarantees.
 
-Every connected component is routed by the covering radius: forests and
+Every connected component is routed by the covering radius: trees and
 unit fractions solve exactly, large radii fall back to greedy set cover,
 and each remaining interval gets the algorithm whose factor is proven for
 it.  Each report carries the factor actually claimed for the instance.
 
-Each regime has one core: it takes a connected graph and returns the
-unverified ``RatioReport`` of its route.  ``_per_component`` runs a core on
-every component and unions the reports; ``approx_cover`` and the public
-routes verify their answer once, at the public boundary, through
-``_verified``.
+Each regime has one core: it takes a connected graph that is not a tree
+and returns the unverified ``RatioReport`` of its route.
+``_per_component`` is the one component loop of ``approx_cover`` and of
+the five public routes: it solves tree components exactly, runs the core
+on every other component, unions the reports and verifies the union once.
 
 Routing reads delta = p/q as its integer numerator and denominator.  Each
 regime boundary a/b is one cross-multiplication, delta >= a/b iff
@@ -36,7 +36,6 @@ from .graphs import (
     _traversal,
     graph_memo,
     induced_subgraph,
-    is_forest,
     relabel_points,
 )
 from .matching import (
@@ -62,36 +61,39 @@ FIVE_THIRDS = Fraction(5, 3)
 TWO = Fraction(2)
 
 
-def _verified(g: Graph, report: RatioReport, what: str) -> RatioReport:
-    """``report`` once its cover has passed ``require_output`` on g."""
-    require_output(g, report.cover, what)
-    return report
+def _tree_part(g: Graph, delta: Fraction) -> RatioReport:
+    """The minimum delta-cover of the tree g (Hartmann-Lendl-Woeginger)."""
+    return RatioReport(Cover(frozenset(_tree_points(g, delta)), delta), ONE, "exact")
 
 
-def _per_component(g: Graph, delta: Fraction, core) -> RatioReport:
-    """Run ``core(sub, delta)`` on each connected component and union the reports.
+def _per_component(g: Graph, delta: Fraction, core, what: str) -> RatioReport:
+    """Solve each connected component, union the reports, verify the union once.
 
-    A connected g goes to the core whole, and its report is the answer as
-    it is.  Otherwise the union claims the largest factor, and the regime
-    and param of the last report that is not exact (with the last epsilon
-    any of those gave); it is proven when every report is.  Unverified.
+    Trees (m = n - 1, an isolated vertex included) are solved exactly and
+    ``core(sub, delta)`` answers every other component; a connected g is
+    not copied, and its report is the answer.  A union claims the largest
+    factor, the regime and param of the last part that is not exact (and
+    the last epsilon given), and is proven when every part is.
     """
     comps = _traversal(g).components
     if len(comps) == 1:
-        return core(g, delta)
-    pieces: list[frozenset[Point]] = []
-    claimed, regime, param, epsilon, proven = ONE, "exact", None, None, True
-    for comp in comps:
-        sub, old = induced_subgraph(g, comp)
-        part = core(sub, delta)
-        pieces.append(relabel_points(part.cover.points, old))
-        claimed = max(claimed, part.claimed_factor)
-        proven = proven and part.proven
-        if part.regime != "exact":
-            regime, param = part.regime, part.param
-            epsilon = part.epsilon if part.epsilon is not None else epsilon
-    return RatioReport(Cover(frozenset().union(*pieces), delta), claimed, regime, param, epsilon,
-                       proven)
+        report = _tree_part(g, delta) if g.m == g.n - 1 else core(g, delta)
+    else:
+        pieces: list[frozenset[Point]] = []
+        claimed, regime, param, epsilon, proven = ONE, "exact", None, None, True
+        for comp in comps:
+            sub, old = induced_subgraph(g, comp)
+            part = _tree_part(sub, delta) if sub.m == sub.n - 1 else core(sub, delta)
+            pieces.append(relabel_points(part.cover.points, old))
+            claimed = max(claimed, part.claimed_factor)
+            proven = proven and part.proven
+            if part.regime != "exact":
+                regime, param = part.regime, part.param
+                epsilon = part.epsilon if part.epsilon is not None else epsilon
+        report = RatioReport(Cover(frozenset().union(*pieces), delta), claimed, regime, param,
+                             epsilon, proven)
+    require_output(g, report.cover, what)
+    return report
 
 
 @graph_memo
@@ -156,22 +158,20 @@ def _one_cover_part(g: Graph, delta: Fraction) -> RatioReport:
 def cover_via_one_cover(g: Graph, delta: Fraction) -> RatioReport:
     """For radii just above 1, an optimal 1-cover is a bounded-factor answer.
 
-    A 1-cover is a delta-cover for every delta >= 1; the cover is verified
-    once, on g.
+    A 1-cover is a delta-cover for every delta >= 1; each non-tree
+    component claims the factor of delta's interval, and trees are exact.
     """
     p, q = delta.numerator, delta.denominator
     if not (q < p and 2 * p < 3 * q):
         raise ValueError(f"delta {delta} outside (1, 3/2)")
-    return _verified(g, _one_cover_part(g, delta), "1-cover route")
+    return _per_component(g, delta, _one_cover_part, "1-cover route")
 
 
 def _vertex_set_part(g: Graph, delta: Fraction, x: int, budget: Budget) -> RatioReport:
     """The claim (x+1)/x is proven unless the exact sub-solve ran out of budget."""
     proven = True
-    if g.m >= g.n and g.m >= x:
+    if g.m >= x:
         points = _vertices(g)
-    elif g.m == g.n - 1:
-        points = frozenset(_tree_points(g, delta))
     else:
         result = solve_exact(build_set_cover(g, delta), budget)
         points, proven = result.cover.points, result.optimal
@@ -187,8 +187,8 @@ def cover_vertex_set(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET)
     union is verified once, on g; the sub-solves are not verified apart.
     """
     x = vertex_set_interval(delta)
-    report = _per_component(g, delta, lambda sub, d: _vertex_set_part(sub, d, x, budget))
-    return _verified(g, report, "vertex-set route")
+    return _per_component(g, delta, lambda sub, d: _vertex_set_part(sub, d, x, budget),
+                          "vertex-set route")
 
 
 def _leaf_level_part(g: Graph, delta: Fraction) -> RatioReport:
@@ -206,15 +206,13 @@ def _leaf_level_part(g: Graph, delta: Fraction) -> RatioReport:
 def cover_leaf_level(g: Graph, delta: Fraction) -> RatioReport:
     """Leaf-edge points at 2/3, a vertex cover among leaf-neighbors, the rest.
 
-    The output is a 2/3-cover of any graph whose components are not trees,
-    hence a delta-cover throughout [2/3, 3/4).  It is verified once, on g.
+    On each non-tree component this is a 2/3-cover, hence a delta-cover
+    throughout [2/3, 3/4), within 3/2 of the optimum; trees are exact.
     """
     p, q = delta.numerator, delta.denominator
     if not (2 * q <= 3 * p and 4 * p < 3 * q):
         raise ValueError(f"delta {delta} outside [2/3, 3/4)")
-    if is_forest(g):
-        raise ValueError("leaf-level algorithm expects non-tree input")
-    return _verified(g, _leaf_level_part(g, delta), "leaf-level route")
+    return _per_component(g, delta, _leaf_level_part, "leaf-level route")
 
 
 def small_delta_interval(delta: Fraction) -> tuple[str, int]:
@@ -239,20 +237,11 @@ def _small_even_part(g: Graph, delta: Fraction, k: int) -> RatioReport:
     For delta = p/q in (1/(2k+2), 1/(2k+1)), (k - 1)delta < 1/2, so every
     offset lies strictly inside (0, 1) and each point is built already
     normalized on the canonical edge (u, v), u < v.  An offset is
-    (q + 2(2j - k - 1)p)/(2q), checked on its numerator.  With average
-    degree 2m/n, the factor 1 + 1/(k*avg + 1) is (2km + 2n)/(2km + n).
+    (q + 2(2j - k - 1)p)/(2q).  With average degree 2m/n, the factor
+    1 + 1/(k*avg + 1) is (2km + 2n)/(2km + n).
     """
     p, q = delta.numerator, delta.denominator
-    inner = []
-    for j in range(1, k + 1):
-        a = q + 2 * (2 * j - k - 1) * p
-        if 0 < a < 2 * q:
-            inner.append(Fraction(a, 2 * q))
-        elif g.edges:
-            # Only a k out of range for delta gets here: offset 0 or 1 is a
-            # vertex, already in the cover, and any other offset raises
-            # InvalidPointError on the first edge.
-            Point.on_edge(*g.edges[0], Fraction(a, 2 * q))
+    inner = [Fraction(q + 2 * (2 * j - k - 1) * p, 2 * q) for j in range(1, k + 1)]
     points = _vertices(g).union(map(_make_point, [(u, v, t) for u, v in g.edges for t in inner]))
     km = k * g.m
     factor = Fraction(2 * (km + g.n), 2 * km + g.n) if g.m else ONE
@@ -262,17 +251,19 @@ def _small_even_part(g: Graph, delta: Fraction, k: int) -> RatioReport:
 def cover_small_delta_even(g: Graph, k: int, delta: Fraction) -> RatioReport:
     """All vertices plus k evenly spread interior points per edge.
 
-    Valid whenever delta > 1/(2k+2); the guarantee 1 + 1/(k*avg_degree + 1)
-    holds per connected component against non-tree components, which is
-    all the dispatcher sends.  The cover is verified once, on g.
+    Its factor 1 + 1/(k*avg_degree + 1) is proven per non-tree component
+    for delta in (1/(2k+2), 1/(2k+1)) only; any other delta raises
+    ValueError, and trees are solved exactly.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     p, q = delta.numerator, delta.denominator
     if q >= (2 * k + 2) * p:  # delta <= 1/(2k+2)
         raise ValueError(f"k = {k} needs delta > 1/{2 * k + 2}, got {delta}")
-    report = _per_component(g, delta, lambda sub, d: _small_even_part(sub, d, k))
-    return _verified(g, report, "small-delta even route")
+    if (2 * k + 1) * p >= q:  # delta >= 1/(2k+1)
+        raise ValueError(f"k = {k} needs delta < 1/{2 * k + 1}, got {delta}")
+    return _per_component(g, delta, lambda sub, d: _small_even_part(sub, d, k),
+                          "small-delta even route")
 
 
 def _small_odd_part(g: Graph, delta: Fraction, k: int) -> RatioReport:
@@ -295,21 +286,26 @@ def _small_odd_part(g: Graph, delta: Fraction, k: int) -> RatioReport:
 
 
 def cover_small_delta_odd(g: Graph, k: int, delta: Fraction) -> RatioReport:
-    """A minimum 1/(2k+1)-cover, reused for every delta above 1/(2k+1).
+    """A minimum 1/(2k+1)-cover, reused for every delta in [1/(2k+1), 1/(2k)).
 
     Its size is exactly k|E| plus the minimum 1-cover, and any delta-cover
     for delta < 1/(2k) needs at least k|E| points, which yields the factor
-    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps).  The cover is g's minimum
-    1-cover translated down by k (``translate_cover_down``), and eps comes
-    from the split of g; both read the matching memos, so g takes one
-    Edmonds search the first time it is seen and none after.  The cover is
-    verified once per call, on g.
+    min(1 + 4/(3k*avg_degree), 1 + 1/(2k) + eps) per non-tree component;
+    any other delta raises ValueError, and trees are solved exactly.  The
+    cover is the component's minimum 1-cover translated down by k
+    (``translate_cover_down``), and eps comes from its split; both read the
+    matching memos, so a component takes one Edmonds search the first time
+    it is seen and none after.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if delta.denominator > (2 * k + 1) * delta.numerator:  # delta < 1/(2k+1)
+    p, q = delta.numerator, delta.denominator
+    if q > (2 * k + 1) * p:  # delta < 1/(2k+1)
         raise ValueError(f"k = {k} needs delta >= 1/{2 * k + 1}, got {delta}")
-    return _verified(g, _small_odd_part(g, delta, k), "small-delta odd route")
+    if 2 * k * p >= q:  # delta >= 1/(2k)
+        raise ValueError(f"k = {k} needs delta < 1/{2 * k}, got {delta}")
+    return _per_component(g, delta, lambda sub, d: _small_odd_part(sub, d, k),
+                          "small-delta odd route")
 
 
 def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
@@ -349,14 +345,11 @@ def translate_cover_up(g: Graph, s_prime: Cover) -> Cover:
 
 
 def _component_part(g: Graph, delta: Fraction, budget: Budget) -> RatioReport:
-    """The core of ``approx_cover``: the route for one connected component.
+    """The core of ``approx_cover``: the route for one connected non-tree.
 
     The regime boundaries are compared with delta = p/q as integers.
     """
     p, q = delta.numerator, delta.denominator
-    # Connected, so a tree iff m = n - 1.
-    if g.m == g.n - 1:
-        return RatioReport(Cover(frozenset(_tree_points(g, delta)), delta), ONE, "exact")
     if p == 1:
         return RatioReport(_unit_fraction_cover(g, q), ONE, "exact")
     if 2 * p >= 3 * q:  # delta >= 3/2
@@ -370,8 +363,6 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> RatioReport:
         return _one_cover_part(g, delta)
     if 4 * p >= 3 * q:  # delta >= 3/4
         return RatioReport(Cover(_vertices(g), delta), TWO, "vertex_set_34_1")
-    # g is connected and, past the tree check above, no tree: the cores
-    # below take it whole, without splitting it into components again.
     if 3 * p >= 2 * q:  # delta >= 2/3
         return _leaf_level_part(g, delta)
     if 2 * p > q:  # delta > 1/2
@@ -385,10 +376,10 @@ def _component_part(g: Graph, delta: Fraction, budget: Budget) -> RatioReport:
 def approx_cover(g: Graph, delta: Fraction, budget: Budget = DEFAULT_BUDGET) -> RatioReport:
     """Route each connected component to its regime and union the covers.
 
-    The cores return unverified reports; the union is verified once here,
-    and a core that produced a non-cover raises InternalConsistencyError.
+    The cores return unverified reports; the union is verified once, and a
+    core that produced a non-cover raises InternalConsistencyError.
     """
     if delta.numerator <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    report = _per_component(g, delta, lambda sub, d: _component_part(sub, d, budget))
-    return _verified(g, report, "approx cover")
+    return _per_component(g, delta, lambda sub, d: _component_part(sub, d, budget),
+                          "approx cover")

@@ -46,12 +46,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args) -> Budget:
-    return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
+    # The flags default to None, so that a command can tell whether they were given.
+    nodes, secs = args.budget_nodes, args.budget_secs
+    return Budget(max_nodes=Budget.max_nodes if nodes is None else nodes,
+                  max_seconds=Budget.max_seconds if secs is None else secs)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget-nodes", type=int, default=Budget.max_nodes)
-    p.add_argument("--budget-secs", type=float, default=Budget.max_seconds)
+    p.add_argument("--budget-nodes", type=int)
+    p.add_argument("--budget-secs", type=float)
 
 
 def build_parser() -> _Parser:
@@ -61,10 +64,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="minimum cover, exact or greedy")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
-    p.add_argument("--delta", help="covering radius a/b")
+    radius = p.add_mutually_exclusive_group(required=True)
+    radius.add_argument("--delta", help="covering radius a/b")
+    radius.add_argument("--unit-fraction", type=int, metavar="B",
+                        help="solve at delta = 1/B exactly, from the 1-cover or 1/2-cover")
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--unit-fraction", type=int, metavar="B",
-                   help="solve at delta = 1/B exactly, from the 1-cover or 1/2-cover")
     _add_budget_flags(p)
 
     p = sub.add_parser("tree", help="exact cover of a forest")
@@ -108,6 +112,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
+    # The unit-fraction route is exact and runs no search.
+    if args.unit_fraction is not None and (
+            args.greedy or args.budget_nodes is not None or args.budget_secs is not None):
+        raise _UsageError("--unit-fraction takes no --greedy, --budget-nodes or --budget-secs")
     g = parse_graph_file(args.input)
     if args.unit_fraction is not None:
         report = unit_fraction_cover(g, args.unit_fraction)
@@ -115,8 +123,6 @@ def _cmd_solve(args) -> int:
             write_cover(args.output, report.cover)
         print(f"size {len(report.cover)} optimal {report.proven}")
         return EXIT_OK
-    if args.delta is None:
-        raise _UsageError("solve needs --delta or --unit-fraction")
     inst = build_set_cover(g, parse_rational(args.delta))
     result = solve_greedy(inst) if args.greedy else solve_exact(inst, _budget(args))
     require_output(g, result.cover, "greedy cover" if args.greedy else "exact solver output")

@@ -11,7 +11,6 @@ from deltacover import (
     Cover,
     Graph,
     InternalConsistencyError,
-    InvalidPointError,
     Point,
     approx_cover,
     build_set_cover,
@@ -79,7 +78,10 @@ def test_routing_equals_the_fraction_chain():
 
 
 def test_small_route_factors_equal_the_fraction_formulas():
-    # Both sides of the small-odd minimum, and a graph without edges.
+    # Both sides of the small-odd minimum, and a graph without edges.  The
+    # routes solve that one as a tree, so the cores are checked directly.
+    from deltacover.approx import _small_even_part, _small_odd_part
+
     cubic = [nx.random_regular_graph(3, n, seed=seed) for n, seed in ((8, 1), (10, 2), (12, 3))]
     graphs = [cycle(5), cycle(6), grid(3, 3), grid(3, 4), k_n(4), Graph([], n=1)]
     graphs += [Graph(sorted(tuple(sorted(e)) for e in h.edges()), n=h.number_of_nodes())
@@ -87,9 +89,9 @@ def test_small_route_factors_equal_the_fraction_formulas():
     for g in graphs:
         for k in range(1, 5):
             even, odd, eps = small_factors_by_fractions(g, k)
-            rep = cover_small_delta_even(g, k, F(1, 2 * k + 2) + F(1, 1000))
+            rep = _small_even_part(g, F(1, 2 * k + 2) + F(1, 1000), k)
             assert (rep.claimed_factor, rep.epsilon) == (even, None)
-            rep = cover_small_delta_odd(g, k, F(1, 2 * k + 1) + F(1, 1000))
+            rep = _small_odd_part(g, F(1, 2 * k + 1) + F(1, 1000), k)
             assert (rep.claimed_factor, rep.epsilon) == (odd, eps)
 
 
@@ -400,25 +402,35 @@ def test_the_vertex_points_memo_is_immutable_and_empties():
 def test_a_route_that_drops_a_point_is_caught_at_the_boundary(monkeypatch):
     import deltacover.approx
 
-    real = deltacover.approx._component_part
+    real_part = deltacover.approx._component_part
+    real_tree = deltacover.approx._tree_points
     broken = set()
 
-    def drop_one(sub, delta, budget):
+    def without_a_needed_point(sub, points, delta):
         # Drop the first point that the component cannot do without.
-        part = real(sub, delta, budget)
-        for p in sorted(part.cover.points):
-            rest = part.cover.points - {p}
+        for p in sorted(points):
+            rest = points - {p}
             if not is_delta_cover(sub, Cover(rest, delta), delta).is_cover:
-                broken.add(part.regime)
-                return dataclasses.replace(part, cover=Cover(rest, delta))
-        raise AssertionError(f"every point of the {part.regime} cover is redundant")
+                return rest
+        raise AssertionError("every point of the cover is redundant")
+
+    def drop_one(sub, delta, budget):
+        part = real_part(sub, delta, budget)
+        broken.add(part.regime)
+        rest = without_a_needed_point(sub, part.cover.points, delta)
+        return dataclasses.replace(part, cover=Cover(rest, delta))
+
+    def tree_drops_one(sub, delta):
+        broken.add("tree")
+        return without_a_needed_point(sub, frozenset(real_tree(sub, delta)), delta)
 
     monkeypatch.setattr(deltacover.approx, "_component_part", drop_one)
+    monkeypatch.setattr(deltacover.approx, "_tree_points", tree_drops_one)
     for g in ROUTE_GRAPHS:
         for delta in CONNECTED_ROUTE_DELTAS:
             with pytest.raises(InternalConsistencyError):
                 approx_cover(g, delta)
-    assert broken == ALL_REGIMES
+    assert broken == ALL_REGIMES | {"tree"}
 
 
 def test_small_odd_runs_one_edmonds_search(monkeypatch):
@@ -482,7 +494,8 @@ def test_component_routes_equal_their_union_over_components():
     parts = [cover_small_delta_even(piece, 1, F(3, 10)) for piece in pieces]
     assert rep.cover.points == set().union(
         *(shifted(part.cover.points, offset) for part, offset in zip(parts, offsets)))
-    assert rep.claimed_factor == max(part.claimed_factor for part in parts) == F(3, 2)
+    # The tree pieces are exact; the 4-cycle and the triangle claim 4/3.
+    assert rep.claimed_factor == max(part.claimed_factor for part in parts) == F(4, 3)
 
 
 def test_one_cover_route_factors():
@@ -544,9 +557,21 @@ def test_leaf_level_no_leaves_degenerates_to_vertices():
     assert rep.cover.points == {Point.vertex(v) for v in range(4)}
 
 
-def test_leaf_level_rejects_trees():
-    with pytest.raises(ValueError):
-        cover_leaf_level(path(3), F(2, 3))
+def test_leaf_level_solves_forests_exactly():
+    forest = Graph([(0, 1), (1, 2), (3, 4)], n=6)
+    for delta in (F(2, 3), F(5, 7)):
+        rep = cover_leaf_level(forest, delta)
+        assert rep.cover == tree_cover(forest, delta).cover
+        assert (rep.claimed_factor, rep.regime, rep.proven) == (1, "exact", True)
+
+
+def test_leaf_level_claims_its_factor_per_component(oracle):
+    # A triangle plus a separate edge: 3 vertices and one exact tree point,
+    # the optimum, where a whole-graph leaf-level cover has 7 points.
+    g = Graph([(0, 1), (1, 2), (0, 2), (3, 4)])
+    rep = cover_leaf_level(g, F(2, 3))
+    assert len(rep.cover) == 4 == oracle.opt(g, F(2, 3))
+    assert len(approx_cover(g, F(2, 3)).cover) == 4
 
 
 def test_level_partition_shapes():
@@ -595,7 +620,7 @@ def test_small_even_k3(oracle):
 
 
 def test_small_even_count_k2():
-    rep = cover_small_delta_even(cycle(4), 2, F(1, 5))
+    rep = cover_small_delta_even(cycle(4), 2, F(2, 11))
     assert len(rep.cover) == 12
 
 
@@ -685,19 +710,85 @@ def test_small_even_points_equal_the_per_edge_construction():
                 assert rep.cover.points == want
 
 
-def test_small_even_with_k_out_of_range_keeps_the_per_edge_points():
+def test_small_routes_reject_delta_at_or_above_their_interval():
     g = _seeded_connected_graph(random.Random(3), 7, 4)
-    # k = 2 at 1/2 puts its offsets at 0 and 1: the vertices, and nothing else.
-    assert (cover_small_delta_even(g, 2, F(1, 2)).cover.points
-            == small_even_points_by_fractions(g, F(1, 2), 2)
-            == frozenset(Point.vertex(w) for w in range(g.n)))
-    # k = 3 at 1/4: offsets 0, 1/2 and 1, so vertices plus midpoints.
-    got = cover_small_delta_even(g, 3, F(1, 4)).cover.points
-    assert got == small_even_points_by_fractions(g, F(1, 4), 3)
-    assert len(got) == g.n + g.m
-    # k = 3 at 1/3 puts an offset at -1/6: the same InvalidPointError.
-    with pytest.raises(InvalidPointError) as want:
-        small_even_points_by_fractions(g, F(1, 3), 3)
-    with pytest.raises(InvalidPointError) as err:
-        cover_small_delta_even(g, 3, F(1, 3))
-    assert str(err.value) == str(want.value)
+    # k = 2 at 1/2, k = 3 at 1/4 and k = 3 at 1/3 would put even offsets on
+    # the vertices or off the edge; 1 + 1/(k*avg + 1) is proven only below
+    # 1/(2k+1), and the odd route's factor only below 1/(2k).
+    for k, delta in ((2, F(1, 2)), (3, F(1, 4)), (3, F(1, 3)), (1, F(1, 3)), (2, F(1, 5))):
+        with pytest.raises(ValueError, match=f"needs delta < 1/{2 * k + 1}"):
+            cover_small_delta_even(g, k, delta)
+    for k in (1, 2, 3):
+        assert cover_small_delta_odd(g, k, F(2, 4 * k + 1)).param == k
+        for delta in (F(1, 2 * k), F(1, 2 * k) + F(1, 1000)):
+            with pytest.raises(ValueError, match=f"needs delta < 1/{2 * k}"):
+                cover_small_delta_odd(g, k, delta)
+
+
+@pytest.mark.parametrize("route, g, k, delta", [
+    # 14 points claimed within 14/11 of an optimum of 10.
+    (cover_small_delta_even, Graph([(u, v) for u in range(2) for v in range(2, 6)]), 1, F(1, 3)),
+    # 20 points claimed within 4/3 of an optimum of 10.
+    (cover_small_delta_even, cycle(10), 1, F(1, 2)),
+    # 15 points claimed within 29/18 of an optimum of 1.
+    (cover_small_delta_odd, cycle(10), 1, F(5)),
+])
+def test_small_routes_reject_the_radii_where_their_claim_failed(route, g, k, delta):
+    with pytest.raises(ValueError, match=f"k = {k} needs delta < 1/"):
+        route(g, k, delta)
+
+
+def _random_disconnected_graph(rng: random.Random) -> Graph:
+    # One to three components of at most 12 vertices in all: trees, cycles,
+    # single edges, G(n, 0.6) pieces (maybe disconnected themselves) and
+    # isolated vertices.
+    parts: list[Graph] = []
+    n = 0
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["tree", "cycle", "edge", "gnp", "vertex"])
+        size = {"edge": 2, "vertex": 1}.get(kind, rng.randint(3, 6))
+        if n + size > 12:
+            break
+        if kind == "tree":
+            part = Graph(sorted((rng.randrange(v), v) for v in range(1, size)), n=size)
+        elif kind == "cycle":
+            part = cycle(size)
+        elif kind == "gnp":
+            part = Graph([e for e in combinations(range(size), 2) if rng.random() < 0.6], n=size)
+        else:
+            part = Graph([(0, 1)] if kind == "edge" else [], n=size)
+        parts.append(part)
+        n += size
+    return _disjoint_union(parts)
+
+
+# Each public route with radii inside the interval its factor is proven for.
+ROUTES_IN_THEIR_INTERVALS = [
+    (cover_via_one_cover, (), [F(11, 10), F(6, 5), F(13, 10)]),
+    (cover_vertex_set, (), [F(4, 7), F(3, 5)]),
+    (cover_leaf_level, (), [F(2, 3), F(5, 7)]),
+    (cover_small_delta_even, (1,), [F(2, 7)]),
+    (cover_small_delta_even, (2,), [F(2, 11)]),
+    (cover_small_delta_odd, (1,), [F(2, 5)]),
+    (cover_small_delta_odd, (2,), [F(2, 9)]),
+]
+
+
+def test_claims_hold_on_disconnected_inputs():
+    rng = random.Random(30)
+    budget = Budget(max_nodes=20_000, max_seconds=1e9)
+    checked = 0
+    for _ in range(60):
+        g = _random_disconnected_graph(rng)
+        for route, k, radii in ROUTES_IN_THEIR_INTERVALS:
+            for delta in radii:
+                exact = min_cover_exact(g, delta, budget)
+                if not exact.proven:
+                    continue
+                opt = len(exact.cover)
+                for rep in (route(g, *k, delta), approx_cover(g, delta)):
+                    if rep.proven:
+                        assert len(rep.cover) <= rep.claimed_factor * opt, (
+                            route.__name__, g.n, g.edges, str(delta), len(rep.cover), opt)
+                        checked += 1
+    assert checked > 1000

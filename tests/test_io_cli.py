@@ -156,6 +156,21 @@ def test_cli_usage_errors(tmp_path):
     assert main(["tree", "--delta", "1/1", "--input", str(gpath.with_name("no.graph"))]) == 3
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--delta", "1/2"], "not allowed with argument --unit-fraction"),
+    (["--greedy"], "--unit-fraction takes no --greedy"),
+    (["--budget-nodes", "1"], "--unit-fraction takes no --greedy"),
+    (["--budget-secs", "5"], "--unit-fraction takes no --greedy"),
+    (["--greedy", "--budget-nodes", "1"], "--unit-fraction takes no --greedy"),
+])
+def test_cli_solve_rejects_flags_the_unit_fraction_route_ignores(tmp_path, capsys, extra, message):
+    gpath = tmp_path / "c5.graph"
+    write_graph_file(gpath, cycle(5))
+    assert main(["solve", "--unit-fraction", "3", "--input", str(gpath), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_cli_tree_and_approx(tmp_path, capsys):
     gpath = tmp_path / "p6.graph"
     write_graph_file(gpath, Graph([(i, i + 1) for i in range(6)]))
