@@ -4,9 +4,8 @@
 Runs the range-dispatched approximation against the exact oracle on the
 triangle-hub families and subdivided stars through ``bench.run_bench``,
 then prints its rows and a per-regime table of worst empirical ratios next
-to the claimed factors.  Every exact solve is
-bounded by branch-and-bound nodes only, so which rows are proven does not
-depend on the machine.
+to the claimed factors.  Every exact solve is bounded by branch-and-bound
+nodes only, so which rows are proven does not depend on the machine.
 
 Usage: python scripts/ratio_sweep.py [--kmax 6] [--budget-nodes N] [--csv out.csv]
 """
