@@ -112,10 +112,12 @@ def build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
-    # The unit-fraction route is exact and runs no search.
-    if args.unit_fraction is not None and (
-            args.greedy or args.budget_nodes is not None or args.budget_secs is not None):
+    # The unit-fraction route is exact and the greedy is one pass: neither searches.
+    budgeted = args.budget_nodes is not None or args.budget_secs is not None
+    if args.unit_fraction is not None and (args.greedy or budgeted):
         raise _UsageError("--unit-fraction takes no --greedy, --budget-nodes or --budget-secs")
+    if args.greedy and budgeted:
+        raise _UsageError("--greedy takes no --budget-nodes or --budget-secs")
     g = parse_graph_file(args.input)
     if args.unit_fraction is not None:
         report = unit_fraction_cover(g, args.unit_fraction)

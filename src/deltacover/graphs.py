@@ -38,8 +38,14 @@ class Point(NamedTuple):
     immutable (u, v, t) tuple: it unpacks, orders and compares as one, and
     compares in C.  ``Point(u, v, t)`` is the public constructor; the
     library builds its points with ``_make_point((u, v, t))``, which skips
-    the Python-level ``__new__``.  The hash reads ``t`` as its integer
-    ratio.
+    the Python-level ``__new__``.
+
+    The hash reads ``t`` as its integer ratio, through the ``_numerator``
+    and ``_denominator`` slots that CPython's ``Fraction`` keeps, which
+    are read in C; the verifier's offset parse and the proof memo's
+    radius test read a ``Fraction`` the same way.  An offset or radius
+    without those slots, an int or a float, takes ``as_integer_ratio()``
+    or the plain comparison instead, with the same result.
     """
 
     u: int
@@ -72,7 +78,10 @@ class Point(NamedTuple):
         # modular inverse on every set insertion.  ``_make_point``, the
         # library's construction path, skips ``__new__`` but not this hash.
         u, v, t = self
-        return hash((u, v, *t.as_integer_ratio()))
+        try:
+            return hash((u, v, t._numerator, t._denominator))
+        except AttributeError:
+            return hash((u, v, *t.as_integer_ratio()))
 
     @property
     def is_vertex(self) -> bool:

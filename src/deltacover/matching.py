@@ -66,16 +66,41 @@ class GEDecomposition:
 
 
 def _greedy_mates(adj: Sequence[Sequence[int]]) -> list[int]:
-    """A maximal matching, lowest-degree vertices first (mate[v], -1 if exposed)."""
-    mate = [-1] * len(adj)
-    degree = list(map(len, adj))
-    for v in sorted(range(len(adj)), key=degree.__getitem__):
-        if mate[v] < 0:
-            for w in adj[v]:
-                if mate[w] < 0:
-                    mate[v], mate[w] = w, v
-                    break
-    return mate
+    """A maximal matching by the Karp-Sipser rule (mate[v], -1 if exposed).
+
+    While some unmatched vertex has exactly one unmatched neighbour, match
+    the two: some maximum matching contains that edge.  Otherwise match the
+    next unmatched vertex in order of static degree to its first unmatched
+    neighbour.  Matching a pair lowers the degree of their unmatched
+    neighbours, which can make new degree-1 vertices.  On graphs of maximum
+    degree 2, paths and cycles, the result is maximum, so ``_edmonds`` runs
+    one search whatever the vertex ids.  O(n log n + m).
+    """
+    n = len(adj)
+    mate = [-1] * n
+    degree = list(map(len, adj))  # unmatched neighbours of an unmatched vertex
+    ones = [v for v in range(n) if degree[v] == 1]
+    by_degree = iter(sorted(range(n), key=degree.__getitem__))
+    while True:
+        if ones:
+            v = ones.pop()
+            if mate[v] >= 0 or degree[v] != 1:
+                continue
+        else:
+            v = next(by_degree, -1)
+            if v < 0:
+                return mate
+            if mate[v] >= 0:
+                continue
+        for w in adj[v]:
+            if mate[w] < 0:
+                mate[v], mate[w] = w, v
+                for x in (*adj[v], *adj[w]):
+                    if mate[x] < 0:
+                        degree[x] -= 1
+                        if degree[x] == 1:
+                            ones.append(x)
+                break
 
 
 def _flip(mate: list[int], parent: list[int], x: int) -> None:
@@ -176,7 +201,7 @@ def _forest_search(adj: Sequence[Sequence[int]],
 def _edmonds(g: Graph) -> tuple[list[int], list[int], list[int]]:
     """Mates of a maximum matching and the final forest's labels and bases.
 
-    A greedy matching is augmented one path per search; the search that
+    A Karp-Sipser matching is augmented one path per search; the search that
     finds no augmenting path labels the Gallai-Edmonds split.
     """
     mate = _greedy_mates(g.adj)

@@ -75,7 +75,10 @@ def nearest_distances(g: Graph, s: Cover, delta: Fraction
                 _check_points(g, s)
             seeds.append((0, u))
         else:
-            inner.append((u, v, *t.as_integer_ratio()))
+            try:  # the slot read of Point.__hash__
+                inner.append((u, v, t._numerator, t._denominator))
+            except AttributeError:
+                inner.append((u, v, *t.as_integer_ratio()))
     scale = lcm(delta.denominator, *{den for _, _, _, den in inner})
     reach = delta.numerator * (scale // delta.denominator)
     far = scale - reach
@@ -167,15 +170,17 @@ def is_delta_cover(g: Graph, s: Cover, delta: Fraction | None = None) -> VerifyR
     entries leave the queue in non-decreasing distance, and the first
     entry for a vertex carries its distance D, as in Dijkstra's algorithm.
 
-    Cost: one pass over the points, with a range check per vertex point;
-    ``scale`` from the distinct denominators; one pass over the interior
-    points, which groups their offsets by edge and seeds their endpoints
-    within the radius; one check that every such edge is in g; the search
-    in O(n + m + |S| log |S|) integer operations; one pass over the edges
-    that drops those covered through their two ends; and one sweep per
-    edge left, over its offsets, sorted when it has two or more.  No hop
-    distance between vertices is computed, and a Fraction is built only
-    for a reported gap and the witness.
+    Cost: one pass over the points, with a range check per vertex point
+    and, per interior point, a read of its offset's numerator and
+    denominator from the ``Fraction``'s slots (see ``Point``), with no
+    Python-level call; ``scale`` from the distinct denominators; one pass
+    over the interior points, which groups their offsets by edge and seeds
+    their endpoints within the radius; one check that every such edge is
+    in g; the search in O(n + m + |S| log |S|) integer operations; one
+    pass over the edges that drops those covered through their two ends;
+    and one sweep per edge left, over its offsets, sorted when it has two
+    or more.  No hop distance between vertices is computed, and a Fraction
+    is built only for a reported gap and the witness.
     """
     if delta is None:
         delta = s.delta
@@ -241,9 +246,16 @@ def _proof_memo(check):
         nonlocal cells, hits, misses
         key = (g, cover.points)
         radius = proved.get(key)
-        if radius is not None and radius <= cover.delta:
-            hits += 1
-            return
+        if radius is not None:
+            delta = cover.delta
+            try:  # radius <= delta in integers, by the slot read of Point.__hash__
+                hit = (radius._numerator * delta._denominator
+                       <= delta._numerator * radius._denominator)
+            except AttributeError:
+                hit = radius <= delta
+            if hit:
+                hits += 1
+                return
         misses += 1
         check(g, cover, what)
         if radius is None:
@@ -276,9 +288,11 @@ def require_output(g: Graph, cover: Cover, what: str) -> None:
     ``require_cover`` keep no memo, but this check does: it maps
     (g, cover.points) to the smallest radius at which the search accepted
     exactly those points on exactly that graph.  A call whose radius is at
-    least the stored one returns at once; any other call searches, and
-    when the search accepts, the memo keeps the smaller of the stored
-    radius and the call's.  A call that raises records nothing.  So a
+    least the stored one returns at once; the two radii are compared as
+    one integer cross-product of the ``Fraction`` slots (see ``Point``),
+    with ``<=`` for a radius that has none, an int.  Any other call
+    searches, and when the search accepts, the memo keeps the smaller of
+    the stored radius and the call's.  A call that raises records nothing.  So a
     radius sweep that reuses one cover searches it once.
 
     A hit is a proof.  The key compares by value: ``Graph`` equality reads

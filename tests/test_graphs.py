@@ -116,6 +116,12 @@ def test_point_is_an_immutable_u_v_t_tuple():
     assert sorted(points) == sorted(points, key=lambda q: (q.u, q.v, q.t))
 
 
+def test_a_fraction_keeps_its_lowest_terms_in_slots():
+    # The point hash, the verifier's offset parse and the proof memo read
+    # these slots; without them they would fall back, slower, in silence.
+    assert F(6, 8)._numerator == 3 and F(6, 8)._denominator == 4
+
+
 def test_the_library_constructor_builds_the_public_point():
     rng = random.Random(25)
     fields = [(2, 2, 0), (3, 3, F(0))]

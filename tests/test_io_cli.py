@@ -171,6 +171,15 @@ def test_cli_solve_rejects_flags_the_unit_fraction_route_ignores(tmp_path, capsy
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("extra", [["--budget-nodes", "1"], ["--budget-secs", "0.001"]])
+def test_cli_solve_rejects_budget_flags_the_greedy_ignores(tmp_path, capsys, extra):
+    gpath = tmp_path / "c5.graph"
+    write_graph_file(gpath, cycle(5))
+    assert main(["solve", "--delta", "2/3", "--greedy", "--input", str(gpath), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--greedy takes no --budget-nodes" in captured.err
+
+
 def test_cli_tree_and_approx(tmp_path, capsys):
     gpath = tmp_path / "p6.graph"
     write_graph_file(gpath, Graph([(i, i + 1) for i in range(6)]))

@@ -132,6 +132,27 @@ def test_one_cover_on_long_path_and_cycle():
     assert gallai_edmonds(long_cycle).C == frozenset(range(1200))
 
 
+@pytest.mark.parametrize("make, size", [(cycle, 2000), (cycle, 2001), (path, 2000), (path, 2001)])
+def test_a_shuffled_cycle_or_path_takes_one_forest_search(monkeypatch, make, size):
+    # Karp-Sipser is maximum on maximum degree 2 whatever the vertex ids, so
+    # the only search is the one that finds no augmenting path.  A start by
+    # static degree alone took 138-145 searches on these four graphs.
+    g = make(size)
+    ids = list(range(g.n))
+    random.Random(1).shuffle(ids)
+    g = Graph([(ids[u], ids[v]) for u, v in g.edges], n=g.n)
+    real = deltacover.matching._forest_search
+    searches = []
+
+    def counted(adj, mate):
+        searches.append(1)
+        return real(adj, mate)
+
+    monkeypatch.setattr(deltacover.matching, "_forest_search", counted)
+    assert max_matching(g).size == g.n // 2
+    assert len(searches) == 1
+
+
 def test_tree_cover_examples():
     assert len(tree_cover(Graph([(0, 1)]), F(1, 2)).cover) == 1
     assert len(tree_cover(path(6), F(3, 5)).cover) == 5

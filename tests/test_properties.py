@@ -563,3 +563,14 @@ def test_translate_cover_down_gives_a_cover_with_k_more_points_per_edge(case, k)
     assert out.delta == s.delta / (1 + 2 * k * s.delta)
     assert len(out) == len(s) + k * g.m
     assert interval_verify(g, out, out.delta).is_cover
+
+
+@given(st.integers(0, 9), st.integers(0, 9),
+       st.one_of(st.fractions(0, 1), st.integers(0, 1), st.floats(0, 1)))
+@settings(max_examples=300, deadline=None)
+def test_a_point_hashes_as_its_offset_integer_ratio(u, v, t):
+    # The slot read and the as_integer_ratio() fallback give one hash, so
+    # set order, and with it every output, cannot depend on the path taken.
+    p = Point(u, v, t)
+    assert hash(p) == hash((p.u, p.v, *p.t.as_integer_ratio()))
+    assert hash(p) == hash(Point(u, v, F(t)))

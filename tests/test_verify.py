@@ -238,6 +238,34 @@ def test_edges_whose_pieces_touch_are_settled_without_building_a_gap(monkeypatch
         assert is_delta_cover(g, cover).is_cover
 
 
+def test_int_and_float_offsets_verify_as_their_fractions():
+    g = grid(2, 3)
+    exact = frozenset([Point.vertex(0), Point.on_edge(1, 2, F(1, 2)),
+                       Point.on_edge(4, 5, F(3, 4))])
+    loose = frozenset([Point(0, 0, 0), Point(1, 2, 0.5), Point(4, 5, 0.75)])
+    verdicts = set()
+    for delta in (F(1, 2), F(3, 4), F(1), F(3, 2)):
+        want = is_delta_cover(g, Cover(exact, delta))
+        assert is_delta_cover(g, Cover(loose, delta)) == want
+        verdicts.add(want.is_cover)
+    assert verdicts == {False, True}
+
+
+def test_the_proof_memo_answers_a_hit_at_an_int_radius():
+    p3 = path(3)
+    inner = frozenset([Point.vertex(1), Point.vertex(2)])
+    require_output(p3, Cover(inner, 1), "int")  # searched; stored as the int 1
+    require_output(p3, Cover(inner, 1), "int")
+    require_output(p3, Cover(inner, 2), "int")
+    require_output(p3, Cover(inner, F(3, 2)), "int")
+    assert require_output.cache_info() == (3, 1, 1)
+    require_output.cache_clear()
+    require_output(p3, Cover(inner, F(3, 2)), "int")
+    require_output(p3, Cover(inner, 2), "int")  # a Fraction stored, an int asked
+    require_output(p3, Cover(inner, 1), "int")  # smaller: searched again
+    assert require_output.cache_info() == (1, 2, 1)
+
+
 def test_the_proof_memo_is_bounded_by_cells(monkeypatch):
     import deltacover.graphs
 
