@@ -3,8 +3,10 @@
 
 The graphs are random cubic graphs (networkx ``random_regular_graph(3, n,
 seed=1)``), random recursive trees (vertex v joins a parent drawn from
-0..v-1 by ``random.Random(1)``), and cycles with their ids in order and
-permuted by ``random.Random(1).shuffle``, at n = 200, 400, ..., 3,200.
+0..v-1 by ``random.Random(1)``), cycles with their ids in order and
+permuted by ``random.Random(1).shuffle``, at n = 200, 400, ..., 3,200, and
+near-square grids, isqrt(n) rows of round(n / rows) vertices, so 196, 400,
+812, 1,600 and 3,192 vertices.  A row's n is its graph's vertex count.
 Each cell is one cold ``approx_cover`` call: every library cache is
 emptied before it, as ``tests/conftest.py`` does, and the CPU time
 (``time.process_time``) is the best of three such calls.  Per cell the
@@ -38,7 +40,7 @@ from deltacover.verify import require_output
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (200, 400, 800, 1600, 3200)
-DELTAS = (F(1, 3), F(2, 5), F(3, 5), F(5, 4))
+DELTAS = (F(1, 3), F(2, 5), F(4, 7), F(3, 5), F(2, 3), F(4, 5), F(5, 4))
 REPEATS = 3
 SEED = 1
 
@@ -62,7 +64,16 @@ def cycle_shuffled(n: int) -> Graph:
     return Graph([(ids[v], ids[(v + 1) % n]) for v in range(n)], n=n)
 
 
-FAMILIES = {"cubic": cubic, "tree": tree, "cycle": cycle, "cycle_shuffled": cycle_shuffled}
+def grid(n: int) -> Graph:
+    rows = math.isqrt(n)
+    cols = round(n / rows)
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(right + down, n=rows * cols)
+
+
+FAMILIES = {"cubic": cubic, "tree": tree, "cycle": cycle, "cycle_shuffled": cycle_shuffled,
+            "grid": grid}
 
 
 def clear_library_caches() -> None:
@@ -117,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
             for n in sizes:
                 g = make(n)
                 for delta in DELTAS:
-                    rows.append({"family": family, "n": n, "m": g.m, "delta": str(delta),
+                    rows.append({"family": family, "n": g.n, "m": g.m, "delta": str(delta),
                                  **measure(g, delta, searches)})
                     print(json.dumps(rows[-1]), flush=True)
     finally:

@@ -1,20 +1,22 @@
 """Benchmark harness: algorithms against oracle optima, ratio tables out.
 
 A suite configuration lists instances (graph files or generator specs) and
-a grid of rationals.  Every (instance, delta) row runs the range-dispatched
-approximation and attempts the exact oracle within budget, and records the
-empirical ratio whenever the oracle finished.  Both return a
-``RatioReport``: the oracle's claims factor 1 and is proven when its search
-closed (``oracle_optimal``).  Each checks its own cover
-through ``verify.require_output`` (a failure raises
-InternalConsistencyError).  Its proof memo, keyed by the graph and the
-point set and bounded by ``graphs.MEMO_CELLS`` cells like the route memos,
-is not emptied between rows: points already proved on a graph at a radius
-no larger, such as a 1-cover reused across the radii of one instance, are
-not searched again.  ``claim_proven`` says whether the claimed factor rests
-only on sub-solves that proved optimality (``RatioReport.proven``), and the
-summary counts the rows without it per regime.  Rationals are serialized as
-"a/b" strings; float columns are marked lossy and exist only for plotting.
+a grid of rationals.  Every (instance, delta) row runs the
+range-dispatched approximation and attempts the exact oracle within
+budget, and records the empirical ratio whenever the oracle finished.
+Both return a ``RatioReport``: the oracle's claims factor 1 and is proven
+when its search closed (``oracle_optimal``).  Each checks its own cover
+once (a failure raises InternalConsistencyError).  The approximation
+checks through ``verify.require_output``, whose proof memo, keyed by the
+graph and the point set and bounded by ``graphs.MEMO_CELLS`` cells like
+the route memos, is not emptied between rows: points already proved on a
+graph at a radius no larger, such as a 1-cover reused across the radii of
+one instance, are not searched again.  The oracle runs the same check
+without the memo, since each of its solves builds a new point set.
+``claim_proven`` says whether the claimed factor rests only on sub-solves
+that proved optimality (``RatioReport.proven``), and the summary counts
+the rows without it per regime.  Rationals are serialized as "a/b"
+strings; float columns are marked lossy and exist only for plotting.
 """
 
 from __future__ import annotations

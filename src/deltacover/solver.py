@@ -73,7 +73,8 @@ class _BlockPoints(Sequence[Point]):
     ``per_edge`` points of each edge (u, v), v > u, by offset.  ``starts``
     holds the index of each block's first point, ascending, and ``blocks``
     its (u, v), with u == v for a vertex; an index finds its block by
-    bisection, and ``_offset`` gives the offset of a block's j-th point.
+    bisection, and ``_offset`` gives the offset of a block's j-th point.  A
+    slice gives the list of its points.
     """
 
     __slots__ = ("starts", "blocks", "_len")
@@ -92,7 +93,9 @@ class _BlockPoints(Sequence[Point]):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> Point:
+    def __getitem__(self, i: int | slice) -> Point | list[Point]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
         if i < 0:
             i += self._len
         if not 0 <= i < self._len:
@@ -291,45 +294,6 @@ def _element_candidates(masks: Sequence[int], size: int) -> list[int]:
     return list(accumulate(diff[:size], xor))
 
 
-def _bits(m: int) -> list[int]:
-    """The indices of the set bits of ``m``, ascending."""
-    out = []
-    while m:
-        top = m.bit_length() - 1
-        out.append(top)
-        m ^= 1 << top
-    out.reverse()
-    return out
-
-
-def _core_elements(masks: Sequence[int], elem_cands: Sequence[int]) -> list[tuple[int, list[int]]]:
-    """The kept universe elements with their candidate indices, by element.
-
-    An element whose candidate set contains another element's is covered
-    for free once the harder one is.  Taken by candidate count, then index,
-    a kept element e drops every element all of its candidates cover: those
-    are the elements whose candidate sets contain e's.  So an element is
-    kept iff no other element's candidate set is a proper subset of its
-    own and no lower element's is equal to it.  Each kept element's
-    candidate indices are decoded once, and the rest of the root reduction
-    reads those lists.
-    """
-    counts = [ec.bit_count() for ec in elem_cands]
-    core: list[tuple[int, list[int]]] = []
-    dropped = 0
-    for e in sorted(range(len(elem_cands)), key=counts.__getitem__):
-        if dropped >> e & 1:
-            continue
-        ce = _bits(elem_cands[e])
-        common = masks[ce[0]]
-        for c in ce[1:]:
-            common &= masks[c]
-        dropped |= common
-        core.append((e, ce))
-    core.sort()
-    return core
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -342,19 +306,28 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     Exceeding the budget returns the incumbent with ``optimal=False``.
 
     The starting incumbent is a rarest-first greedy over the root's
-    undominated candidates: the uncovered element with the fewest of them
-    is covered by the one that covers the most uncovered elements.  Its
-    redundant picks are dropped, and then a pair of picks gives way to one
-    candidate that covers everything only the pair covers, until no pair
-    does.  Plain greedy, which takes the candidate covering the most first,
-    starts further from the optimum, and the search then spends most of its
-    nodes finding the optimum rather than proving it.
+    candidates: the uncovered element with the fewest of them is covered
+    by the one that covers the most uncovered elements.  Its redundant
+    picks are dropped, and then a pair of picks gives way to one candidate
+    that covers everything only the pair covers, until no pair does.  Plain
+    greedy, which takes the candidate covering the most first, starts
+    further from the optimum, and the search then spends most of its nodes
+    finding the optimum rather than proving it.
 
-    The root reduction keeps a core of elements, takes the forced
-    candidates and drops dominated ones; what is left is the root's
-    available set ``avail0``.  A node covers its uncovered elements ``U``
-    with a subset ``avail`` of ``avail0`` (branching removes the candidates
-    already tried), and is cut when a lower bound reaches the incumbent:
+    The root takes the forced candidates, each the only one of some
+    element, and keeps as its available set ``avail0`` every candidate
+    that covers an element they leave uncovered.  It drops no dominated
+    element or candidate, as none moves a bound: a candidate dominated at
+    the root adds to an element's ``union_reach`` (below) only elements the
+    forced candidates cover, and an element whose candidates include
+    another's has the larger ``union_reach`` and at least as many
+    candidates, so neither the min-degree packing nor the branching rule
+    prefers it.  The sibling skip below drops a dominated child at every
+    node.  On instances of a few dozen elements, a root pass for dominance
+    costs more than the nodes it saves.  A node covers its uncovered
+    elements ``U`` with a subset ``avail`` of ``avail0`` (branching removes
+    the candidates already tried), and is cut when a lower bound reaches
+    the incumbent:
 
     * ``ceil(|U| / max_deg)``, where ``max_deg`` is the most uncovered
       elements one candidate of ``avail0`` covers.  A candidate of
@@ -380,7 +353,7 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     A child is skipped when its candidate ``c`` covers no element of the
     node's ``U`` that an earlier explored sibling ``c'`` does not also
     cover; ``c`` still leaves ``avail`` for the later siblings.  This is
-    the root's dominance, taken at a node: child ``c`` searches the covers
+    candidate dominance, taken at a node: child ``c`` searches the covers
     ``{c} | R`` with ``R`` avoiding every sibling up to ``c``, and
     ``{c'} | R`` is a cover of the same size that ``c'``'s subtree has
     already searched, so ``c``'s subtree cannot beat the ``ub`` it would be
@@ -392,52 +365,39 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     independent check.
     """
     t0 = time.monotonic()
-    nu_full = len(inst.universe)
+    nu = len(inst.universe)
     nc = len(inst.masks)
+    full = (1 << nu) - 1
+    masks = list(inst.masks)
 
-    elem_cands_full = _element_candidates(inst.masks, nu_full)
-    if any(c == 0 for c in elem_cands_full):
+    elem_cands = _element_candidates(masks, nu)
+    if any(c == 0 for c in elem_cands):
         raise InfeasibleInstanceError("universe element with no candidate")
 
-    core = _core_elements(inst.masks, elem_cands_full)
-    nu = len(core)
-    full = (1 << nu) - 1
-    elem_cands = [elem_cands_full[e] for e, _ in core]
-    cand_lists = [ce for _, ce in core]
-    masks = [0] * nc
-    for i, ce in enumerate(cand_lists):
-        bit = 1 << i
-        for c in ce:
-            masks[c] |= bit
-
-    # Forced candidates (elements coverable one way only), then dominance:
-    # a candidate whose uncovered elements another one also covers is
-    # dropped (ties keep the lower index).  A forced candidate has nothing
-    # left uncovered, so it drops out here too.
-    forced = sorted({ce[0] for ce in cand_lists if len(ce) == 1})
+    # Forced candidates (elements coverable one way only); the root keeps
+    # every candidate that covers something they leave uncovered.
+    forced = sorted({ec.bit_length() - 1 for ec in elem_cands if ec & (ec - 1) == 0})
     covered0 = 0
     for c in forced:
         covered0 |= masks[c]
     rest = [m & ~covered0 for m in masks]
-    in_avail0 = [False] * nc
-    for i, mi in enumerate(rest):
-        if mi == 0:
-            continue
-        for j in cand_lists[(mi & -mi).bit_length() - 1]:
-            mj = rest[j]
-            if j != i and mi | mj == mj and (mi != mj or j < i):
-                break
-        else:
-            in_avail0[i] = True
-    avail0 = sum(1 << c for c in range(nc) if in_avail0[c])
+    avail0 = sum(1 << c for c in range(nc) if rest[c])
     cand_by_elem = [ec & avail0 for ec in elem_cands]
-    # union_reach[e]: every element sharing a root candidate with e.
+    # union_reach[e]: every element sharing a root candidate with e.  Each
+    # distinct root mask is ORed into its elements run by run (the set bits
+    # lo..hi - 1 flip m ^ (m << 1) at lo and hi); at large radii most masks
+    # are equal, and a loop over each element's candidates costs |U| * |C|.
     union_reach = [0] * nu
-    for e, ce in enumerate(cand_lists):
-        for c in ce:
-            if in_avail0[c]:
-                union_reach[e] |= masks[c]
-    max_deg = max([rest[c].bit_count() for c in range(nc) if in_avail0[c]], default=1)
+    for m in dict.fromkeys(m for m, r in zip(masks, rest) if r):
+        flips = m ^ (m << 1)
+        while flips:
+            lo = (flips & -flips).bit_length() - 1
+            flips &= flips - 1
+            hi = (flips & -flips).bit_length() - 1
+            flips &= flips - 1
+            for e in range(lo, hi):
+                union_reach[e] |= m
+    max_deg = max([r.bit_count() for r in rest if r], default=1)
 
     def pack_more(open_: int, count: int, pack: int, ub: int) -> tuple[int, int]:
         """Min-degree greedy: add open elements to ``pack`` until ``ub``."""
@@ -739,11 +699,13 @@ def min_cover_exact(
 
     The report claims factor 1 in the ``"exact"`` regime; it is proven only
     when the branch and bound closed within ``budget``.  Otherwise the cover
-    is the search's incumbent, still a verified delta-cover.
+    is the search's incumbent, still a verified delta-cover.  The check
+    skips ``require_output``'s proof memo: every call builds a new point
+    set, so an entry recorded here would never be read.
     """
     inst = build_set_cover(g, delta)
     result = solve_exact(inst, budget)
-    require_output(g, result.cover, "exact solver output")
+    require_output.__wrapped__(g, result.cover, "exact solver output")
     return RatioReport(result.cover, ONE, "exact", proven=result.optimal)
 
 

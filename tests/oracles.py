@@ -13,8 +13,7 @@ Others keep a library routine as it was before it moved to integer
 arithmetic (tree climb, point distance, small-delta even points,
 ``approx_cover``'s regime chain and its factors), the unit-fraction route
 as it was before it translated g's own 1-cover or 1/2-cover down (a
-subdivided ``Graph``, then a pull-back of its 1-cover), and the root core
-of set cover by its subset definition.
+subdivided ``Graph``, then a pull-back of its 1-cover).
 """
 
 from __future__ import annotations
@@ -522,18 +521,6 @@ def project_point_by_fractions(g: Graph, paths: list[tuple[int, ...]], factor: i
                 t = p.t if a < b else 1 - p.t
                 return Point.on_edge(u, v, (j + t) / factor)
     return p
-
-
-def core_by_subsets(masks: list[int], size: int) -> list[tuple[int, list[int]]]:
-    """The kept set-cover elements with their candidate lists, by definition.
-
-    Element e is dropped iff some other element's candidate set is a proper
-    subset of e's, or equals it and belongs to a lower element; everything
-    covering the harder element then covers e for free.
-    """
-    cands = [frozenset(i for i, m in enumerate(masks) if m >> e & 1) for e in range(size)]
-    return [(e, sorted(ce)) for e, ce in enumerate(cands)
-            if not any(cf < ce or (cf == ce and f < e) for f, cf in enumerate(cands))]
 
 
 def small_even_points_by_fractions(g: Graph, delta: Fraction, k: int) -> frozenset[Point]:

@@ -15,7 +15,8 @@ def test_the_scaling_script_writes_every_key(tmp_path):
     assert set(data) == {"command", "method", "machine", "rows", "slopes"}
     cells = {(r["family"], r["n"], r["delta"]) for r in data["rows"]}
     radii = [str(d) for d in scaling.DELTAS]
-    assert cells == {(f, n, d) for f in scaling.FAMILIES for n in (200, 400) for d in radii}
+    assert cells == {(f, make(n).n, d) for f, make in scaling.FAMILIES.items()
+                     for n in (200, 400) for d in radii}
     assert all(set(r) == {"family", "n", "m", "delta", "regime", "size", "proven", "cpu_s",
                           "forest_searches", "verifier_searches"} for r in data["rows"])
     assert {(s["family"], s["delta"]) for s in data["slopes"]} == {

@@ -15,15 +15,26 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
-from deltacover.solver import GridPoints, SetCoverInstance, _core_elements, _element_candidates
+from deltacover.solver import GridPoints, SetCoverInstance
 from conftest import cycle, k_n, path, star
-from oracles import brute_set_cover_size, core_by_subsets, coverage_by_distance
+from oracles import brute_set_cover_size, coverage_by_distance
 
 
 def test_candidate_counts():
     assert len(GridPoints(Graph([(0, 1)]), 2)) == 3
     assert len(GridPoints(Graph([(0, 1)]), 6)) == 7
     assert len(GridPoints(k_n(3), 4)) == 12
+
+
+def test_block_points_take_slices_as_lists_do():
+    inst = build_set_cover(cycle(4), F(2, 3))
+    for seq in (inst.universe, inst.candidates):
+        points = list(seq)
+        n = len(points)
+        for a, b, step in [(0, 2, None), (3, n, None), (-5, -1, None), (None, None, -3),
+                           (n - 2, n + 7, 2), (4, 1, None), (1, 12, 4)]:
+            assert seq[a:b:step] == points[a:b:step], (a, b, step)
+        assert seq[-1] == points[-1]
 
 
 def test_build_set_cover_k2_single_candidate_covers():
@@ -65,21 +76,6 @@ def test_set_cover_reach_stops_at_the_hop_bound():
     inst = build_set_cover(g, F(7, 2))
     got = (tuple(inst.universe), tuple(inst.candidates), inst.masks)
     assert got == coverage_by_distance(g, F(7, 2))
-
-
-def test_root_core_equals_the_subset_definition():
-    rng = random.Random(77)
-    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-    dropped = 0
-    for _ in range(12):
-        g = Graph(rng.sample(pairs, rng.randint(2, 7)), n=5)
-        for d in (F(1, 2), F(2, 3), F(1), F(3, 2), F(5, 2)):
-            inst = build_set_cover(g, d)
-            size = len(inst.universe)
-            core = _core_elements(inst.masks, _element_candidates(inst.masks, size))
-            assert core == core_by_subsets(list(inst.masks), size), (g.edges, str(d))
-            dropped += size - len(core)
-    assert dropped > 0
 
 
 def test_exact_small_sizes():
@@ -165,30 +161,30 @@ INCUMBENT_ONLY = Budget(max_nodes=0, max_seconds=1e9)
 
 
 def test_one_candidate_leaf_keeps_the_highest_index():
-    # Elements 0..7.  The incumbent is three candidates, {2, 3, 4}; the
-    # optimum is two, {6, 7} or {6, 8}.  Under candidate 6 the node with
-    # ub == 2 must cover {2, 5, 6, 7}, which candidates 7 and 8 both do.
-    # The leaf scans its lowest element's candidates from the highest
-    # index down, so it returns 8.
-    sets = [{1, 3, 7}, {4, 5}, {0, 1, 5, 6, 7}, {1, 2, 3, 5}, {3, 4, 5, 7}, {2, 5, 6},
-            {0, 1, 3, 4}, {0, 2, 5, 6, 7}, {1, 2, 4, 5, 6, 7}]
-    inst = _vertex_instance(sets, 8)
-    assert _indices(solve_exact(inst, INCUMBENT_ONLY)) == {2, 3, 4}
+    # Elements 0..5.  The incumbent is three candidates, {0, 2, 5}; the
+    # optimum is two, {3, 7} or {4, 7}.  Under candidate 7 the node with
+    # ub == 2 must cover {2, 3}, which candidates 3 and 4 both do.  The leaf
+    # scans its lowest element's candidates from the highest index down, so
+    # it returns 4.
+    sets = [{1, 3}, {0, 3}, {1, 5}, {2, 3}, {1, 2, 3}, {0, 1, 2, 4}, {1, 3}, {0, 1, 4, 5}]
+    inst = _vertex_instance(sets, 6)
+    assert _indices(solve_exact(inst, INCUMBENT_ONLY)) == {0, 2, 5}
     res = solve_exact(inst)
     assert res.optimal
-    assert res.cover.points == {Point.vertex(6), Point.vertex(8)}
+    assert res.cover.points == {Point.vertex(4), Point.vertex(7)}
 
 
 def test_rarest_first_incumbent_beats_plain_greedy():
-    # Plain greedy takes 0 (four elements), then 1 and 2.  Element 5 is the
-    # rarest: {4, 5} is dominated by {0, 3, 4, 5}, so 3 is its one
-    # undominated candidate.  Element 1 comes next, and of its candidates
-    # 0 and 4, candidate 4 also covers element 2.
-    inst = _vertex_instance([{0, 1, 3, 4}, {0, 2, 3, 4}, {4, 5}, {0, 3, 4, 5}, {1, 2}], 6)
+    # No element has one candidate.  Plain greedy takes 2 (four elements,
+    # tied with 4), then 0 and 1.  Elements 0, 1 and 5 are the rarest, two
+    # candidates each: for element 0, candidate 3 covers three elements
+    # against 0's two; for element 1, candidates 1 and 4 tie at three
+    # uncovered elements, and 1 is the lower index.
+    inst = _vertex_instance([{0, 2}, {1, 2, 4}, {2, 3, 4, 5}, {0, 3, 5}, {1, 2, 3, 4}], 6)
     assert _indices(solve_greedy(inst)) == {0, 1, 2}
     start = solve_exact(inst, INCUMBENT_ONLY)
     assert not start.optimal
-    assert _indices(start) == {3, 4}
+    assert _indices(start) == {1, 3}
 
 
 def test_exchange_swaps_two_picks_for_one():
@@ -206,6 +202,17 @@ def test_rarest_first_incumbent_proves_atlas173_at_two_fifths(atlas_suite):
     g = dict(atlas_suite)["atlas173"]
     res = min_cover_exact(g, F(2, 5), Budget(max_nodes=1000, max_seconds=1e9))
     assert res.proven and len(res.cover) == 10
+
+
+def test_atlas_search_nodes_are_pinned(atlas_suite):
+    # Tier-1 pins counts, not times: the summed branch-and-bound nodes of
+    # the 142 connected atlas graphs at a 1,000-node budget.  A change to
+    # the root, the bounds or the branching moves these sums.
+    budget = Budget(max_nodes=1000, max_seconds=1e9)
+    for delta, pinned in ((F(2, 5), 5_601), (F(3, 5), 2_159)):
+        nodes = sum(solve_exact(build_set_cover(g, delta), budget).nodes_explored
+                    for _, g in atlas_suite)
+        assert nodes == pinned, str(delta)
 
 
 def test_exact_proves_atlas207_and_atlas161_within_1000_nodes(atlas_suite):
@@ -233,6 +240,18 @@ def test_sibling_nested_below_the_root_is_skipped():
     assert res.optimal
     assert len(res.cover) == brute_set_cover_size(list(inst.masks), (1 << 8) - 1, len(edges)) == 4
     assert res.nodes_explored == 7
+
+
+def test_min_cover_exact_checks_its_answer_outside_the_proof_memo(verifier_calls):
+    # Each call builds a new point set, so a memo entry would never be read;
+    # the answer is still checked once.
+    from deltacover.verify import require_output
+
+    for g, d in [(cycle(5), F(2, 3)), (k_n(4), F(1, 2))]:
+        min_cover_exact(g, d)
+    assert len(verifier_calls) == 2
+    info = require_output.cache_info()
+    assert info.currsize == 0 and info.misses == 0
 
 
 def test_greedy_basics():
