@@ -276,24 +276,6 @@ def build_set_cover(g: Graph, delta: Fraction) -> SetCoverInstance:
     return SetCoverInstance(delta, universe, candidates, tuple(masks))
 
 
-def _element_candidates(masks: Sequence[int], size: int) -> list[int]:
-    """The transpose of ``masks``: bit i of entry e is set iff masks[i] has bit e.
-
-    Each mask is read run by run rather than bit by bit: a maximal run of
-    set bits lo..hi toggles bit i on at lo and off at hi + 1 of a
-    difference list, and a running XOR over the list gives every entry.
-    """
-    diff = [0] * (size + 1)
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        flips = m ^ (m << 1)
-        while flips:
-            low = flips & -flips
-            diff[low.bit_length() - 1] ^= bit
-            flips ^= low
-    return list(accumulate(diff[:size], xor))
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -314,20 +296,24 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     further from the optimum, and the search then spends most of its nodes
     finding the optimum rather than proving it.
 
-    The root takes the forced candidates, each the only one of some
-    element, and keeps as its available set ``avail0`` every candidate
-    that covers an element they leave uncovered.  It drops no dominated
-    element or candidate, as none moves a bound: a candidate dominated at
-    the root adds to an element's ``union_reach`` (below) only elements the
-    forced candidates cover, and an element whose candidates include
-    another's has the larger ``union_reach`` and at least as many
-    candidates, so neither the min-degree packing nor the branching rule
-    prefers it.  The sibling skip below drops a dominated child at every
-    node.  On instances of a few dozen elements, a root pass for dominance
-    costs more than the nodes it saves.  A node covers its uncovered
-    elements ``U`` with a subset ``avail`` of ``avail0`` (branching removes
-    the candidates already tried), and is cut when a lower bound reaches
-    the incumbent:
+    The root reads each mask's runs of set bits once, for both the element
+    to candidates table and ``union_reach`` (below), into which every
+    distinct mask is ORed.  A mask that covers nothing outside the forced
+    candidates' cover changes only the entries of elements they cover, and
+    no bound, branch or exchange reads those.  The root takes the forced
+    candidates, each the only one of some element, and keeps as its
+    available set ``avail0`` every candidate that covers an element they
+    leave uncovered.  It drops no dominated element or candidate, as none
+    moves a bound: a candidate dominated at the root adds to an element's
+    ``union_reach`` only elements the forced candidates cover, and an
+    element whose candidates include another's has the larger
+    ``union_reach`` and at least as many candidates, so neither the
+    min-degree packing nor the branching rule prefers it.  The sibling skip
+    below drops a dominated child at every node.  On instances of a few
+    dozen elements, a root pass for dominance costs more than the nodes it
+    saves.  A node covers its uncovered elements ``U`` with a subset
+    ``avail`` of ``avail0`` (branching removes the candidates already
+    tried), and is cut when a lower bound reaches the incumbent:
 
     * ``ceil(|U| / max_deg)``, where ``max_deg`` is the most uncovered
       elements one candidate of ``avail0`` covers.  A candidate of
@@ -348,7 +334,18 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     every node, where ``avail`` is smaller.  With a packing one short, a
     child whose candidate covers no packed element is cut at once, so the
     branching element is the one with the fewest candidates that cover a
-    packed element, then the fewest candidates.
+    packed element, then the fewest candidates.  Such a child is decided
+    at its parent, with no call, and still counts as a node, so node
+    budgets stop where they would if it were called: its elements hold the
+    whole packing, so with ``ub - 1`` it would fail at ``ub <= 1``, in the
+    one-candidate leaf or in its bound, and have no children.
+
+    A node that passes its bounds splits its elements into groups that
+    share no candidate and solves them apart.  Its packing is then
+    maximal (each walk stops only when no open element is left, or the
+    node is cut), so every element lies in a packed element's
+    ``union_reach``; when those reaches chain together through shared
+    elements, the node is one group and no search for groups runs.
 
     A child is skipped when its candidate ``c`` covers no element of the
     node's ``U`` that an earlier explored sibling ``c'`` does not also
@@ -370,7 +367,31 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     full = (1 << nu) - 1
     masks = list(inst.masks)
 
-    elem_cands = _element_candidates(masks, nu)
+    # One pass over each mask's runs: the set bits lo..hi - 1 flip
+    # m ^ (m << 1) at lo and hi.  A run toggles the candidate's bit at lo
+    # and hi of a difference list, whose running XOR is the transpose
+    # elem_cands; the first mask of each value is ORed into union_reach[e]
+    # for e in the run, since at large radii most masks are equal and a loop
+    # over each element's candidates costs |U| * |C|.
+    diff = [0] * (nu + 1)
+    union_reach = [0] * nu
+    seen: set[int] = set()
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        new = m not in seen
+        seen.add(m)
+        flips = m ^ (m << 1)
+        while flips:
+            lo = (flips & -flips).bit_length() - 1
+            flips &= flips - 1
+            hi = (flips & -flips).bit_length() - 1
+            flips &= flips - 1
+            diff[lo] ^= bit
+            diff[hi] ^= bit
+            if new:
+                for e in range(lo, hi):
+                    union_reach[e] |= m
+    elem_cands = list(accumulate(diff[:nu], xor))
     if any(c == 0 for c in elem_cands):
         raise InfeasibleInstanceError("universe element with no candidate")
 
@@ -383,20 +404,6 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     rest = [m & ~covered0 for m in masks]
     avail0 = sum(1 << c for c in range(nc) if rest[c])
     cand_by_elem = [ec & avail0 for ec in elem_cands]
-    # union_reach[e]: every element sharing a root candidate with e.  Each
-    # distinct root mask is ORed into its elements run by run (the set bits
-    # lo..hi - 1 flip m ^ (m << 1) at lo and hi); at large radii most masks
-    # are equal, and a loop over each element's candidates costs |U| * |C|.
-    union_reach = [0] * nu
-    for m in dict.fromkeys(m for m, r in zip(masks, rest) if r):
-        flips = m ^ (m << 1)
-        while flips:
-            lo = (flips & -flips).bit_length() - 1
-            flips &= flips - 1
-            hi = (flips & -flips).bit_length() - 1
-            flips &= flips - 1
-            for e in range(lo, hi):
-                union_reach[e] |= m
     max_deg = max([r.bit_count() for r in rest if r], default=1)
 
     def pack_more(open_: int, count: int, pack: int, ub: int) -> tuple[int, int]:
@@ -524,8 +531,37 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
     deadline = t0 + budget.max_seconds
     root_elems = full & ~covered0
 
-    def components_of(elems: int) -> list[int]:
-        """Split elements into groups with disjoint candidate support."""
+    def count_node() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
+            raise _BudgetExhausted
+
+    def components_of(elems: int, pack: int) -> list[int]:
+        """Split elements into groups with disjoint candidate support.
+
+        ``pack`` is a maximal packing of ``elems``, so every element lies in
+        a packed element's ``union_reach``: when those reaches chain together
+        through shared elements, ``elems`` is one group, found without a
+        search.
+        """
+        low = pack & -pack
+        joined = union_reach[low.bit_length() - 1] & elems
+        left = pack ^ low
+        grew = True
+        while left and grew:
+            grew = False
+            p = left
+            while p:
+                low = p & -p
+                reach = union_reach[low.bit_length() - 1] & elems
+                if reach & joined:
+                    joined |= reach
+                    left ^= low
+                    grew = True
+                p ^= low
+        if not left:
+            return [elems]
         comps = []
         rem = elems
         while rem:
@@ -557,10 +593,8 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         the candidates of its lowest element from the highest index down
         and returns the first that covers every element.
         """
-        nonlocal nodes, best_size, best_chosen
-        nodes += 1
-        if nodes > budget.max_nodes or (nodes & 0xFF == 0 and time.monotonic() > deadline):
-            raise _BudgetExhausted
+        nonlocal best_size, best_chosen
+        count_node()
         if elems == 0:
             return []
         if ub <= 1:
@@ -576,7 +610,7 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
         lb, pack = bound(elems, ub, pack)
         if lb >= ub:
             return None
-        comps = components_of(elems)
+        comps = components_of(elems, pack)
         if len(comps) > 1:
             lbs = [bound(c, ub, pack & c)[0] for c in comps]
             if sum(lbs) >= ub:
@@ -601,17 +635,17 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
                 low = p & -p
                 hits |= cand_by_elem[low.bit_length() - 1]
                 p ^= low
-        pick_mask, pick_key = 0, None
+        pick_mask, pick_key = 0, 1 << 64
         rem = elems
         while rem:
             low = rem & -rem
             cm = cand_by_elem[low.bit_length() - 1] & avail
             if not cm:
                 return None
-            key = ((cm & hits).bit_count(), cm.bit_count())
-            if pick_key is None or key < pick_key:
+            key = (cm & hits).bit_count() << 32 | cm.bit_count()
+            if key < pick_key:
                 pick_mask, pick_key = cm, key
-                if key == (0, 1):
+                if key == 1:
                     break
             rem ^= low
         branch: list[int] = []
@@ -632,6 +666,10 @@ def solve_exact(inst: SetCoverInstance, budget: Budget = DEFAULT_BUDGET) -> Solv
             if any(here | m == m for m in explored):
                 continue
             explored.append(here)
+            if hits and masks[c] & pack == 0:
+                # The child keeps all ub - 1 packed elements: a node cut at once.
+                count_node()
+                continue
             sub = solve_elems(elems & ~masks[c], sub_avail, ub - 1, pack, False)
             if sub is not None:
                 best = [c] + sub

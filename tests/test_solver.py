@@ -15,8 +15,8 @@ from deltacover import (
     solve_greedy,
     subdivide,
 )
-from deltacover.solver import GridPoints, SetCoverInstance
-from conftest import cycle, k_n, path, star
+from deltacover.solver import GridPoints, SetCoverInstance, _greedy
+from conftest import cycle, grid, k_n, path, star
 from oracles import brute_set_cover_size, coverage_by_distance
 
 
@@ -206,13 +206,25 @@ def test_rarest_first_incumbent_proves_atlas173_at_two_fifths(atlas_suite):
 
 def test_atlas_search_nodes_are_pinned(atlas_suite):
     # Tier-1 pins counts, not times: the summed branch-and-bound nodes of
-    # the 142 connected atlas graphs at a 1,000-node budget.  A change to
-    # the root, the bounds or the branching moves these sums.
+    # the 142 connected atlas graphs at a 1,000-node budget, at the five
+    # radii of the atlas benchmark.  A change to the root, the bounds or the
+    # branching moves these sums.
     budget = Budget(max_nodes=1000, max_seconds=1e9)
-    for delta, pinned in ((F(2, 5), 5_601), (F(3, 5), 2_159)):
+    for delta, pinned in ((F(1, 3), 3_022), (F(2, 5), 5_601), (F(3, 5), 2_159),
+                          (F(2, 3), 3_291), (F(5, 4), 1_843)):
         nodes = sum(solve_exact(build_set_cover(g, delta), budget).nodes_explored
                     for _, g in atlas_suite)
         assert nodes == pinned, str(delta)
+
+
+def test_a_child_cut_at_its_parent_still_counts_as_a_node():
+    # A child the parent's packing already cuts is decided without a call,
+    # and counted, so a node budget stops the search where it did when the
+    # child was called: with 19 points, unproven, after 1,001 nodes.  Not
+    # counting those children lets the same budget reach 17 points.
+    budget = Budget(max_nodes=1000, max_seconds=1e9)
+    res = solve_exact(build_set_cover(grid(5, 5), F(4, 5)), budget)
+    assert (len(res.cover), res.optimal, res.nodes_explored) == (19, False, 1001)
 
 
 def test_exact_proves_atlas207_and_atlas161_within_1000_nodes(atlas_suite):
@@ -261,6 +273,19 @@ def test_greedy_basics():
     r = solve_greedy(build_set_cover(c4, F(1)))
     assert len(r.cover) == 2
     assert not r.optimal
+
+
+def test_greedy_gain_evaluations_are_pinned():
+    # Tier-1 pins counts, not times: each pick of the greedy's scan reads
+    # the gain of every candidate, so 59 picks over |C| = 2,200 candidates
+    # make 129,800 gain evaluations on the n = 400 cubic graph at 5/2.  A
+    # lazy greedy that makes the same picks lowers this pin.
+    g = Graph(nx.random_regular_graph(3, 400, seed=1).edges(), n=400)
+    inst = build_set_cover(g, F(5, 2))
+    res, d = _greedy(inst)
+    assert (len(inst.universe), len(inst.masks), d) == (2_400, 2_200, 60)
+    assert len(res.cover) == 59
+    assert len(res.cover) * len(inst.masks) == 129_800
 
 
 def test_greedy_star_subdivided():
