@@ -25,6 +25,7 @@ Usage: solver_rows.py [--rows atlas|grids|all] [--max-nodes 1000]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction as F
@@ -85,13 +86,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", help="write here instead of standard output")
     args = ap.parse_args(argv)
     budget = Budget(max_nodes=args.max_nodes, max_seconds=1e9)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
         for case in cases(args.rows, args.max_den):
             print(json.dumps(row(*case, budget)), file=out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
